@@ -1,6 +1,7 @@
 // Sandbox overhead probe: the smoke suite through the Campaign engine in
-// thread isolation versus process isolation (fork()ed sandbox workers,
-// rows shipped back over the checksummed pipe framing), at one job.  The
+// thread isolation (in process, unsupervised) versus process isolation
+// (fork()ed sandbox workers, rows shipped back over the checksummed pipe
+// framing), at one job.  The
 // sandbox keeps one long-lived worker per executor, so the per-scenario
 // tax is spec serialization plus a pipe round trip -- the acceptance bar
 // is <=10% scenarios/sec against thread mode, guardrailed in CI via
@@ -29,7 +30,7 @@ Measured run_mode(const std::vector<ddl::scenario::ScenarioSpec>& specs,
                   ddl::scenario::IsolationMode mode) {
   ddl::scenario::CampaignConfig config;
   config.jobs = 1;
-  config.isolation_mode = mode;
+  config.isolation.mode = mode;
   const ddl::scenario::Campaign campaign(config);
   ddl::analysis::WallTimer timer;
   const auto outcome = campaign.run(specs);

@@ -11,13 +11,15 @@
 //               are skipped and their journaled lines reused *byte-exactly*,
 //               so the final stream is identical to an uninterrupted run.
 //
-//   isolation   each scenario attempt runs on its own watchdog-supervised
-//               thread with a per-spec deadline (`timeout_ms`, or derived
-//               from the spec's period count).  Timeouts are classified
-//               transient and retried with exponential backoff up to
-//               `max_retries`; an exhausted scenario becomes a structured
-//               `verdict:"error"` row (ScenarioError::kTimeout) and the
-//               batch keeps going.  Exceptions are captured per scenario by
+//   isolation   each shard runs its scenarios through one
+//               ScenarioExecutor (ddl/scenario/sandbox.h).  By default that
+//               is a fork()ed sandbox worker with a per-spec deadline
+//               (`isolation.timeout_ms`, or derived from the spec's period
+//               count): timeouts and lost workers are transient and retried
+//               with exponential backoff up to `isolation.max_retries`, and
+//               crashes, rlimit kills and exhausted retries become
+//               structured `verdict:"error"` rows while the batch keeps
+//               going.  Exceptions are captured per scenario by
 //               `run_scenario_guarded` and are not retried (deterministic).
 //
 //   determinism the journal is completion-ordered (a durability log, not
@@ -32,51 +34,29 @@
 #include <string>
 #include <vector>
 
-#include "ddl/scenario/isolation.h"
 #include "ddl/scenario/runner.h"
+#include "ddl/scenario/sandbox.h"
 
 namespace ddl::scenario {
 
 struct CampaignConfig {
   /// Journal + checkpoint-manifest directory; empty disables durability
-  /// (watchdog isolation still applies).  Created on demand.
+  /// (isolation still applies).  Created on demand.
   std::string journal_dir;
   /// Resume from an existing journal in `journal_dir`: the manifest must
   /// fingerprint-match the spec list, completed scenarios are skipped.
   bool resume = false;
-  /// Worker threads; 0 resolves DDL_THREADS / hardware concurrency.
+  /// Worker threads (one executor each); 0 resolves DDL_THREADS /
+  /// hardware concurrency.
   std::size_t jobs = 0;
-  /// Watchdog deadline per attempt in wall milliseconds; 0 derives a
-  /// generous per-spec default from the period count (auto_timeout_ms).
-  std::uint64_t timeout_ms = 0;
-  /// Extra attempts granted to a timed-out (transiently failed) scenario.
-  int max_retries = 1;
-  /// First retry backoff; doubles on every further retry.
-  std::uint64_t backoff_base_ms = 50;
-  /// After a timeout the watchdog cancels cooperatively and waits this long
-  /// to join the worker before abandoning (detaching) it.
-  std::uint64_t grace_ms = 500;
   /// Optional graceful-stop flag (SIGTERM/SIGINT): when it reads true, the
   /// campaign stops *starting* scenarios.  In-flight scenarios finish and
   /// are journaled normally, so the journal stays resumable and non-torn;
   /// unstarted scenarios are counted in CampaignOutcome::skipped.
   const std::atomic<bool>* stop = nullptr;
-  /// Where scenario attempts execute: out-of-process sandbox workers (the
-  /// default; crashes become structured rows) or in-process watchdog
-  /// threads (lower overhead, no crash containment).
-  IsolationMode isolation_mode = IsolationMode::kProcess;
-  /// RLIMIT_AS / RLIMIT_CPU caps applied inside sandbox workers.
-  SandboxLimits limits;
-  /// Thread mode: abandoned-worker cap (see IsolationConfig::max_abandoned).
-  std::size_t max_abandoned = 16;
-
-  /// The isolation slice of this config, as the shared watchdog executor
-  /// consumes it.
-  IsolationConfig isolation() const noexcept {
-    return IsolationConfig{timeout_ms,     max_retries, backoff_base_ms,
-                           grace_ms,       isolation_mode, limits,
-                           max_abandoned};
-  }
+  /// Where scenarios execute -- sandbox workers by default, or in process
+  /// -- and the sandbox's deadline, retry and rlimit policy.
+  IsolationConfig isolation;
 };
 
 /// Everything a campaign run produces.  `result_lines` (spec order, no
@@ -94,12 +74,11 @@ struct CampaignOutcome {
   std::size_t retried = 0;    ///< Scenarios that needed more than 1 attempt.
   std::size_t timeouts = 0;   ///< Scenarios exhausted as kTimeout errors.
   std::size_t exceptions = 0; ///< Scenarios captured as kException errors.
-  std::size_t abandoned_threads = 0;  ///< Workers detached past grace.
   std::size_t skipped = 0;    ///< Scenarios never started (graceful stop).
   std::size_t sandbox_crashes = 0;   ///< Workers killed by a fatal signal.
   std::size_t workers_respawned = 0; ///< Replacement sandbox workers forked.
   std::size_t resource_kills = 0;    ///< Workers killed by RLIMIT caps.
-  std::size_t workers_lost = 0;      ///< kWorkerLost rows (incl. cap trips).
+  std::size_t workers_lost = 0;      ///< kWorkerLost rows.
   /// True when a graceful stop cut the run short: `skipped` scenarios have
   /// neither a result row nor a journal entry; resume picks them up.
   bool interrupted = false;

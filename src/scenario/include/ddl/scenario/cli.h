@@ -32,11 +32,12 @@ struct RunnerOptions {
   std::string replay_path;  ///< --replay FILE: replay a bundle, then exit.
 
   /// --inject-hang MS (test hook): the batch's first scenario hangs every
-  /// attempt for MS, demonstrating watchdog timeout / retry / error rows.
+  /// attempt for MS, demonstrating sandbox timeout / retry / error rows.
   std::uint64_t inject_hang_ms = 0;
 
-  /// --isolation thread|process: where scenario attempts execute
-  /// (default: process -- fork()ed sandbox workers with crash containment).
+  /// --isolation thread|process: where scenarios execute (default:
+  /// process -- fork()ed sandbox workers with deadlines, retries and crash
+  /// containment).  Thread mode rejects every sandbox-only flag.
   std::string isolation = "process";
   std::uint64_t mem_limit_mb = 0;  ///< --mem-limit-mb: worker RLIMIT_AS cap.
   std::uint64_t cpu_limit_s = 0;   ///< --cpu-limit-s: worker RLIMIT_CPU cap.

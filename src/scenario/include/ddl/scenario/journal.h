@@ -109,8 +109,6 @@ class JournalWriter {
   void record(const std::string& line,
               const std::vector<std::string>& health_lines);
 
-  std::size_t completed() const;
-
  private:
   void write_manifest();
 
@@ -118,7 +116,7 @@ class JournalWriter {
   std::string fingerprint_;
   std::size_t total_ = 0;
   std::size_t completed_ = 0;
-  mutable std::mutex mutex_;
+  std::mutex mutex_;
   std::ofstream journal_;
   std::ofstream health_;
 };

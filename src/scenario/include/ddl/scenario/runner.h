@@ -18,7 +18,6 @@
 
 #include "ddl/analysis/bench_json.h"
 #include "ddl/scenario/spec.h"
-#include "ddl/sim/simulator.h"
 
 namespace ddl::scenario {
 
@@ -50,7 +49,7 @@ struct ScenarioResult {
   std::string failure_detail;  ///< Extra context (invalid_spec messages).
 
   // Execution error (kNone unless the run itself threw or timed out; see
-  // ScenarioError).  `attempts` counts watchdog attempts consumed -- 1 for
+  // ScenarioError).  `attempts` counts sandbox attempts consumed -- 1 for
   // a clean first-try run, >1 after transient retries.
   ScenarioError error = ScenarioError::kNone;
   std::string error_detail;
@@ -89,13 +88,6 @@ struct ScenarioResult {
   double mc_inl_mean_lsb = 0.0;    ///< Max-|INL| distribution, in LSBs.
   double mc_inl_p95_lsb = 0.0;
   double mc_inl_max_lsb = 0.0;
-
-  /// Event-kernel execution counters accumulated by this scenario.  The
-  /// built-in behavioral scenarios never instantiate a `sim::Simulator`, so
-  /// today these stay zero; gate-level scenario paths fill them in.  They
-  /// feed the suite aggregate only -- per-scenario JSONL stays free of
-  /// kernel internals so the stream remains byte-stable.
-  sim::KernelCounters kernel;
 };
 
 /// Renders one result as a flat ordered JsonObject (the JSONL record
@@ -146,14 +138,9 @@ ScenarioArtifacts run_scenario_guarded(const ScenarioSpec& spec,
 /// shape.
 ScenarioResult make_base_result(const ScenarioSpec& spec);
 
-/// The structured `invalid_spec` failure run_scenario produces for a spec
-/// that fails validation, factored out so the campaign watchdog can
-/// short-circuit validation once before the retry loop.
-ScenarioResult make_invalid_spec_result(const ScenarioSpec& spec,
-                                        const std::vector<std::string>& problems);
-
 /// The error result `run_scenario_guarded` would produce, factored out so
-/// the campaign watchdog can synthesize timeout rows with the same shape.
+/// the sandbox supervisor can synthesize crash/timeout rows with the same
+/// shape.
 ScenarioResult make_error_result(const ScenarioSpec& spec, ScenarioError error,
                                  std::string detail);
 
@@ -166,9 +153,6 @@ struct SuiteSummary {
   std::map<std::string, std::size_t> failures;
   /// Family -> {passed, total}, key-sorted.
   std::map<std::string, std::pair<std::size_t, std::size_t>> by_family;
-  /// Kernel counters summed across every scenario (see
-  /// ScenarioResult::kernel); surfaced in the aggregate BenchReport.
-  sim::KernelCounters kernel;
 };
 
 SuiteSummary summarize(const std::vector<ScenarioResult>& results);

@@ -1,10 +1,12 @@
-// Process-level scenario sandbox: crash containment for campaign workers.
+// Scenario supervision: the one execution engine for dispatch units, and
+// the fork()ed sandbox that contains them.
 //
 // A ScenarioExecutor is the one dispatch-unit execution engine shared by
 // the Campaign engine and the campaign service daemon.  In
-// IsolationMode::kThread it is a thin wrapper over the watchdog thread
-// path (run_scenario_isolated / the batch planner).  In
-// IsolationMode::kProcess it supervises a fork()ed *worker process*:
+// IsolationMode::kThread it runs units in process on the calling thread
+// (batch planner + run_scenario_guarded) with no deadline, no retry and no
+// containment.  In IsolationMode::kProcess it supervises a fork()ed
+// *worker process*:
 //
 //   supervisor (this process)              worker (forked child)
 //   ----------------------------          ---------------------------
@@ -19,15 +21,17 @@
 // service uses on sockets -- so thread mode and process mode produce
 // byte-identical streams.
 //
-// The point of the fork: a scenario that segfaults, aborts, blows past an
-// address-space or CPU-time cap (setrlimit inside the child), or wedges
-// beyond the watchdog deadline kills only the worker.  The supervisor
-// reaps it (waitpid), classifies the exit status into a structured
-// ScenarioError (kCrash / kResourceLimit / kWorkerLost / kTimeout),
-// respawns the worker and -- for transient classes -- retries under the
-// exact backoff policy thread mode uses.  Crash rows are deterministic
-// (signal name + spec content fingerprint; never a pid or address), so a
-// journaled crash row replays byte-identically on resume.
+// Deadlines, retries, backoff and resource caps exist only here: a
+// scenario that segfaults, aborts, blows past an address-space or
+// CPU-time cap (setrlimit inside the child), or wedges beyond its
+// deadline kills only the worker, and only a SIGKILL of the worker's
+// process group really cancels work.  The supervisor reaps it (waitpid),
+// classifies the exit status into a structured ScenarioError (kCrash /
+// kResourceLimit / kWorkerLost / kTimeout), respawns the worker and --
+// for transient classes -- retries with exponential backoff.  Crash rows
+// are deterministic (signal name + spec content fingerprint; never a pid
+// or address), so a journaled crash row replays byte-identically on
+// resume.
 //
 // Batch-plan dispatch units survive: a multi-spec unit ships whole into
 // one worker (one batched kernel dispatch, threads=1).  If the worker
@@ -39,12 +43,56 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
-#include "ddl/scenario/isolation.h"
 #include "ddl/scenario/runner.h"
 
 namespace ddl::scenario {
+
+/// Where a dispatch unit executes.
+enum class IsolationMode {
+  /// In process on the calling thread: no deadline, no retry, no
+  /// containment -- a crashing scenario takes the host down and a wedged
+  /// one wedges it.  For the library, sanitizers and benches.
+  kThread,
+  /// fork()ed sandbox worker: crashes, resource blowups and hard hangs
+  /// become structured error rows while the supervisor survives.
+  kProcess,
+};
+
+std::string_view to_string(IsolationMode mode) noexcept;
+
+/// Per-worker resource caps, applied via setrlimit() inside the sandbox
+/// child (process mode only).
+struct SandboxLimits {
+  /// RLIMIT_AS cap in MiB; 0 leaves the address space unlimited.
+  std::uint64_t mem_limit_mb = 0;
+  /// RLIMIT_CPU cap in seconds; 0 leaves CPU time unlimited.
+  std::uint64_t cpu_limit_s = 0;
+};
+
+/// Supervision policy.  Every field but `mode` is a sandbox knob; thread
+/// mode ignores them.
+struct IsolationConfig {
+  /// Deadline per attempt in wall milliseconds; 0 derives a generous
+  /// per-spec default from the period count (auto_timeout_ms).
+  std::uint64_t timeout_ms = 0;
+  /// Extra attempts granted to a transiently failed (timed-out or lost)
+  /// scenario.
+  int max_retries = 1;
+  /// First retry backoff; doubles on every further retry.
+  std::uint64_t backoff_base_ms = 50;
+  /// Thread or process execution.
+  IsolationMode mode = IsolationMode::kProcess;
+  /// Resource caps for process-mode workers.
+  SandboxLimits limits;
+};
+
+/// The derived deadline when `timeout_ms == 0`: generous enough that only
+/// a genuine hang trips it (10 s floor + 20 ms per switching period), and
+/// a pure function of the spec so error rows stay deterministic.
+std::uint64_t auto_timeout_ms(const ScenarioSpec& spec);
 
 /// Shared sandbox telemetry, aggregated across every executor of a
 /// campaign or server (plain atomics; hand the same instance to all).
@@ -55,8 +103,7 @@ struct SandboxCounters {
   std::atomic<std::size_t> respawns{0};
   /// Workers killed by their RLIMIT_AS / RLIMIT_CPU cap (kResourceLimit).
   std::atomic<std::size_t> resource_kills{0};
-  /// Rows classified kWorkerLost (unattributable death, retries exhausted,
-  /// or thread mode's abandoned-worker cap).
+  /// Rows classified kWorkerLost (unattributable death, retries exhausted).
   std::atomic<std::size_t> workers_lost{0};
 };
 
@@ -77,10 +124,15 @@ struct ExecutedScenario {
 /// call to kill the in-flight unit's worker process.
 class ScenarioExecutor {
  public:
-  /// `counters` and `abandoned`, when given, must outlive the executor.
+  /// In process mode the constructor forks the sandbox worker, so build
+  /// executors while the process is still single-threaded: a child forked
+  /// while another thread holds an allocator lock inherits that lock held
+  /// forever (GCC's ASan allocator has no fork handler).  `counters`, when
+  /// given, must outlive the executor.
   explicit ScenarioExecutor(IsolationConfig config,
-                            SandboxCounters* counters = nullptr,
-                            std::atomic<std::size_t>* abandoned = nullptr);
+                            SandboxCounters* counters = nullptr);
+  /// Kills and reaps the idle worker (it holds nothing worth a graceful
+  /// exit).
   ~ScenarioExecutor();
 
   ScenarioExecutor(const ScenarioExecutor&) = delete;
@@ -90,17 +142,19 @@ class ScenarioExecutor {
   /// mode (crash, limit, timeout, lost worker) comes back as an error row.
   ExecutedScenario run_one(const ScenarioSpec& spec);
 
-  /// Runs one dispatch unit in spec order.  A single-spec unit follows the
-  /// full watchdog/retry policy; a multi-spec unit is a batch-coalesced
-  /// group (one worker, one batched dispatch) whose members degrade to
-  /// per-scenario retries if the group's worker dies.  Returns one entry
-  /// per spec, in order -- or an empty vector when interrupt() withdrew
-  /// the unit (check interrupted()).
-  std::vector<ExecutedScenario> run_unit(const std::vector<ScenarioSpec>& specs);
+  /// Runs one dispatch unit in spec order.  In process mode a single-spec
+  /// unit follows the full deadline/retry policy; a multi-spec unit is a
+  /// batch-coalesced group (one worker, one batched dispatch) whose members
+  /// degrade to per-scenario retries if the group's worker dies.  Returns
+  /// one entry per spec, in order -- or an empty vector when interrupt()
+  /// withdrew the unit (check interrupted()).
+  std::vector<ExecutedScenario> run_unit(
+      const std::vector<ScenarioSpec>& specs);
 
   /// Kills the current worker's process group (cancel support).  The
   /// in-flight run_unit returns empty with interrupted() set; rows of the
-  /// withdrawn unit are never emitted.  Safe from any thread.
+  /// withdrawn unit are never emitted.  Safe from any thread.  Thread mode
+  /// has no process to kill: the in-flight unit finishes normally.
   void interrupt();
 
   bool interrupted() const noexcept;

@@ -107,16 +107,14 @@ struct FaultSpec {
 enum class ScenarioError {
   kNone = 0,   ///< Ran to completion (verdict is pass/fail).
   kException,  ///< Spec execution threw; `error_detail` carries what().
-  kTimeout,    ///< Watchdog deadline expired on every allowed attempt.
+  kTimeout,    ///< Sandbox deadline expired on every allowed attempt.
   kCrash,          ///< Sandbox worker died on a fatal signal (SIGSEGV,
                    ///< SIGABRT, ...); `error_detail` carries the signal and
                    ///< the faulting spec's content fingerprint.
   kResourceLimit,  ///< Sandbox worker hit its RLIMIT_AS / RLIMIT_CPU cap.
-  kWorkerLost,     ///< Worker vanished for an unattributable reason (pipe
-                   ///< EOF mid-scenario, external kill) -- transient, so it
-                   ///< retries like a timeout -- or, in thread mode, the
-                   ///< abandoned-worker cap tripped and the campaign
-                   ///< refuses to start new watchdog attempts.
+  kWorkerLost,     ///< Sandbox worker vanished for an unattributable
+                   ///< reason (pipe EOF mid-scenario, external kill) --
+                   ///< transient, so it retries like a timeout.
 };
 
 std::string_view to_string(ScenarioError error) noexcept;
@@ -207,21 +205,20 @@ struct ScenarioSpec {
   bool mc_force_scalar = false;
 
   // --- Test hooks (exercised by the campaign isolation tests and the
-  // runner's --inject-hang flag; no built-in suite sets them) -------------
-  /// Cooperative hang: the guarded runner spins this long (polling its
-  /// cancellation token) before executing, so watchdog timeouts are
-  /// testable without a real deadlock.
+  // runner's --inject-hang / --inject-crash flags; no built-in suite sets
+  // them).  Only the sandbox worker honours debug_hang_* and debug_crash:
+  // in-process (thread-mode) execution ignores them. -----------------------
+  /// Hang: the sandbox worker sleeps this long before executing, so
+  /// deadline kills and retries are testable without a real deadlock.
   std::uint64_t debug_hang_ms = 0;
   /// How many attempts hang; later attempts run normally (retry testing).
   int debug_hang_attempts = 1;
   /// The guarded runner throws instead of executing (exception capture).
   bool debug_throw = false;
-  /// Crash injection (process-mode sandbox testing; the runner's
-  /// --inject-crash flag): "segv" / "abort" raise the fatal signal inside
-  /// the sandbox worker, "oom" allocates until the worker's RLIMIT_AS cap
-  /// kills it, "spin" busy-loops until RLIMIT_CPU or the watchdog does.
-  /// Empty = no injection.  Only honored by the out-of-process worker: a
-  /// thread-mode run ignores it rather than crash the host process.
+  /// Crash injection: "segv" / "abort" raise the fatal signal inside the
+  /// sandbox worker, "oom" allocates until the worker's RLIMIT_AS cap
+  /// kills it, "spin" busy-loops until RLIMIT_CPU or the deadline does.
+  /// Empty = no injection.
   std::string debug_crash;
 
   /// The regulation target the steady-state window is judged against: the

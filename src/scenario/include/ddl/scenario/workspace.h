@@ -6,7 +6,7 @@
 // DesignCalculator walk from (architecture, clock, resolution) to a line
 // configuration, repeated once inside validate() (fault victims are range
 // checked against the sized line) and again inside the runner's build
-// path -- per attempt, including every watchdog retry of the same spec.
+// path -- per attempt, including every sandbox retry of the same spec.
 // A campaign suite draws from a handful of architecture fingerprints, so
 // one worker-local cache keyed by those fingerprints collapses all of it
 // to a map lookup after the first scenario.
@@ -18,10 +18,8 @@
 // error rows do not depend on whether the cache was warm.
 //
 // Threading: a workspace is single-owner state (one worker at a time, like
-// the mc_batch BatchWorkspace).  The watchdog hands it to attempt threads
-// sequentially and *drops* it when an attempt is abandoned past the grace
-// window -- the runaway thread keeps its shared_ptr alive, the next
-// attempt simply starts a fresh arena.
+// the mc_batch BatchWorkspace): each ScenarioExecutor, sandbox child and
+// runner shard owns its own.
 #pragma once
 
 #include <cstdint>

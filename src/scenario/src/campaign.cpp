@@ -1,6 +1,6 @@
 #include "ddl/scenario/campaign.h"
 
-#include <atomic>
+#include <algorithm>
 #include <filesystem>
 #include <memory>
 #include <set>
@@ -10,30 +10,20 @@
 #include "ddl/analysis/bench_json.h"
 #include "ddl/analysis/parallel.h"
 #include "ddl/scenario/journal.h"
-#include "ddl/scenario/sandbox.h"
-#include "ddl/scenario/workspace.h"
 
 namespace ddl::scenario {
 namespace {
 
 namespace fs = std::filesystem;
 
-/// One executed scenario as the parallel reduction carries it: its spec
-/// index, verdict row, rendered line and health lines.
+/// One executed scenario: its spec index, verdict row, rendered line and
+/// health lines.
 struct Executed {
   std::size_t index = 0;
   ScenarioResult result;
   std::string line;
   std::vector<std::string> health_lines;
   bool skipped = false;
-};
-
-/// One worker shard's reduction state: its executed entries plus the
-/// executor that ran them (thread mode: the watchdog + workspace arena;
-/// process mode: this shard's sandbox worker process).
-struct Shard {
-  std::vector<Executed> entries;
-  std::unique_ptr<ScenarioExecutor> executor;
 };
 
 }  // namespace
@@ -86,46 +76,44 @@ CampaignOutcome Campaign::run(const std::vector<ScenarioSpec>& specs) const {
     }
   }
 
-  const IsolationConfig isolation = config_.isolation();
-  std::atomic<std::size_t> abandoned{0};
+  // One contiguous shard of `pending` per job.  Every shard's executor --
+  // in process isolation, its sandbox worker -- is built before the pool
+  // starts a thread, so workers fork from a single-threaded process (see
+  // ScenarioExecutor's constructor).
   SandboxCounters counters;
-  analysis::ThreadPool pool(config_.jobs ? config_.jobs
-                                         : analysis::default_thread_count());
-  auto executed = analysis::parallel_for_reduce<Shard>(
-      pool, pending.size(), [] { return Shard{}; },
-      [&](std::size_t i, Shard& shard) {
-        const std::size_t index = pending[i];
-        const ScenarioSpec& spec = specs[index];
-        Executed entry;
-        entry.index = index;
-        // A graceful stop gates *starting* scenarios: anything already
-        // running finishes and journals normally, so the journal stays
-        // resumable and non-torn.
-        if (config_.stop != nullptr &&
-            config_.stop->load(std::memory_order_relaxed)) {
-          entry.skipped = true;
-          shard.entries.push_back(std::move(entry));
-          return;
-        }
-        if (!shard.executor) {
-          shard.executor = std::make_unique<ScenarioExecutor>(
-              isolation, &counters, &abandoned);
-        }
-        ExecutedScenario run = shard.executor->run_one(spec);
-        entry.result = std::move(run.result);
-        entry.line = std::move(run.line);
-        entry.health_lines = std::move(run.health_lines);
-        if (writer) {
-          writer->record(entry.line, entry.health_lines);
-        }
-        shard.entries.push_back(std::move(entry));
-      },
-      [](Shard& total, Shard&& part) {
-        for (Executed& entry : part.entries) {
-          total.entries.push_back(std::move(entry));
-        }
-        part.executor.reset();
-      });
+  const std::size_t jobs =
+      config_.jobs ? config_.jobs : analysis::default_thread_count();
+  const std::size_t shards = std::min(jobs, pending.size());
+  std::vector<std::unique_ptr<ScenarioExecutor>> executors;
+  for (std::size_t shard = 0; shard < shards; ++shard) {
+    executors.push_back(
+        std::make_unique<ScenarioExecutor>(config_.isolation, &counters));
+  }
+  std::vector<Executed> executed(pending.size());
+  analysis::ThreadPool pool(shards);
+  pool.run_shards(shards, [&](std::size_t shard) {
+    const auto [begin, end] =
+        analysis::shard_range(pending.size(), shards, shard);
+    for (std::size_t i = begin; i < end; ++i) {
+      Executed& entry = executed[i];
+      entry.index = pending[i];
+      // A graceful stop gates *starting* scenarios: anything already
+      // running finishes and journals normally, so the journal stays
+      // resumable and non-torn.
+      if (config_.stop != nullptr &&
+          config_.stop->load(std::memory_order_relaxed)) {
+        entry.skipped = true;
+        continue;
+      }
+      ExecutedScenario run = executors[shard]->run_one(specs[entry.index]);
+      entry.result = std::move(run.result);
+      entry.line = std::move(run.line);
+      entry.health_lines = std::move(run.health_lines);
+      if (writer) {
+        writer->record(entry.line, entry.health_lines);
+      }
+    }
+  });
 
   CampaignOutcome outcome;
   outcome.results.resize(specs.size());
@@ -147,7 +135,7 @@ CampaignOutcome Campaign::run(const std::vector<ScenarioSpec>& specs) const {
     }
     ++outcome.resumed;
   }
-  for (Executed& entry : executed.entries) {
+  for (Executed& entry : executed) {
     if (entry.skipped) {
       ++outcome.skipped;
       continue;
@@ -173,7 +161,6 @@ CampaignOutcome Campaign::run(const std::vector<ScenarioSpec>& specs) const {
       outcome.health_jsonl += '\n';
     }
   }
-  outcome.abandoned_threads = abandoned.load();
   outcome.sandbox_crashes = counters.crashes.load();
   outcome.workers_respawned = counters.respawns.load();
   outcome.resource_kills = counters.resource_kills.load();

@@ -55,9 +55,9 @@ std::string runner_usage() {
       "  --resume DIR      resume a killed campaign from DIR's journal;\n"
       "                    completed scenarios are skipped and the final\n"
       "                    streams stay byte-identical to an unbroken run\n"
-      "  --timeout-ms MS   watchdog deadline per scenario attempt\n"
+      "  --timeout-ms MS   sandbox deadline per scenario attempt\n"
       "                    (default: 10 s + 20 ms per switching period)\n"
-      "  --retries N       extra attempts for a timed-out scenario\n"
+      "  --retries N       extra attempts for a timed-out or lost scenario\n"
       "                    (default: 1; exponential backoff between tries)\n"
       "  --backoff-ms MS   first retry backoff, doubling per retry\n"
       "                    (default: 50)\n"
@@ -70,15 +70,17 @@ std::string runner_usage() {
       "  --replay FILE     re-run a replay bundle; exit 0 iff the recorded\n"
       "                    verdict reproduces\n"
       "  --inject-hang MS  test hook: hang the first scenario's attempts\n"
-      "                    for MS to exercise the watchdog\n"
-      "  --isolation MODE  where attempts run: 'process' (default; fork()ed\n"
-      "                    sandbox workers -- a crashing scenario becomes a\n"
-      "                    structured error row) or 'thread' (in-process\n"
-      "                    watchdog threads, lower overhead)\n"
+      "                    for MS to exercise the sandbox deadline\n"
+      "  --isolation MODE  where scenarios run: 'process' (default; fork()ed\n"
+      "                    sandbox workers with deadlines, retries and\n"
+      "                    crash containment) or 'thread' (in process, with\n"
+      "                    none of those: --timeout-ms, --retries,\n"
+      "                    --backoff-ms, --inject-hang, --inject-crash and\n"
+      "                    both limits are rejected)\n"
       "  --mem-limit-mb N  RLIMIT_AS cap per sandbox worker, in MiB\n"
-      "                    (process isolation only; 0 = unlimited)\n"
+      "                    (default: unlimited)\n"
       "  --cpu-limit-s N   RLIMIT_CPU cap per sandbox worker, in seconds\n"
-      "                    (process isolation only; 0 = unlimited)\n"
+      "                    (default: unlimited)\n"
       "  --inject-crash KIND[@SUBSTR]\n"
       "                    test hook: crash scenarios inside the sandbox\n"
       "                    worker.  KIND is segv|abort|oom|spin; @SUBSTR\n"
@@ -90,9 +92,19 @@ std::string runner_usage() {
 ParsedArgs parse_runner_args(const std::vector<std::string>& args) {
   ParsedArgs parsed;
   RunnerOptions& options = parsed.options;
+  // The first flag only a sandbox supervisor can honour (deadline, retry,
+  // rlimit, crash injection); --isolation thread rejects it.
+  std::string sandbox_flag;
 
   for (std::size_t i = 0; i < args.size(); ++i) {
     const std::string& arg = args[i];
+    if (sandbox_flag.empty() &&
+        (arg == "--timeout-ms" || arg == "--retries" ||
+         arg == "--backoff-ms" || arg == "--inject-hang" ||
+         arg == "--inject-crash" || arg == "--mem-limit-mb" ||
+         arg == "--cpu-limit-s")) {
+      sandbox_flag = arg;
+    }
     // One lookahead for flags that take a value; sets `error` when the
     // value is missing so every flag below can bail uniformly.
     const auto value = [&]() -> const std::string* {
@@ -237,14 +249,10 @@ ParsedArgs parse_runner_args(const std::vector<std::string>& args) {
   if (options.resume && options.journal_dir.empty()) {
     parsed.error = "--resume needs a journal directory";
   }
-  if (options.isolation == "thread") {
-    if (!options.inject_crash_kind.empty()) {
-      parsed.error = "--inject-crash requires --isolation process (a thread-"
-                     "mode crash would take down the runner itself)";
-    } else if (options.mem_limit_mb > 0 || options.cpu_limit_s > 0) {
-      parsed.error = "--mem-limit-mb/--cpu-limit-s require --isolation "
-                     "process (thread workers share the runner's limits)";
-    }
+  if (options.isolation == "thread" && !sandbox_flag.empty()) {
+    parsed.error = sandbox_flag + " requires --isolation process (thread "
+                   "mode runs scenarios in process, with no deadline, "
+                   "retry, rlimit or crash containment)";
   }
   if (!options.replay_path.empty() &&
       (options.chaos_storms > 0 || options.resume || options.list)) {

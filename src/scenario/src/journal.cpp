@@ -228,11 +228,6 @@ void JournalWriter::record(const std::string& line,
   write_manifest();
 }
 
-std::size_t JournalWriter::completed() const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  return completed_;
-}
-
 void JournalWriter::write_manifest() {
   analysis::JsonObject manifest;
   manifest.set("schema_version", analysis::kBenchJsonSchemaVersion);

@@ -305,19 +305,6 @@ ScenarioResult make_base_result(const ScenarioSpec& spec) {
   return result;
 }
 
-ScenarioResult make_invalid_spec_result(
-    const ScenarioSpec& spec, const std::vector<std::string>& problems) {
-  ScenarioResult result = make_base_result(spec);
-  result.failure_reason = "invalid_spec";
-  if (!problems.empty()) {
-    result.failure_detail = problems.front();
-    for (std::size_t i = 1; i < problems.size(); ++i) {
-      result.failure_detail += "; " + problems[i];
-    }
-  }
-  return result;
-}
-
 ScenarioArtifacts run_scenario(const ScenarioSpec& spec) {
   ScenarioWorkspace workspace;
   return run_scenario(spec, workspace);
@@ -339,7 +326,11 @@ ScenarioArtifacts run_scenario(const ScenarioSpec& spec,
   const ScenarioWorkspace::Sizing& sizing = workspace.sizing_for(spec);
   if (const auto problems = validate(spec, sizing.line_cells);
       !problems.empty()) {
-    result = make_invalid_spec_result(spec, problems);
+    result.failure_reason = "invalid_spec";
+    result.failure_detail = problems.front();
+    for (std::size_t i = 1; i < problems.size(); ++i) {
+      result.failure_detail += "; " + problems[i];
+    }
     return artifacts;
   }
 
@@ -623,9 +614,6 @@ SuiteSummary summarize(const std::vector<ScenarioResult>& results) {
   for (const ScenarioResult& result : results) {
     auto& family = summary.by_family[result.family];
     ++family.second;
-    summary.kernel.signal_events += result.kernel.signal_events;
-    summary.kernel.tasks += result.kernel.tasks;
-    summary.kernel.cancelled_inertial += result.kernel.cancelled_inertial;
     if (result.locked) {
       ++summary.locked;
     }

@@ -20,7 +20,6 @@
 #include <map>
 #include <mutex>
 #include <new>
-#include <optional>
 #include <string>
 #include <thread>
 #include <utility>
@@ -183,13 +182,32 @@ void emit_entry(int fd, std::size_t entry, const ScenarioResult& result) {
       }
       hog.push_back(chunk);
     }
-  } else {  // "spin": burn CPU until RLIMIT_CPU (SIGXCPU) or the watchdog.
+  } else {  // "spin": burn CPU until RLIMIT_CPU (SIGXCPU) or the deadline.
     volatile std::uint64_t spin = 0;
     for (;;) {
       spin = spin + 1;
     }
   }
   ::_exit(kExitProtocol);  // Unreachable.
+}
+
+/// The one unit execution shape, shared by in-process executors and the
+/// sandbox child: one batched dispatch per planner group, `scalar(index)`
+/// for every other spec.  threads=1 keeps a forked child single-threaded
+/// (the analysis pool runs inline at 1).
+template <typename Scalar>
+std::vector<ScenarioResult> run_unit_inline(
+    const std::vector<ScenarioSpec>& specs, ScenarioWorkspace& workspace,
+    Scalar scalar) {
+  std::vector<ScenarioResult> results(specs.size());
+  const BatchPlan plan = plan_batches(specs, workspace);
+  for (const BatchGroup& group : plan.groups) {
+    run_batch_group(specs, group, workspace, /*threads=*/1, results);
+  }
+  for (const std::size_t index : plan.scalar) {
+    results[index] = scalar(index);
+  }
+  return results;
 }
 
 ScenarioResult child_run_single(const ScenarioSpec& spec, int attempt,
@@ -203,8 +221,8 @@ ScenarioResult child_run_single(const ScenarioSpec& spec, int attempt,
     inject_crash(spec.debug_crash);
   }
   ScenarioResult result = run_scenario_guarded(spec, workspace).result;
-  // Stamp the supervisor's attempt number so a retried-then-succeeded row
-  // is byte-identical to thread mode's.
+  // Stamp the supervisor's attempt number (a retried-then-succeeded row
+  // reports every attempt it consumed).
   result.attempts = attempt + 1;
   return result;
 }
@@ -214,21 +232,14 @@ void child_run_unit(const std::vector<ScenarioSpec>& specs,
                     ScenarioWorkspace& workspace, int resp_fd) {
   const std::size_t count = specs.size();
   if (count == 1) {
+    // Never planned: a lone spec may be a retry, and keeps its hooks and
+    // attempt stamp even when it is batch-eligible.
     emit_entry(resp_fd, 0, child_run_single(specs[0], attempts[0], workspace));
   } else {
-    // A batch-coalesced group: same execution shape as the service's
-    // in-process unit runner -- one batched dispatch per planner group,
-    // guarded scalar runs for the remainder.  threads=1 keeps the forked
-    // child single-threaded (the analysis pool runs inline at 1).
-    std::vector<ScenarioResult> results(count);
-    const BatchPlan plan = plan_batches(specs, workspace);
-    for (const BatchGroup& group : plan.groups) {
-      run_batch_group(specs, group, workspace, /*threads=*/1, results);
-    }
-    for (const std::size_t index : plan.scalar) {
-      results[index] = child_run_single(specs[index], attempts[index],
-                                        workspace);
-    }
+    const std::vector<ScenarioResult> results =
+        run_unit_inline(specs, workspace, [&](std::size_t index) {
+          return child_run_single(specs[index], attempts[index], workspace);
+        });
     for (std::size_t i = 0; i < count; ++i) {
       emit_entry(resp_fd, i, results[i]);
     }
@@ -352,10 +363,9 @@ struct UnitCollect {
 struct ScenarioExecutor::Impl {
   IsolationConfig config;
   SandboxCounters* counters = nullptr;
-  std::atomic<std::size_t>* abandoned = nullptr;
 
-  /// Thread-mode arena (run_scenario_isolated's workspace slot).
-  std::shared_ptr<ScenarioWorkspace> workspace;
+  /// Thread-mode arena: sizing caches persist across units.
+  ScenarioWorkspace workspace;
 
   Sandbox box;
   /// Guards box.pid against interrupt() from another thread.
@@ -493,43 +503,6 @@ int reap_worker(ScenarioExecutor::Impl& impl) {
     impl.worker_died = true;
   }
   return status;
-}
-
-/// Graceful worker shutdown (destructor path): EOF the request pipe, give
-/// the worker a short window to _exit(0), then hard-kill.
-void shutdown_worker(ScenarioExecutor::Impl& impl) {
-  pid_t pid = -1;
-  {
-    const std::lock_guard<std::mutex> lock(impl.pid_mutex);
-    pid = impl.box.pid;
-    impl.box.pid = -1;
-  }
-  if (impl.box.req_fd >= 0) {
-    ::close(impl.box.req_fd);
-    impl.box.req_fd = -1;
-  }
-  if (pid > 0) {
-    int status = 0;
-    bool reaped = false;
-    for (int i = 0; i < 200; ++i) {
-      const pid_t done = ::waitpid(pid, &status, WNOHANG);
-      if (done == pid || (done < 0 && errno != EINTR)) {
-        reaped = true;
-        break;
-      }
-      std::this_thread::sleep_for(std::chrono::milliseconds(10));
-    }
-    if (!reaped) {
-      ::kill(-pid, SIGKILL);
-      ::kill(pid, SIGKILL);
-      while (::waitpid(pid, &status, 0) < 0 && errno == EINTR) {
-      }
-    }
-  }
-  if (impl.box.resp_fd >= 0) {
-    ::close(impl.box.resp_fd);
-    impl.box.resp_fd = -1;
-  }
 }
 
 bool send_unit(ScenarioExecutor::Impl& impl,
@@ -818,31 +791,16 @@ std::vector<ExecutedScenario> run_group_process(
   return out;
 }
 
+/// Thread mode: the unit runs right here, with no deadline, no retry and
+/// no containment.
 std::vector<ExecutedScenario> run_unit_thread(
     ScenarioExecutor::Impl& impl, const std::vector<ScenarioSpec>& specs) {
+  std::vector<ScenarioResult> results =
+      run_unit_inline(specs, impl.workspace, [&](std::size_t index) {
+        return run_scenario_guarded(specs[index], impl.workspace).result;
+      });
   std::vector<ExecutedScenario> out;
   out.reserve(specs.size());
-  if (specs.size() == 1) {
-    out.push_back(render_result(
-        run_scenario_isolated(specs[0], impl.config, impl.abandoned,
-                              &impl.workspace)
-            .result,
-        impl.counters));
-    return out;
-  }
-  if (!impl.workspace) {
-    impl.workspace = std::make_shared<ScenarioWorkspace>();
-  }
-  std::vector<ScenarioResult> results(specs.size());
-  const BatchPlan plan = plan_batches(specs, *impl.workspace);
-  for (const BatchGroup& group : plan.groups) {
-    run_batch_group(specs, group, *impl.workspace, /*threads=*/1, results);
-  }
-  for (const std::size_t index : plan.scalar) {
-    results[index] = run_scenario_isolated(specs[index], impl.config,
-                                           impl.abandoned, &impl.workspace)
-                         .result;
-  }
   for (ScenarioResult& result : results) {
     out.push_back(render_result(std::move(result), impl.counters));
   }
@@ -851,17 +809,34 @@ std::vector<ExecutedScenario> run_unit_thread(
 
 }  // namespace
 
+std::string_view to_string(IsolationMode mode) noexcept {
+  switch (mode) {
+    case IsolationMode::kThread:
+      return "thread";
+    case IsolationMode::kProcess:
+      return "process";
+  }
+  return "unknown";
+}
+
+std::uint64_t auto_timeout_ms(const ScenarioSpec& spec) {
+  return 10'000 + 20 * spec.periods;
+}
+
 ScenarioExecutor::ScenarioExecutor(IsolationConfig config,
-                                   SandboxCounters* counters,
-                                   std::atomic<std::size_t>* abandoned)
+                                   SandboxCounters* counters)
     : impl_(std::make_unique<Impl>()) {
   impl_->config = config;
   impl_->counters = counters;
-  impl_->abandoned = abandoned;
+  if (config.mode == IsolationMode::kProcess) {
+    // A failed fork is retried lazily by the first unit's dispatch.
+    spawn_worker(*impl_);
+  }
 }
 
 ScenarioExecutor::~ScenarioExecutor() {
-  shutdown_worker(*impl_);
+  kill_worker(*impl_);
+  reap_worker(*impl_);
 }
 
 ExecutedScenario ScenarioExecutor::run_one(const ScenarioSpec& spec) {
@@ -900,11 +875,7 @@ std::vector<ExecutedScenario> ScenarioExecutor::run_unit(
 
 void ScenarioExecutor::interrupt() {
   impl_->interrupted.store(true, std::memory_order_relaxed);
-  const std::lock_guard<std::mutex> lock(impl_->pid_mutex);
-  if (impl_->box.pid > 0) {
-    ::kill(-impl_->box.pid, SIGKILL);
-    ::kill(impl_->box.pid, SIGKILL);
-  }
+  kill_worker(*impl_);
 }
 
 bool ScenarioExecutor::interrupted() const noexcept {

@@ -1,6 +1,6 @@
 // The campaign service daemon: a TCP (loopback) and Unix-domain-socket
 // server that accepts ScenarioSpec / chaos-campaign submissions over the
-// framed protocol (protocol.h), schedules them onto a watchdog-isolated
+// framed protocol (protocol.h), schedules them onto a sandbox-isolated
 // worker pool, and streams result / health / progress frames back.
 //
 // Durability is the PR-5 write-ahead journal, per job: every accepted job
@@ -55,7 +55,7 @@
 #include <string>
 #include <vector>
 
-#include "ddl/scenario/isolation.h"
+#include "ddl/scenario/sandbox.h"
 
 namespace ddl::service {
 
@@ -98,7 +98,8 @@ struct ServiceConfig {
   /// flooding client cannot starve the rest of the event loop.
   std::size_t max_frames_per_tick = 0;
   std::size_t max_rx_bytes_per_tick = 0;
-  /// Watchdog policy for every scenario attempt (shared with the CLI).
+  /// Isolation mode and sandbox policy for every worker (shared with the
+  /// CLI).
   scenario::IsolationConfig isolation;
   /// Test hook: record the client name of every dispatched scenario, in
   /// dispatch order (the fairness test reads it back via dispatch_log()).
@@ -118,7 +119,6 @@ struct ServiceStats {
   std::size_t backpressure_frames = 0;
   std::size_t error_frames = 0;
   std::size_t heartbeats = 0;
-  std::size_t abandoned_threads = 0;  ///< Workers detached past grace.
   std::size_t jobs_cancelled = 0;     ///< Jobs torn down by a `cancel`.
   std::size_t replay_jobs = 0;        ///< Jobs born from `submit_replay`.
   std::size_t sessions_timed_out = 0;  ///< Dead-peer / partial-frame kills.
@@ -144,9 +144,10 @@ class ScenarioServer {
   ScenarioServer(const ScenarioServer&) = delete;
   ScenarioServer& operator=(const ScenarioServer&) = delete;
 
-  /// Binds the listeners, recovers `state_dir` jobs, spawns the worker
-  /// pool and event loop.  False (with `*error` filled) on bind/recovery
-  /// failure.
+  /// Binds the listeners, recovers `state_dir` jobs, builds one executor
+  /// per worker (forking its sandbox while the server has no thread yet),
+  /// then starts the worker pool and event loop.  False (with `*error`
+  /// filled) on bind/recovery failure.
   bool start(std::string* error = nullptr);
 
   /// Graceful shutdown: stop dispatching, finish and journal in-flight

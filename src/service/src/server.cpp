@@ -214,13 +214,15 @@ struct ScenarioServer::Impl {
   bool workers_quit = false;
   std::mutex completion_mutex;
   std::deque<Completion> completions;
-  std::atomic<std::size_t> abandoned{0};
   scenario::SandboxCounters sandbox_counters;
+  /// One executor per worker, built in start() before any thread exists
+  /// and destroyed after the workers join.
+  std::vector<std::unique_ptr<scenario::ScenarioExecutor>> executors;
 
   /// In-flight dispatch units by worker index, so handle_cancel can kill
   /// the sandbox worker process of a cancelled job (executor->interrupt()).
-  /// Executors live for the worker thread's whole life; entries are
-  /// registered before run_unit and erased after, all under active_mutex.
+  /// Entries are registered before run_unit and erased after, all under
+  /// active_mutex.
   struct ActiveUnit {
     std::string job_id;
     scenario::ScenarioExecutor* executor = nullptr;
@@ -309,7 +311,7 @@ struct ScenarioServer::Impl {
 
   /// Nonblocking flush; leftover bytes wait for POLLOUT.  EINTR is a
   /// retry, never a peer-gone signal (net::retry_eintr) -- the bug class
-  /// this helper exists to kill is a SIGCHLD from a watchdog-isolated
+  /// this helper exists to kill is a SIGCHLD from a dying sandbox
   /// worker tearing down an innocent session mid-send.
   void flush_outbox(Session& session) {
     while (session.outbox_offset < session.outbox.size()) {
@@ -781,9 +783,8 @@ struct ScenarioServer::Impl {
     // Units already claimed by a worker: in process isolation the unit's
     // sandbox worker (a whole process group) is killed and the unit comes
     // back `withdrawn` -- no row, no journal entry.  In thread mode the
-    // interrupt is a no-op and the attempt finishes and journals normally
-    // (the old cooperative teardown); either way the journal stays
-    // consistent.
+    // interrupt is a no-op and the unit finishes and journals normally;
+    // either way the journal stays consistent.
     {
       std::lock_guard<std::mutex> lock(active_mutex);
       for (auto& [worker_index, unit] : active_units) {
@@ -1421,10 +1422,10 @@ struct ScenarioServer::Impl {
   /// Runs one dispatch unit on the calling worker's executor.  In process
   /// isolation the unit ships whole into the worker's sandbox child (one
   /// batched kernel dispatch for multi-entry units); in thread mode the
-  /// executor wraps the watchdog path and batch planner directly.  Rows
-  /// come back as pre-rendered JSONL bytes either way, byte-identical
-  /// across modes.  An empty executor return means interrupt() killed the
-  /// unit mid-flight (cancel): each entry completes as `withdrawn`.
+  /// executor runs the same batch planner in process.  Rows come back as
+  /// pre-rendered JSONL bytes either way, byte-identical across modes.  An
+  /// empty executor return means interrupt() killed the unit mid-flight
+  /// (cancel): each entry completes as `withdrawn`.
   std::vector<Completion> run_unit(Task& task,
                                    scenario::ScenarioExecutor& executor) {
     std::vector<ScenarioSpec> specs;
@@ -1458,11 +1459,10 @@ struct ScenarioServer::Impl {
   }
 
   void worker_main(std::size_t worker_index) {
-    // One executor per worker: in process mode it owns a long-lived
-    // sandbox child (respawned on death); in thread mode it carries the
-    // scenario arena whose sizing caches persist across units.
-    scenario::ScenarioExecutor executor(config.isolation, &sandbox_counters,
-                                        &abandoned);
+    // In process mode the executor owns a long-lived sandbox child
+    // (respawned on death); in thread mode it carries the scenario arena
+    // whose sizing caches persist across units.
+    scenario::ScenarioExecutor& executor = *executors[worker_index];
     for (;;) {
       Task task;
       {
@@ -1637,6 +1637,7 @@ struct ScenarioServer::Impl {
       worker.join();
     }
     worker_threads.clear();
+    executors.clear();
     drain_completions();
 
     std::vector<int> open_fds;
@@ -1756,6 +1757,12 @@ bool ScenarioServer::start(std::string* error) {
 
   const std::size_t workers =
       impl.config.workers == 0 ? 1 : impl.config.workers;
+  // Executors first: their sandbox workers fork before this server starts
+  // a thread (see ScenarioExecutor's constructor).
+  for (std::size_t i = 0; i < workers; ++i) {
+    impl.executors.push_back(std::make_unique<scenario::ScenarioExecutor>(
+        impl.config.isolation, &impl.sandbox_counters));
+  }
   for (std::size_t i = 0; i < workers; ++i) {
     impl.worker_threads.emplace_back([this, i] { impl_->worker_main(i); });
   }
@@ -1812,7 +1819,6 @@ ServiceStats ScenarioServer::stats() const {
   Impl& impl = *impl_;
   std::lock_guard<std::mutex> lock(impl.stats_mutex);
   ServiceStats snapshot = impl.stats_data;
-  snapshot.abandoned_threads = impl.abandoned.load();
   snapshot.sandbox_crashes = impl.sandbox_counters.crashes.load();
   snapshot.workers_respawned = impl.sandbox_counters.respawns.load();
   snapshot.resource_kills = impl.sandbox_counters.resource_kills.load();

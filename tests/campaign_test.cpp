@@ -1,6 +1,6 @@
 // Tests for the crash-safe campaign engine and its chaos companion:
-// journal/resume byte-identity (including torn-tail recovery), watchdog
-// isolation with bounded retry, structured error rows, seeded storm
+// journal/resume byte-identity (including torn-tail recovery), sandbox
+// deadlines with bounded retry, structured error rows, seeded storm
 // expansion, the delta-debugging shrinker, replay bundles, the flat-JSON
 // parser / atomic writer they ride on, and the runner's CLI grammar.
 #include <gtest/gtest.h>
@@ -11,6 +11,7 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "ddl/analysis/bench_json.h"
@@ -221,9 +222,9 @@ TEST(CampaignIsolationTest, HungScenarioTimesOutAsStructuredErrorRow) {
   config.jobs = 2;
   // Generous deadline: healthy 900-period scenarios finish well inside it
   // even under sanitizer slowdown, while the hang never does.
-  config.timeout_ms = 3000;
-  config.max_retries = 1;
-  config.backoff_base_ms = 1;
+  config.isolation.timeout_ms = 3000;
+  config.isolation.max_retries = 1;
+  config.isolation.backoff_base_ms = 1;
   const auto outcome = Campaign(config).run(specs);
 
   const auto& row = outcome.results[0];
@@ -237,8 +238,6 @@ TEST(CampaignIsolationTest, HungScenarioTimesOutAsStructuredErrorRow) {
   for (std::size_t i = 1; i < outcome.results.size(); ++i) {
     EXPECT_TRUE(outcome.results[i].pass) << outcome.results[i].name;
   }
-  // Cooperative hangs join inside the grace window: no abandoned threads.
-  EXPECT_EQ(outcome.abandoned_threads, 0u);
 }
 
 TEST(CampaignIsolationTest, TransientHangSucceedsOnRetry) {
@@ -247,9 +246,9 @@ TEST(CampaignIsolationTest, TransientHangSucceedsOnRetry) {
   specs[0].debug_hang_attempts = 1;  // Only the first attempt hangs.
 
   CampaignConfig config;
-  config.timeout_ms = 3000;
-  config.max_retries = 1;
-  config.backoff_base_ms = 1;
+  config.isolation.timeout_ms = 3000;
+  config.isolation.max_retries = 1;
+  config.isolation.backoff_base_ms = 1;
   const auto outcome = Campaign(config).run(specs);
 
   EXPECT_TRUE(outcome.results[0].pass) << outcome.results[0].failure_reason;
@@ -606,6 +605,49 @@ TEST(CliTest, ReplayIsExclusiveWithBatchModes) {
   EXPECT_FALSE(
       ddl::scenario::parse_runner_args({"--replay", "b.json", "--list"})
           .ok());
+}
+
+TEST(CliTest, IsolationModeMustBeThreadOrProcess) {
+  EXPECT_EQ(ddl::scenario::parse_runner_args({}).options.isolation, "process");
+  EXPECT_TRUE(ddl::scenario::parse_runner_args({"--isolation", "thread"}).ok());
+  const auto bogus = ddl::scenario::parse_runner_args({"--isolation", "fork"});
+  EXPECT_FALSE(bogus.ok());
+  EXPECT_NE(bogus.error.find("thread|process"), std::string::npos)
+      << bogus.error;
+}
+
+TEST(CliTest, ThreadIsolationRejectsEverySandboxOnlyFlag) {
+  // Thread mode runs scenarios in process: no deadline, retry, rlimit or
+  // crash containment, so asking for one is a usage error (exit 64), in
+  // either flag order -- and process mode accepts every one of them.
+  using ddl::scenario::parse_runner_args;
+  const std::vector<std::pair<std::string, std::string>> sandbox_only = {
+      {"--inject-crash", "segv"}, {"--mem-limit-mb", "64"},
+      {"--cpu-limit-s", "5"},     {"--timeout-ms", "100"},
+      {"--retries", "2"},         {"--backoff-ms", "10"},
+      {"--inject-hang", "100"}};
+  std::vector<std::string> all_of_them = {"--isolation", "process"};
+  for (const auto& [flag, value] : sandbox_only) {
+    const std::string expected = flag + " requires --isolation process";
+    const auto got = parse_runner_args({"--isolation", "thread", flag, value});
+    EXPECT_EQ(got.error.substr(0, expected.size()), expected);
+    EXPECT_FALSE(parse_runner_args({flag, value, "--isolation", "thread"}).ok())
+        << flag;
+    EXPECT_TRUE(parse_runner_args({"--isolation", "process", flag, value}).ok())
+        << flag;
+    all_of_them.push_back(flag);
+    all_of_them.push_back(value);
+  }
+  const auto process = parse_runner_args(all_of_them);
+  ASSERT_TRUE(process.ok()) << process.error;
+  EXPECT_EQ(process.options.isolation, "process");
+  EXPECT_EQ(process.options.timeout_ms, 100u);
+  EXPECT_EQ(process.options.retries, 2);
+  EXPECT_EQ(process.options.backoff_ms, 10u);
+  EXPECT_EQ(process.options.inject_hang_ms, 100u);
+  EXPECT_EQ(process.options.inject_crash_kind, "segv");
+  EXPECT_EQ(process.options.mem_limit_mb, 64u);
+  EXPECT_EQ(process.options.cpu_limit_s, 5u);
 }
 
 TEST(CliTest, StrictNumericHelpers) {

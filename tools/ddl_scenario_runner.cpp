@@ -192,9 +192,9 @@ int main(int argc, char** argv) {
   }
 
   if (options.inject_hang_ms > 0) {
-    // Test hook: the first scenario hangs on every attempt, so the watchdog
-    // times it out, retries it and reports a structured error row while the
-    // rest of the batch completes normally.
+    // Test hook: the first scenario hangs on every attempt, so the sandbox
+    // deadline kills it, it is retried and reported as a structured error
+    // row while the rest of the batch completes normally.
     specs.front().debug_hang_ms = options.inject_hang_ms;
     specs.front().debug_hang_attempts = INT_MAX;
   }
@@ -217,15 +217,15 @@ int main(int argc, char** argv) {
   config.journal_dir = options.journal_dir;
   config.resume = options.resume;
   config.jobs = options.jobs;
-  config.timeout_ms = options.timeout_ms;
-  config.max_retries = options.retries;
-  config.backoff_base_ms = options.backoff_ms;
   config.stop = &g_stop;
-  config.isolation_mode = options.isolation == "thread"
+  config.isolation.timeout_ms = options.timeout_ms;
+  config.isolation.max_retries = options.retries;
+  config.isolation.backoff_base_ms = options.backoff_ms;
+  config.isolation.mode = options.isolation == "thread"
                               ? scenario::IsolationMode::kThread
                               : scenario::IsolationMode::kProcess;
-  config.limits.mem_limit_mb = options.mem_limit_mb;
-  config.limits.cpu_limit_s = options.cpu_limit_s;
+  config.isolation.limits.mem_limit_mb = options.mem_limit_mb;
+  config.isolation.limits.cpu_limit_s = options.cpu_limit_s;
   std::signal(SIGTERM, on_signal);
   std::signal(SIGINT, on_signal);
 
@@ -296,8 +296,6 @@ int main(int argc, char** argv) {
   report.set("retried", static_cast<std::uint64_t>(outcome.retried));
   report.set("timeouts", static_cast<std::uint64_t>(outcome.timeouts));
   report.set("exceptions", static_cast<std::uint64_t>(outcome.exceptions));
-  report.set("abandoned_threads",
-             static_cast<std::uint64_t>(outcome.abandoned_threads));
   report.set("skipped", static_cast<std::uint64_t>(outcome.skipped));
   report.set("interrupted", outcome.interrupted);
   report.set("isolation", options.isolation);
@@ -315,12 +313,6 @@ int main(int argc, char** argv) {
     report.set("chaos_seed", options.chaos_seed);
     report.set("replay_bundles", static_cast<std::uint64_t>(bundles.size()));
   }
-  // Kernel execution counters summed across the suite (zero for purely
-  // behavioral scenarios; see ScenarioResult::kernel).
-  report.set("kernel_signal_events", summary.kernel.signal_events);
-  report.set("kernel_tasks", summary.kernel.tasks);
-  report.set("kernel_cancelled_inertial", summary.kernel.cancelled_inertial);
-  report.set("kernel_executed_events", summary.kernel.total());
   report.set("wall_ms", wall_ms);
   for (const auto& [reason, count] : summary.failures) {
     report.set("failures." + reason, static_cast<std::uint64_t>(count));

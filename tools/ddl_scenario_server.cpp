@@ -1,7 +1,7 @@
 // ddl_scenario_server: the campaign service daemon.  Binds a loopback TCP
 // port (and optionally a Unix-domain socket), accepts framed scenario /
 // chaos submissions from ddl_scenario_client, runs them on the
-// watchdog-isolated worker pool and streams results back -- journaling
+// sandbox-isolated worker pool and streams results back -- journaling
 // every completed scenario under --state-dir so a killed server resumes
 // exactly where it stopped (see DESIGN.md "Campaign service").
 //
@@ -52,16 +52,18 @@ std::string usage() {
       "                     slowloris defense (default 10000, 0 disables)\n"
       "  --max-outbox-mb N  per-session outbox cap before disconnect\n"
       "                     (default 32; the job continues as an orphan)\n"
-      "  --timeout-ms N     watchdog deadline per attempt (0 = per-spec)\n"
-      "  --retries N        extra attempts for timed-out scenarios\n"
-      "  --isolation MODE   where worker attempts run: 'process' (default;\n"
-      "                     fork()ed sandbox workers -- a crashing scenario\n"
-      "                     becomes a structured error row and the daemon\n"
-      "                     survives) or 'thread' (in-process watchdogs)\n"
+      "  --timeout-ms N     sandbox deadline per attempt (0 = per-spec)\n"
+      "  --retries N        extra attempts for timed-out or lost scenarios\n"
+      "  --isolation MODE   where scenarios run: 'process' (default; fork()ed\n"
+      "                     sandbox workers -- a crashing scenario becomes\n"
+      "                     a structured error row and the daemon survives)\n"
+      "                     or 'thread' (in process, with no deadline, retry\n"
+      "                     or containment: rejects --timeout-ms, --retries\n"
+      "                     and both limits)\n"
       "  --mem-limit-mb N   RLIMIT_AS cap per sandbox worker, in MiB\n"
-      "                     (process isolation only; 0 = unlimited)\n"
+      "                     (0 = unlimited)\n"
       "  --cpu-limit-s N    RLIMIT_CPU cap per sandbox worker, in seconds\n"
-      "                     (process isolation only; 0 = unlimited)\n"
+      "                     (0 = unlimited)\n"
       "  --help             this text\n";
 }
 
@@ -86,9 +88,17 @@ ServerOptions parse_args(const std::vector<std::string>& args) {
                       "' is not an unsigned integer";
     }
   };
+  // The first flag only a sandbox supervisor can honour; --isolation
+  // thread rejects it.
+  std::string sandbox_flag;
   for (std::size_t i = 0; i < args.size() && options.ok(); ++i) {
     const std::string& arg = args[i];
     std::uint64_t number = 0;
+    if (sandbox_flag.empty() &&
+        (arg == "--timeout-ms" || arg == "--retries" ||
+         arg == "--mem-limit-mb" || arg == "--cpu-limit-s")) {
+      sandbox_flag = arg;
+    }
     if (arg == "--help" || arg == "-h") {
       options.help = true;
     } else if (arg == "--port") {
@@ -160,10 +170,10 @@ ServerOptions parse_args(const std::vector<std::string>& args) {
   }
   if (options.ok() &&
       options.config.isolation.mode == scenario::IsolationMode::kThread &&
-      (options.config.isolation.limits.mem_limit_mb > 0 ||
-       options.config.isolation.limits.cpu_limit_s > 0)) {
-    options.error = "--mem-limit-mb/--cpu-limit-s require --isolation "
-                    "process (thread workers share the daemon's limits)";
+      !sandbox_flag.empty()) {
+    options.error = sandbox_flag + " requires --isolation process (thread "
+                    "mode runs scenarios in process, with no deadline, "
+                    "retry, rlimit or crash containment)";
   }
   return options;
 }
