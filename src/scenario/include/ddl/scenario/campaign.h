@@ -1,26 +1,35 @@
 // Crash-safe campaign execution on top of the scenario runner.
 //
-// A Campaign adds three things a long-running batch service needs that the
-// plain ScenarioRunner does not provide:
+// A Campaign runs its spec list as plan -> execute -> commit: the batch
+// planner (ddl/scenario/batch_plan.h) groups the list once, and each job
+// cuts its contiguous shard's members of every planner group into dispatch
+// units of a bounded die count (one batched kernel dispatch each), runs
+// every other spec as a unit of its own, and takes units in order of their
+// first member.  On top of that it adds three things a long-running batch
+// service needs that the plain ScenarioRunner does not provide:
 //
-//   durability  every completed scenario is appended to an on-disk JSONL
-//               journal (write-ahead: health events first, then the result
-//               line as the commit record) next to a checkpoint manifest
-//               written via atomic tmp-file+rename.  A killed campaign
-//               resumes with `CampaignConfig::resume`: completed scenarios
-//               are skipped and their journaled lines reused *byte-exactly*,
-//               so the final stream is identical to an uninterrupted run.
+//   durability  every completed unit is appended to an on-disk JSONL
+//               journal in one commit (write-ahead: health events first,
+//               then the result lines as the commit records) next to a
+//               checkpoint manifest written via atomic tmp-file+rename.  A
+//               killed campaign resumes with `CampaignConfig::resume`:
+//               committed scenarios are skipped and their journaled lines
+//               reused *byte-exactly*, so the final stream is identical to
+//               an uninterrupted run; a unit killed mid-commit re-runs its
+//               uncommitted members.
 //
-//   isolation   each shard runs its scenarios through one
-//               ScenarioExecutor (ddl/scenario/sandbox.h).  By default that
-//               is a fork()ed sandbox worker with a per-spec deadline
+//   isolation   each shard runs its units through one ScenarioExecutor
+//               (ddl/scenario/sandbox.h).  By default that is a fork()ed
+//               sandbox worker with a per-spec deadline
 //               (`isolation.timeout_ms`, or derived from the spec's period
 //               count): timeouts and lost workers are transient and retried
 //               with exponential backoff up to `isolation.max_retries`, and
 //               crashes, rlimit kills and exhausted retries become
 //               structured `verdict:"error"` rows while the batch keeps
-//               going.  Exceptions are captured per scenario by
-//               `run_scenario_guarded` and are not retried (deterministic).
+//               going.  A packed unit whose worker dies degrades to
+//               per-scenario retries.  Exceptions are captured per scenario
+//               by `run_scenario_guarded` and are not retried
+//               (deterministic).
 //
 //   determinism the journal is completion-ordered (a durability log, not
 //               the artifact); the final result and health streams are
@@ -50,9 +59,9 @@ struct CampaignConfig {
   /// hardware concurrency.
   std::size_t jobs = 0;
   /// Optional graceful-stop flag (SIGTERM/SIGINT): when it reads true, the
-  /// campaign stops *starting* scenarios.  In-flight scenarios finish and
+  /// campaign stops *starting* dispatch units.  In-flight units finish and
   /// are journaled normally, so the journal stays resumable and non-torn;
-  /// unstarted scenarios are counted in CampaignOutcome::skipped.
+  /// scenarios of unstarted units are counted in CampaignOutcome::skipped.
   const std::atomic<bool>* stop = nullptr;
   /// Where scenarios execute -- sandbox workers by default, or in process
   /// -- and the sandbox's deadline, retry and rlimit policy.
@@ -79,6 +88,8 @@ struct CampaignOutcome {
   std::size_t workers_respawned = 0; ///< Replacement sandbox workers forked.
   std::size_t resource_kills = 0;    ///< Workers killed by RLIMIT caps.
   std::size_t workers_lost = 0;      ///< kWorkerLost rows.
+  /// Multi-spec (packed) dispatch units run, as ServiceStats counts them.
+  std::size_t batched_units = 0;
   /// True when a graceful stop cut the run short: `skipped` scenarios have
   /// neither a result row nor a journal entry; resume picks them up.
   bool interrupted = false;

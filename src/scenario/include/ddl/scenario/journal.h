@@ -7,14 +7,18 @@
 //   journal.jsonl         one result line per committed scenario (the
 //                         commit record; appended last, flushed)
 //   health_journal.jsonl  health-event lines, appended *before* the result
-//                         line (WAL ordering: an event line without its
-//                         commit record is discarded on load)
+//                         lines of their unit (WAL ordering: an event line
+//                         without its commit record is discarded on load)
 //   manifest.json         checkpoint: spec fingerprint, total, completed
 //                         (atomic tmp+rename after every record)
 //
-// A torn tail (the chunk after the last '\n' of a killed append) is
-// dropped on load and truncated before appends resume.  Journaled lines
-// are byte-reused on resume, so a resumed stream is byte-identical to an
+// One record() commits one dispatch unit -- a campaign shard's packed
+// batch-plan unit, or a single row -- under one lock, two flushes and one
+// manifest rewrite.  A kill inside a unit's commit leaves a prefix of its
+// result lines; the rest of the unit simply runs again on resume.  A torn
+// tail (the chunk after the last '\n' of a killed append) is dropped on
+// load and truncated before appends resume.  Journaled lines are
+// byte-reused on resume, so a resumed stream is byte-identical to an
 // uninterrupted run.
 #pragma once
 
@@ -22,6 +26,7 @@
 #include <fstream>
 #include <map>
 #include <mutex>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -95,9 +100,19 @@ void check_resumable(const std::string& dir, const std::string& fingerprint,
 ScenarioResult reconstruct_result(
     const std::map<std::string, std::string>& fields);
 
-/// Append-side of the journal: health events first, then the result line
-/// as the commit record, then the checkpoint manifest (atomic rename).
-/// Thread-safe (record() is internally locked).
+/// The lines one JournalWriter::record commits, in order: a dispatch
+/// unit's result rows, or its health events.  A single line converts
+/// implicitly, so a one-row unit commits as `record(line, health_lines)`.
+struct JournalLines : std::span<const std::string> {
+  using std::span<const std::string>::span;
+  JournalLines() = default;
+  JournalLines(const std::string& line)  // NOLINT(runtime/explicit)
+      : std::span<const std::string>(&line, 1) {}
+};
+
+/// Append-side of the journal: per dispatch unit, health events first,
+/// then the result lines as the commit records, then the checkpoint
+/// manifest (atomic rename).  Thread-safe (record() is internally locked).
 class JournalWriter {
  public:
   /// Opens (append=true) or truncates the journal files and writes the
@@ -106,8 +121,12 @@ class JournalWriter {
   JournalWriter(std::string dir, std::string fingerprint, std::size_t total,
                 std::size_t completed, bool append);
 
-  void record(const std::string& line,
-              const std::vector<std::string>& health_lines);
+  /// Commits one dispatch unit: `lines` are its result rows (one per
+  /// scenario) and `health_lines` every member's health events, in unit
+  /// order.  Throws JournalIoError when the unit could not be made
+  /// durable; a failed health append throws before any result line is
+  /// written.
+  void record(JournalLines lines, JournalLines health_lines);
 
  private:
   void write_manifest();

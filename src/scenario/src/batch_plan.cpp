@@ -34,8 +34,8 @@ GroupKey group_key(const ScenarioSpec& spec,
 
 bool batch_eligible(const ScenarioSpec& spec, ScenarioWorkspace& workspace) {
   if (spec.mc_dies == 0 || spec.mc_force_scalar || spec.debug_throw ||
-      spec.debug_hang_ms > 0) {
-    return false;
+      spec.debug_hang_ms > 0 || !spec.debug_crash.empty()) {
+    return false;  // Hooks run only on the per-scenario path.
   }
   const ScenarioWorkspace::Sizing& sizing = workspace.sizing_for(spec);
   if (!sizing.feasible) {

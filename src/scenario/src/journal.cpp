@@ -210,21 +210,22 @@ JournalWriter::JournalWriter(std::string dir, std::string fingerprint,
   write_manifest();
 }
 
-void JournalWriter::record(const std::string& line,
-                           const std::vector<std::string>& health_lines) {
+void JournalWriter::record(JournalLines lines, JournalLines health_lines) {
   const std::lock_guard<std::mutex> lock(mutex_);
   for (const std::string& health_line : health_lines) {
     health_ << health_line << '\n';
   }
   // WAL ordering doubles as the fail-closed story: the health stream is
-  // checked *before* the result line is attempted, so a disk fault (ENOSPC,
+  // checked *before* any result line is attempted, so a disk fault (ENOSPC,
   // EIO) never commits a result whose health events were torn away.
   health_.flush();
   check_stream(health_, "health journal");
-  journal_ << line << '\n';
+  for (const std::string& line : lines) {
+    journal_ << line << '\n';
+  }
   journal_.flush();
   check_stream(journal_, "journal");
-  ++completed_;
+  completed_ += lines.size();
   write_manifest();
 }
 

@@ -31,6 +31,7 @@ using ddl::scenario::Campaign;
 using ddl::scenario::CampaignConfig;
 using ddl::scenario::ChaosCampaignSpec;
 using ddl::scenario::FaultSpec;
+using ddl::scenario::IsolationMode;
 using ddl::scenario::LoadSpec;
 using ddl::scenario::ScenarioError;
 using ddl::scenario::ScenarioRegistry;
@@ -64,6 +65,22 @@ ScenarioSpec supervised_spec() {
 std::vector<ScenarioSpec> quick_batch() {
   return {quick_spec("a", 11), quick_spec("b", 12), supervised_spec(),
           quick_spec("c", 13)};
+}
+
+/// The yield family copied 8 times, renamed and re-seeded: at any job
+/// count up to 2 every shard packs each corner's siblings into one
+/// multi-spec dispatch unit of at least four scenarios.
+std::vector<ScenarioSpec> replicated_yield() {
+  const auto family = ScenarioRegistry::builtin().expand("yield");
+  std::vector<ScenarioSpec> specs;
+  for (int copy = 0; copy < 8; ++copy) {
+    for (ScenarioSpec spec : family) {
+      spec.name += "/copy" + std::to_string(copy);
+      spec.seed += 1000 * static_cast<std::uint64_t>(copy);
+      specs.push_back(std::move(spec));
+    }
+  }
+  return specs;
 }
 
 std::string fresh_dir(const std::string& name) {
@@ -139,46 +156,89 @@ TEST(CampaignTest, McYieldCampaignIsByteIdenticalAcrossJobsAndKernelPaths) {
   EXPECT_EQ(serial.health_jsonl, reference.health_jsonl);
 }
 
-TEST(CampaignTest, ResumeAfterTornJournalIsByteIdentical) {
-  const auto specs = quick_batch();
-  const std::string full_dir = fresh_dir("full");
-  CampaignConfig config;
-  config.journal_dir = full_dir;
-  config.jobs = 2;
-  const auto uninterrupted = Campaign(config).run(specs);
-
-  // Simulate a kill mid-suite: two committed records survive, plus a torn
-  // append (no trailing newline) the crash left behind.
-  const std::string crash_dir = fresh_dir("crashed");
-  const std::string journal = slurp(full_dir + "/journal.jsonl");
-  std::size_t end = 0;
-  for (int lines = 0; lines < 2; ++lines) {
-    end = journal.find('\n', end) + 1;
+TEST(CampaignTest, PacksYieldSiblingsIntoBatchedUnits) {
+  // Each shard plans its specs: one packed unit per corner group (three
+  // per shard here), streamed byte-identically to the plain runner.
+  const auto specs = replicated_yield();
+  const auto results = ScenarioRunner(2).run(specs);
+  for (const std::size_t jobs : {std::size_t{1}, std::size_t{2}}) {
+    CampaignConfig config;
+    config.isolation.mode = IsolationMode::kProcess;
+    config.jobs = jobs;
+    config.journal_dir = fresh_dir("packed" + std::to_string(jobs));
+    const auto outcome = Campaign(config).run(specs);
+    EXPECT_EQ(outcome.batched_units, 3 * jobs) << "jobs " << jobs;
+    EXPECT_EQ(outcome.jsonl(), ScenarioRunner::jsonl(results))
+        << "jobs " << jobs;
+    EXPECT_EQ(outcome.health_jsonl, ScenarioRunner::health_jsonl(results));
+    EXPECT_EQ(outcome.executed, specs.size());
   }
-  spit(crash_dir + "/journal.jsonl",
-       journal.substr(0, end) + R"({"schema_version": 2, "name": "test/pro)");
-  spit(crash_dir + "/health_journal.jsonl",
-       slurp(full_dir + "/health_journal.jsonl"));
-  spit(crash_dir + "/manifest.json", slurp(full_dir + "/manifest.json"));
+  // Nothing to pack: every spec is its own unit.
+  EXPECT_EQ(Campaign(CampaignConfig{}).run(quick_batch()).batched_units, 0u);
+}
 
-  CampaignConfig resume = config;
-  resume.journal_dir = crash_dir;
-  resume.resume = true;
-  resume.jobs = 3;  // Determinism must also hold across thread counts.
-  const auto resumed = Campaign(resume).run(specs);
+TEST(CampaignTest, DieBudgetCutsUnitsBetweenScenariosNeverInside) {
+  // A unit carries at most 16384 dies: the big scenario fills one whole,
+  // so neither of its 256-die siblings in the same group can join it.
+  const auto yield = ScenarioRegistry::builtin().expand("yield");
+  ScenarioSpec big = yield[1];
+  big.name += "/big";
+  big.mc_dies = 16384;
+  const std::vector<ScenarioSpec> specs = {yield[1], big, yield[3]};
+  CampaignConfig config;
+  config.jobs = 1;
+  const auto outcome = Campaign(config).run(specs);
+  EXPECT_EQ(outcome.batched_units, 0u);
+  EXPECT_EQ(outcome.jsonl(),
+            ScenarioRunner::jsonl(ScenarioRunner(1).run(specs)));
+}
 
-  EXPECT_EQ(resumed.jsonl(), uninterrupted.jsonl());
-  EXPECT_EQ(resumed.health_jsonl, uninterrupted.health_jsonl);
-  EXPECT_EQ(resumed.resumed, 2u);
-  EXPECT_EQ(resumed.executed, specs.size() - 2);
+TEST(CampaignTest, ResumeAfterTornJournalIsByteIdentical) {
+  // Over the replicated yield list every committed unit holds at least
+  // four records, so keeping two tears the journal inside one unit.
+  int list = 0;
+  for (const std::vector<ScenarioSpec>& specs :
+       {quick_batch(), replicated_yield()}) {
+    const std::string tag = std::to_string(list++);
+    const std::string full_dir = fresh_dir("full" + tag);
+    CampaignConfig config;
+    config.journal_dir = full_dir;
+    config.jobs = 2;
+    const auto uninterrupted = Campaign(config).run(specs);
 
-  // The journal in the resumed directory is now complete: a second resume
-  // runs nothing and still reproduces the stream.
-  const auto replayed = Campaign(resume).run(specs);
-  EXPECT_EQ(replayed.executed, 0u);
-  EXPECT_EQ(replayed.resumed, specs.size());
-  EXPECT_EQ(replayed.jsonl(), uninterrupted.jsonl());
-  EXPECT_EQ(replayed.health_jsonl, uninterrupted.health_jsonl);
+    // Simulate a kill mid-suite: two committed records survive, plus a
+    // torn append (no trailing newline) the crash left behind.
+    const std::string crash_dir = fresh_dir("crashed" + tag);
+    const std::string journal = slurp(full_dir + "/journal.jsonl");
+    std::size_t end = 0;
+    for (int lines = 0; lines < 2; ++lines) {
+      end = journal.find('\n', end) + 1;
+    }
+    spit(crash_dir + "/journal.jsonl",
+         journal.substr(0, end) + R"({"schema_version": 2, "name": "test/pro)");
+    spit(crash_dir + "/health_journal.jsonl",
+         slurp(full_dir + "/health_journal.jsonl"));
+    spit(crash_dir + "/manifest.json", slurp(full_dir + "/manifest.json"));
+
+    CampaignConfig resume = config;
+    resume.journal_dir = crash_dir;
+    resume.resume = true;
+    resume.jobs = 3;  // Determinism must also hold across thread counts.
+    const auto resumed = Campaign(resume).run(specs);
+
+    EXPECT_EQ(resumed.jsonl(), uninterrupted.jsonl()) << tag;
+    EXPECT_EQ(resumed.health_jsonl, uninterrupted.health_jsonl) << tag;
+    EXPECT_EQ(resumed.resumed, 2u) << tag;
+    EXPECT_EQ(resumed.executed, specs.size() - 2) << tag;
+
+    // The journal in the resumed directory is now complete: a second
+    // resume runs nothing and still reproduces the stream.
+    const auto replayed = Campaign(resume).run(specs);
+    EXPECT_EQ(replayed.executed, 0u) << tag;
+    EXPECT_EQ(replayed.resumed, specs.size()) << tag;
+    EXPECT_EQ(replayed.jsonl(), uninterrupted.jsonl()) << tag;
+    EXPECT_EQ(replayed.health_jsonl, uninterrupted.health_jsonl) << tag;
+  }
 }
 
 TEST(CampaignTest, ResumeRefusesAMismatchedScenarioList) {

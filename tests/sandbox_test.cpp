@@ -235,27 +235,33 @@ TEST(SandboxTest, GroupCrashDegradesToPerScenarioRetries) {
   // A multi-spec unit ships whole into one sandbox worker.  With a
   // crashing member the worker dies mid-group; every member must come
   // back as its own row (crash for the guilty spec, results for the rest)
-  // rather than being lost or duplicated.
-  std::vector<ScenarioSpec> specs = ScenarioRegistry::builtin().expand("yield");
-  ASSERT_GE(specs.size(), 2u);
-  specs.resize(2);
-  specs.push_back(crashing_spec("segv"));
+  // rather than being lost or duplicated.  The guilty spec is a closed-loop
+  // run, or a yield spec whose kernel constants match a unit sibling's: a
+  // hooked spec must stay off the packed dispatch, or its crash never runs.
+  const std::vector<ScenarioSpec> yield =
+      ScenarioRegistry::builtin().expand("yield");
+  ASSERT_EQ(yield.size(), 4u);
+  ScenarioSpec crashing_yield = yield[3];  // Packs with yield[1] unhooked.
+  crashing_yield.debug_crash = "segv";
 
   IsolationConfig isolation;
   isolation.mode = IsolationMode::kProcess;
-  ScenarioExecutor executor(isolation);
-  std::vector<ExecutedScenario> runs = executor.run_unit(specs);
-  ASSERT_EQ(runs.size(), specs.size());
-  EXPECT_EQ(runs[2].result.error, ScenarioError::kCrash);
-  for (std::size_t i = 0; i < 2; ++i) {
-    EXPECT_EQ(runs[i].result.error, ScenarioError::kNone) << i;
-    EXPECT_FALSE(runs[i].line.empty()) << i;
-  }
-
-  // The degraded rows byte-match a clean single-spec execution.
   ScenarioExecutor clean(isolation);
-  for (std::size_t i = 0; i < 2; ++i) {
-    EXPECT_EQ(runs[i].line, clean.run_one(specs[i]).line) << i;
+  for (const ScenarioSpec& guilty : {crashing_spec("segv"), crashing_yield}) {
+    std::vector<ScenarioSpec> specs = {yield[0], yield[1], guilty};
+    ScenarioExecutor executor(isolation);
+    std::vector<ExecutedScenario> runs = executor.run_unit(specs);
+    ASSERT_EQ(runs.size(), specs.size()) << guilty.name;
+    EXPECT_EQ(runs[2].result.error, ScenarioError::kCrash) << guilty.name;
+    EXPECT_EQ(runs[2].result.error_detail,
+              "sandbox worker killed by SIGSEGV (spec " +
+                  fingerprint_of_one(guilty) + ")");
+    for (std::size_t i = 0; i < 2; ++i) {
+      EXPECT_EQ(runs[i].result.error, ScenarioError::kNone) << i;
+      EXPECT_FALSE(runs[i].line.empty()) << i;
+      // The degraded rows byte-match a clean single-spec execution.
+      EXPECT_EQ(runs[i].line, clean.run_one(specs[i]).line) << i;
+    }
   }
 }
 
@@ -329,7 +335,7 @@ TEST(SandboxTest, JournalWriterSurfacesDiskFaultsAsStructuredErrors) {
 
   JournalWriter writer(dir, "fingerprint", 1, 0, /*append=*/false);
   try {
-    writer.record("{\"name\": \"x\"}", {});
+    writer.record({"{\"name\": \"x\"}"}, {});
     FAIL() << "record() on a full disk must throw JournalIoError";
   } catch (const JournalIoError& e) {
     EXPECT_EQ(e.error_number(), ENOSPC);
@@ -346,7 +352,7 @@ TEST(SandboxTest, HealthJournalFaultsFailBeforeTheCommitRecord) {
   ASSERT_FALSE(ec) << ec.message();
 
   JournalWriter writer(dir, "fingerprint", 1, 0, /*append=*/false);
-  EXPECT_THROW(writer.record("{\"name\": \"x\"}", {"{\"event\": \"y\"}"}),
+  EXPECT_THROW(writer.record({"{\"name\": \"x\"}"}, {"{\"event\": \"y\"}"}),
                JournalIoError);
   // Fail-closed WAL ordering: the health append failed, so the commit
   // record must not exist -- no torn half-scenario on a later resume.

@@ -468,13 +468,14 @@ TEST(BatchPlanTest, ClassifiesEligibilityAndGroupsByKernelConstants) {
   forced.mc_force_scalar = true;
   ScenarioSpec hooked = yield.front();
   hooked.debug_throw = true;
+  ScenarioSpec crashing = yield.front();
+  crashing.debug_crash = "segv";
   ScenarioSpec scheduled = yield.front();
   scheduled.faults = {FaultSpec::delay_cell(1, 2.0, 100)};
   const ScenarioSpec plain =
       ScenarioRegistry::builtin().expand("smoke").front();
-  for (const ScenarioSpec* spec :
-       std::initializer_list<const ScenarioSpec*>{&forced, &hooked, &scheduled,
-                                                  &plain}) {
+  for (const ScenarioSpec* spec : std::initializer_list<const ScenarioSpec*>{
+           &forced, &hooked, &crashing, &scheduled, &plain}) {
     EXPECT_FALSE(ddl::scenario::batch_eligible(*spec, workspace))
         << spec->name;
   }
@@ -489,8 +490,9 @@ TEST(BatchPlanTest, ClassifiesEligibilityAndGroupsByKernelConstants) {
     mixed.push_back(spec);
   }
   mixed.push_back(forced);
+  mixed.push_back(crashing);
   const auto plan = ddl::scenario::plan_batches(mixed, workspace);
-  EXPECT_EQ(plan.scalar, (std::vector<std::size_t>{0, 5}));
+  EXPECT_EQ(plan.scalar, (std::vector<std::size_t>{0, 5, 6}));
   ASSERT_EQ(plan.groups.size(), 3u);
   std::size_t members = 0;
   std::size_t widest = 0;

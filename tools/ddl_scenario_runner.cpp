@@ -307,6 +307,8 @@ int main(int argc, char** argv) {
              static_cast<std::uint64_t>(outcome.resource_kills));
   report.set("workers_lost",
              static_cast<std::uint64_t>(outcome.workers_lost));
+  report.set("batched_units",
+             static_cast<std::uint64_t>(outcome.batched_units));
   if (options.chaos_storms > 0) {
     report.set("chaos_storms",
                static_cast<std::uint64_t>(options.chaos_storms));
