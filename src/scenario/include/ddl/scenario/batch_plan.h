@@ -30,8 +30,8 @@ namespace ddl::scenario {
 /// True when `spec` may be grouped into a cross-scenario batch: a valid
 /// MC-yield scenario (proposed line, power-on delay-cell faults only --
 /// validate() enforces the rest) with no scalar-forcing or debug hooks.
-/// Classification is deterministic, so every layer (runner, campaign
-/// service coalescer) routes a given spec the same way.
+/// Classification is deterministic, so every layer (runner, CampaignJob
+/// for the CLI and the service) routes a given spec the same way.
 bool batch_eligible(const ScenarioSpec& spec, ScenarioWorkspace& workspace);
 
 /// The batched-kernel experiment for one MC-yield scenario, *without*

@@ -1,12 +1,19 @@
 // Crash-safe campaign execution on top of the scenario runner.
 //
-// A Campaign runs its spec list as plan -> execute -> commit: the batch
-// planner (ddl/scenario/batch_plan.h) groups the list once, and each job
-// cuts its contiguous shard's members of every planner group into dispatch
-// units of a bounded die count (one batched kernel dispatch each), runs
-// every other spec as a unit of its own, and takes units in order of their
-// first member.  On top of that it adds three things a long-running batch
-// service needs that the plain ScenarioRunner does not provide:
+// A CampaignJob is the durable state of one spec list: its rows by index,
+// the on-disk journal behind them and the dispatch-unit policy.  It is the
+// one module that knows how a journaled spec list is opened, resumed, cut
+// into units and committed; both Campaign::run (the CLI) and every
+// ddl_scenario_server job go through it.  The batch planner
+// (ddl/scenario/batch_plan.h) groups the list once; a unit is a run of
+// one planner group's members of a bounded die count (one batched kernel
+// dispatch), or any other spec alone, and units come in order of their
+// first member.
+//
+// Campaign::run drives a CampaignJob: each job (thread) takes the units of
+// its contiguous shard of the uncommitted specs.  On top of that it adds
+// three things a long-running batch service needs that the plain
+// ScenarioRunner does not provide:
 //
 //   durability  every completed unit is appended to an on-disk JSONL
 //               journal in one commit (write-ahead: health events first,
@@ -16,7 +23,8 @@
 //               committed scenarios are skipped and their journaled lines
 //               reused *byte-exactly*, so the final stream is identical to
 //               an uninterrupted run; a unit killed mid-commit re-runs its
-//               uncommitted members.
+//               uncommitted members.  The journal files close when the
+//               last scenario commits.
 //
 //   isolation   each shard runs its units through one ScenarioExecutor
 //               (ddl/scenario/sandbox.h).  By default that is a fork()ed
@@ -40,13 +48,86 @@
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
+#include <memory>
+#include <mutex>
 #include <string>
 #include <vector>
 
+#include "ddl/scenario/batch_plan.h"
 #include "ddl/scenario/runner.h"
 #include "ddl/scenario/sandbox.h"
+#include "ddl/scenario/workspace.h"
 
 namespace ddl::scenario {
+
+class JournalWriter;
+
+/// The durable state of one spec list (see the header comment).  Runs
+/// nothing and starts no thread.  commit() may run from several threads at
+/// once; no other member may run while a commit is in flight.
+class CampaignJob {
+ public:
+  /// Opens the job over `specs`; an empty `journal_dir` keeps it in
+  /// memory.  Otherwise the directory is created on demand and, with
+  /// `resume`, must hold a manifest fingerprint-matching `specs`
+  /// (std::runtime_error otherwise): torn journal tails are truncated and
+  /// every committed row is restored by index -- its journaled line and
+  /// health lines byte-exactly, its verdict via reconstruct_result.  The
+  /// journal files open (fresh, or appending on resume) only while some
+  /// row is uncommitted.  The list is planned once on `workspace`.  Spec
+  /// names must be unique (the journal is keyed by name); throws
+  /// std::invalid_argument otherwise.
+  CampaignJob(const std::vector<ScenarioSpec>& specs,
+              const std::string& journal_dir, bool resume,
+              ScenarioWorkspace& workspace);
+  ~CampaignJob();
+
+  CampaignJob(const CampaignJob&) = delete;
+  CampaignJob& operator=(const CampaignJob&) = delete;
+
+  bool committed(std::size_t index) const { return committed_[index]; }
+  /// Row of a committed spec (an empty row otherwise).
+  const ExecutedScenario& row(std::size_t index) const { return rows_[index]; }
+  /// Rows committed so far, restored ones included.
+  std::size_t completed() const noexcept { return completed_; }
+  /// Rows restored from the journal when the job opened.
+  std::size_t resumed() const noexcept { return resumed_; }
+  bool done() const noexcept { return completed_ == rows_.size(); }
+
+  /// Dispatch units over the uncommitted specs `take` admits, ordered by
+  /// first member: each planner group's admitted members in runs of at
+  /// most 16384 dies -- one batched kernel dispatch per unit, a scenario
+  /// never split -- and every other spec alone, so it keeps the sandbox's
+  /// deadline, retry and hook path.
+  std::vector<std::vector<std::size_t>> units(
+      const std::function<bool(std::size_t)>& take) const;
+
+  /// Commits one executed unit: `runs[k]` is the row of spec `unit[k]`.
+  /// One journal record per unit; the journal closes after the last row.
+  /// The rows are kept even when the record fails: a JournalIoError
+  /// closes the journal (fail-closed, the job goes on in memory) and is
+  /// rethrown.
+  void commit(const std::vector<std::size_t>& unit,
+              std::vector<ExecutedScenario> runs);
+
+  /// Closes the journal for a job that will commit nothing more (a
+  /// cancelled one); later commits stay in memory.
+  void close();
+
+  /// Moves every row out, by index, for a caller done with the job.
+  std::vector<ExecutedScenario> take_rows() && { return std::move(rows_); }
+
+ private:
+  BatchPlan plan_;
+  std::vector<std::uint64_t> dies_;  ///< mc_dies by spec index.
+  std::vector<ExecutedScenario> rows_;
+  std::vector<bool> committed_;
+  std::size_t completed_ = 0;
+  std::size_t resumed_ = 0;
+  std::mutex commit_mutex_;  ///< Guards the members commit() writes.
+  std::unique_ptr<JournalWriter> journal_;
+};
 
 struct CampaignConfig {
   /// Journal + checkpoint-manifest directory; empty disables durability
@@ -102,10 +183,8 @@ class Campaign {
  public:
   explicit Campaign(CampaignConfig config) : config_(std::move(config)) {}
 
-  /// Runs (or resumes) the campaign over `specs`.  Spec names must be
-  /// unique (the journal is keyed by name); throws std::invalid_argument
-  /// otherwise, and std::runtime_error when `resume` is set but the
-  /// journal directory does not hold a matching campaign manifest.
+  /// Runs (or resumes) the campaign over `specs` through one CampaignJob;
+  /// throws what its constructor throws.
   CampaignOutcome run(const std::vector<ScenarioSpec>& specs) const;
 
   const CampaignConfig& config() const noexcept { return config_; }

@@ -1,6 +1,6 @@
-// Write-ahead scenario journal, factored out of the Campaign engine so the
-// campaign service daemon (ddl::service) shares the exact same durability
-// story as the one-shot runner.
+// Write-ahead scenario journal.  CampaignJob (ddl/scenario/campaign.h)
+// opens, resumes, commits and closes it for the one-shot runner and the
+// campaign service daemon (ddl::service) alike.
 //
 // Layout of a journal directory:
 //
@@ -12,10 +12,10 @@
 //   manifest.json         checkpoint: spec fingerprint, total, completed
 //                         (atomic tmp+rename after every record)
 //
-// One record() commits one dispatch unit -- a campaign shard's packed
-// batch-plan unit, or a single row -- under one lock, two flushes and one
-// manifest rewrite.  A kill inside a unit's commit leaves a prefix of its
-// result lines; the rest of the unit simply runs again on resume.  A torn
+// One record() commits one dispatch unit -- a packed batch-plan unit, or
+// a single scenario -- under one lock, two flushes and one manifest
+// rewrite.  A kill inside a unit's commit leaves a prefix of its result
+// lines; the rest of the unit simply runs again on resume.  A torn
 // tail (the chunk after the last '\n' of a killed append) is dropped on
 // load and truncated before appends resume.  Journaled lines are
 // byte-reused on resume, so a resumed stream is byte-identical to an

@@ -118,7 +118,7 @@ struct ExecutedScenario {
   std::vector<std::string> health_lines;
 };
 
-/// Executes dispatch units (one spec, or one batch-coalesced group) under
+/// Executes dispatch units (one spec, or one packed batch-plan unit) under
 /// the configured isolation mode.  One executor per campaign/server worker
 /// thread; not itself thread-safe except interrupt(), which any thread may
 /// call to kill the in-flight unit's worker process.
@@ -138,16 +138,14 @@ class ScenarioExecutor {
   ScenarioExecutor(const ScenarioExecutor&) = delete;
   ScenarioExecutor& operator=(const ScenarioExecutor&) = delete;
 
-  /// Runs one scenario to a structured row.  Never throws; every failure
-  /// mode (crash, limit, timeout, lost worker) comes back as an error row.
-  ExecutedScenario run_one(const ScenarioSpec& spec);
-
   /// Runs one dispatch unit in spec order.  In process mode a single-spec
   /// unit follows the full deadline/retry policy; a multi-spec unit is a
-  /// batch-coalesced group (one worker, one batched dispatch) whose members
-  /// degrade to per-scenario retries if the group's worker dies.  Returns
-  /// one entry per spec, in order -- or an empty vector when interrupt()
-  /// withdrew the unit (check interrupted()).
+  /// packed batch-plan unit (one worker, one batched dispatch) whose
+  /// members degrade to per-scenario retries if the group's worker dies.
+  /// Never throws: every failure mode (crash, limit, timeout, lost worker)
+  /// comes back as an error row.  Returns one entry per spec, in order --
+  /// or an empty vector when interrupt() withdrew the unit (check
+  /// interrupted()).
   std::vector<ExecutedScenario> run_unit(
       const std::vector<ScenarioSpec>& specs);
 

@@ -10,14 +10,10 @@
 
 #include "ddl/analysis/bench_json.h"
 #include "ddl/analysis/parallel.h"
-#include "ddl/scenario/batch_plan.h"
 #include "ddl/scenario/journal.h"
-#include "ddl/scenario/workspace.h"
 
 namespace ddl::scenario {
 namespace {
-
-namespace fs = std::filesystem;
 
 /// Dies one packed dispatch unit may carry: 64 of the yield suite's
 /// 256-die scenarios.  Units as large as a whole planner group ran no
@@ -25,46 +21,91 @@ namespace fs = std::filesystem;
 /// scenario is never split, so a larger one runs alone.
 constexpr std::size_t kUnitDieBudget = 16384;
 
-/// One executed scenario: its verdict row, rendered line and health lines.
-struct Executed {
-  ScenarioResult result;
-  std::string line;
-  std::vector<std::string> health_lines;
-  /// Cleared when the scenario's unit runs; a graceful stop leaves the
-  /// rest of its shard unstarted.
-  bool skipped = true;
-};
+}  // namespace
 
-/// Cuts one shard's specs (`shard_of[index] == shard`) into dispatch units
-/// of spec indices, ordered by first member: the shard's members of each
-/// planner group in runs of at most kUnitDieBudget dies -- one batched
-/// kernel dispatch per unit -- and each scalar spec alone, so it keeps the
-/// sandbox's deadline, retry and hook path.
-std::vector<std::vector<std::size_t>> plan_units(
-    const std::vector<ScenarioSpec>& specs, const BatchPlan& plan,
-    const std::vector<std::size_t>& shard_of, std::size_t shard) {
+CampaignJob::CampaignJob(const std::vector<ScenarioSpec>& specs,
+                         const std::string& journal_dir, bool resume,
+                         ScenarioWorkspace& workspace)
+    : rows_(specs.size()), committed_(specs.size(), false) {
+  {
+    std::set<std::string> names;
+    for (const ScenarioSpec& spec : specs) {
+      if (!names.insert(spec.name).second) {
+        throw std::invalid_argument(
+            "campaign: duplicate scenario name '" + spec.name +
+            "' (the journal is keyed by name)");
+      }
+    }
+  }
+  plan_ = plan_batches(specs, workspace);
+  dies_.reserve(specs.size());
+  for (const ScenarioSpec& spec : specs) {
+    dies_.push_back(spec.mc_dies);
+  }
+  if (journal_dir.empty()) {
+    return;
+  }
+
+  const std::string fingerprint = fingerprint_of(specs);
+  std::filesystem::create_directories(journal_dir);
+  if (resume) {
+    check_resumable(journal_dir, fingerprint, specs.size());
+    drop_torn_tail(journal_path(journal_dir));
+    drop_torn_tail(health_journal_path(journal_dir));
+    JournalState prior = load_journal(journal_dir);
+    for (std::size_t i = 0; i < specs.size(); ++i) {
+      const auto it = prior.lines.find(specs[i].name);
+      if (it == prior.lines.end()) {
+        continue;
+      }
+      ExecutedScenario& row = rows_[i];
+      const auto fields = analysis::parse_flat_json_line(it->second);
+      row.result = fields ? reconstruct_result(*fields) : ScenarioResult{};
+      row.line = std::move(it->second);
+      const auto health_it = prior.health.find(specs[i].name);
+      if (health_it != prior.health.end()) {
+        row.health_lines = std::move(health_it->second);
+      }
+      committed_[i] = true;
+      ++resumed_;
+    }
+    completed_ = resumed_;
+  }
+  if (!done()) {
+    journal_ = std::make_unique<JournalWriter>(
+        journal_dir, fingerprint, specs.size(), completed_, /*append=*/resume);
+  }
+}
+
+CampaignJob::~CampaignJob() = default;
+
+std::vector<std::vector<std::size_t>> CampaignJob::units(
+    const std::function<bool(std::size_t)>& take) const {
+  const auto admitted = [&](std::size_t index) {
+    return !committed_[index] && take(index);
+  };
   std::vector<std::vector<std::size_t>> units;
-  for (const BatchGroup& group : plan.groups) {
+  for (const BatchGroup& group : plan_.groups) {
     std::vector<std::size_t> unit;
     std::size_t dies = 0;
     for (const std::size_t index : group.members) {
-      if (shard_of[index] != shard) {
+      if (!admitted(index)) {
         continue;
       }
-      if (!unit.empty() && dies + specs[index].mc_dies > kUnitDieBudget) {
+      if (!unit.empty() && dies + dies_[index] > kUnitDieBudget) {
         units.push_back(std::move(unit));
         unit.clear();
         dies = 0;
       }
       unit.push_back(index);
-      dies += specs[index].mc_dies;
+      dies += dies_[index];
     }
     if (!unit.empty()) {
       units.push_back(std::move(unit));
     }
   }
-  for (const std::size_t index : plan.scalar) {
-    if (shard_of[index] == shard) {
+  for (const std::size_t index : plan_.scalar) {
+    if (admitted(index)) {
       units.push_back({index});
     }
   }
@@ -76,7 +117,38 @@ std::vector<std::vector<std::size_t>> plan_units(
   return units;
 }
 
-}  // namespace
+void CampaignJob::commit(const std::vector<std::size_t>& unit,
+                         std::vector<ExecutedScenario> runs) {
+  const std::lock_guard<std::mutex> lock(commit_mutex_);
+  std::vector<std::string> lines;
+  std::vector<std::string> health_lines;
+  if (journal_) {
+    for (const ExecutedScenario& run : runs) {
+      lines.push_back(run.line);
+      health_lines.insert(health_lines.end(), run.health_lines.begin(),
+                          run.health_lines.end());
+    }
+  }
+  for (std::size_t k = 0; k < unit.size(); ++k) {
+    rows_[unit[k]] = std::move(runs[k]);
+    committed_[unit[k]] = true;
+  }
+  completed_ += unit.size();
+  if (!journal_) {
+    return;
+  }
+  try {
+    journal_->record(lines, health_lines);
+  } catch (const JournalIoError&) {
+    journal_.reset();
+    throw;
+  }
+  if (done()) {
+    journal_.reset();
+  }
+}
+
+void CampaignJob::close() { journal_.reset(); }
 
 std::string CampaignOutcome::jsonl() const {
   std::string out;
@@ -91,52 +163,27 @@ std::string CampaignOutcome::jsonl() const {
 }
 
 CampaignOutcome Campaign::run(const std::vector<ScenarioSpec>& specs) const {
-  {
-    std::set<std::string> names;
-    for (const ScenarioSpec& spec : specs) {
-      if (!names.insert(spec.name).second) {
-        throw std::invalid_argument(
-            "campaign: duplicate scenario name '" + spec.name +
-            "' (the journal is keyed by name)");
-      }
-    }
-  }
-
-  const std::string fingerprint = fingerprint_of(specs);
-  JournalState prior;
-  std::unique_ptr<JournalWriter> writer;
-  if (!config_.journal_dir.empty()) {
-    fs::create_directories(config_.journal_dir);
-    if (config_.resume) {
-      check_resumable(config_.journal_dir, fingerprint, specs.size());
-      prior = load_journal(config_.journal_dir);
-      drop_torn_tail(journal_path(config_.journal_dir));
-      drop_torn_tail(health_journal_path(config_.journal_dir));
-    }
-    writer = std::make_unique<JournalWriter>(
-        config_.journal_dir, fingerprint, specs.size(), prior.lines.size(),
-        /*append=*/config_.resume);
-  }
-
+  ScenarioWorkspace workspace;
+  CampaignJob job(specs, config_.journal_dir, config_.resume, workspace);
   std::vector<std::size_t> pending;
   pending.reserve(specs.size());
   for (std::size_t i = 0; i < specs.size(); ++i) {
-    if (prior.lines.count(specs[i].name) == 0) {
+    if (!job.committed(i)) {
       pending.push_back(i);
     }
   }
 
-  // One contiguous shard of `pending` per job.  The list is planned once
-  // and each shard cuts its own specs into dispatch units.  Every shard's
-  // executor -- in process isolation, its sandbox worker -- is built before
-  // the pool starts a thread, so workers fork from a single-threaded
-  // process (see ScenarioExecutor's constructor).
+  // One contiguous shard of `pending` per job, cut into the job's dispatch
+  // units before the pool starts (units() must not run beside a commit).
+  // Every shard's executor -- in process isolation, its sandbox worker --
+  // is built before the pool starts a thread, so workers fork from a
+  // single-threaded process (see ScenarioExecutor's constructor).
   SandboxCounters counters;
   const std::size_t jobs =
       config_.jobs ? config_.jobs : analysis::default_thread_count();
   const std::size_t shards = std::min(jobs, pending.size());
-  // shard_of[index] == shards marks a committed spec, in no shard.
   std::vector<std::size_t> shard_of(specs.size(), shards);
+  std::vector<std::vector<std::vector<std::size_t>>> shard_units(shards);
   std::vector<std::unique_ptr<ScenarioExecutor>> executors;
   for (std::size_t shard = 0; shard < shards; ++shard) {
     const auto [begin, end] =
@@ -144,17 +191,15 @@ CampaignOutcome Campaign::run(const std::vector<ScenarioSpec>& specs) const {
     for (std::size_t i = begin; i < end; ++i) {
       shard_of[pending[i]] = shard;
     }
+    shard_units[shard] = job.units(
+        [&](std::size_t index) { return shard_of[index] == shard; });
     executors.push_back(
         std::make_unique<ScenarioExecutor>(config_.isolation, &counters));
   }
-  ScenarioWorkspace workspace;
-  const BatchPlan plan = plan_batches(specs, workspace);
-  std::vector<Executed> executed(specs.size());
   std::atomic<std::size_t> batched_units{0};
   analysis::ThreadPool pool(shards);
   pool.run_shards(shards, [&](std::size_t shard) {
-    for (const std::vector<std::size_t>& unit :
-         plan_units(specs, plan, shard_of, shard)) {
+    for (const std::vector<std::size_t>& unit : shard_units[shard]) {
       // A graceful stop gates *starting* units: a running unit finishes
       // and journals normally, so the journal stays resumable and
       // non-torn.
@@ -170,74 +215,40 @@ CampaignOutcome Campaign::run(const std::vector<ScenarioSpec>& specs) const {
       if (unit.size() > 1) {
         batched_units.fetch_add(1, std::memory_order_relaxed);
       }
-      std::vector<ExecutedScenario> runs =
-          executors[shard]->run_unit(unit_specs);
-      if (writer) {
-        std::vector<std::string> lines;
-        std::vector<std::string> health_lines;
-        for (const ExecutedScenario& run : runs) {
-          lines.push_back(run.line);
-          health_lines.insert(health_lines.end(), run.health_lines.begin(),
-                              run.health_lines.end());
-        }
-        writer->record(lines, health_lines);
-      }
-      for (std::size_t k = 0; k < unit.size(); ++k) {
-        Executed& entry = executed[unit[k]];
-        entry.result = std::move(runs[k].result);
-        entry.line = std::move(runs[k].line);
-        entry.health_lines = std::move(runs[k].health_lines);
-        entry.skipped = false;
-      }
+      job.commit(unit, executors[shard]->run_unit(unit_specs));
     }
   });
 
   CampaignOutcome outcome;
-  outcome.results.resize(specs.size());
-  outcome.result_lines.resize(specs.size());
-  std::vector<std::vector<std::string>> health(specs.size());
-
-  for (std::size_t i = 0; i < specs.size(); ++i) {
-    const auto it = prior.lines.find(specs[i].name);
-    if (it == prior.lines.end()) {
-      continue;
-    }
-    outcome.result_lines[i] = it->second;
-    const auto fields = analysis::parse_flat_json_line(it->second);
-    outcome.results[i] =
-        fields ? reconstruct_result(*fields) : ScenarioResult{};
-    const auto health_it = prior.health.find(specs[i].name);
-    if (health_it != prior.health.end()) {
-      health[i] = health_it->second;
-    }
-    ++outcome.resumed;
-  }
+  outcome.resumed = job.resumed();
   for (const std::size_t index : pending) {
-    Executed& entry = executed[index];
-    if (entry.skipped) {
+    if (!job.committed(index)) {
       ++outcome.skipped;
       continue;
     }
-    if (entry.result.error == ScenarioError::kTimeout) {
+    const ScenarioResult& result = job.row(index).result;
+    if (result.error == ScenarioError::kTimeout) {
       ++outcome.timeouts;
-    } else if (entry.result.error == ScenarioError::kException) {
+    } else if (result.error == ScenarioError::kException) {
       ++outcome.exceptions;
     }
     // kCrash / kResourceLimit / kWorkerLost rows are accounted via the
     // shared SandboxCounters below (the executor classifies them).
-    if (entry.result.attempts > 1) {
+    if (result.attempts > 1) {
       ++outcome.retried;
     }
-    outcome.result_lines[index] = std::move(entry.line);
-    health[index] = std::move(entry.health_lines);
-    outcome.results[index] = std::move(entry.result);
     ++outcome.executed;
   }
-  for (const std::vector<std::string>& lines : health) {
-    for (const std::string& line : lines) {
+  std::vector<ExecutedScenario> rows = std::move(job).take_rows();
+  outcome.results.reserve(rows.size());
+  outcome.result_lines.reserve(rows.size());
+  for (ExecutedScenario& row : rows) {
+    for (const std::string& line : row.health_lines) {
       outcome.health_jsonl += line;
       outcome.health_jsonl += '\n';
     }
+    outcome.result_lines.push_back(std::move(row.line));
+    outcome.results.push_back(std::move(row.result));
   }
   outcome.sandbox_crashes = counters.crashes.load();
   outcome.workers_respawned = counters.respawns.load();

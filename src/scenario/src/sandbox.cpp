@@ -839,14 +839,6 @@ ScenarioExecutor::~ScenarioExecutor() {
   reap_worker(*impl_);
 }
 
-ExecutedScenario ScenarioExecutor::run_one(const ScenarioSpec& spec) {
-  std::vector<ExecutedScenario> unit = run_unit({spec});
-  if (unit.empty()) {
-    return {};
-  }
-  return std::move(unit.front());
-}
-
 std::vector<ExecutedScenario> ScenarioExecutor::run_unit(
     const std::vector<ScenarioSpec>& specs) {
   if (specs.empty() || impl_->interrupted.load(std::memory_order_relaxed)) {

@@ -3,25 +3,29 @@
 // framed protocol (protocol.h), schedules them onto a sandbox-isolated
 // worker pool, and streams result / health / progress frames back.
 //
-// Durability is the PR-5 write-ahead journal, per job: every accepted job
-// gets `state_dir/jobs/<job_id>/` holding its spec list, journal and
-// checkpoint manifest.  A restarted server rescans that tree, resumes
-// incomplete jobs as *orphans* (they keep executing with no client
-// attached), and replays committed rows byte-exactly to a client that
-// resubmits the same job -- job identity is content-addressed
+// Every job is a scenario::CampaignJob (ddl/scenario/campaign.h), the
+// same journaled spec list the CLI's Campaign runs: it owns the job's
+// rows, its journal under `state_dir/jobs/<job_id>/` and its dispatch-unit
+// plan.  The server adds `job.json` and `specs.jsonl` beside the journal
+// (and `cancelled.json` on cancel).  A restarted server rescans that
+// tree, resumes incomplete jobs as *orphans* (they keep executing with no
+// client attached), and replays committed rows byte-exactly to a client
+// that resubmits the same job -- job identity is content-addressed
 // (client name + job tag + content fingerprint of every spec field), so
-// resubmission is idempotent and no scenario ever runs twice.
+// resubmission is idempotent and no scenario ever runs twice.  A job's
+// journal files close when it finishes or its cancel completes.
 //
 // Scheduling is fair round-robin across clients at dispatch-unit
 // granularity, bounded by per-client quotas: at most
 // `max_inflight_per_client` dispatched scenarios at once, at most
 // `max_pending_jobs_per_client` incomplete jobs -- a submit beyond that
 // quota is answered with an explicit `backpressure` frame (retryable),
-// never a disconnect.  A unit is usually one scenario; batch-eligible
-// MC-yield scenarios of the same job coalesce into one multi-scenario
-// unit (each still spending inflight quota) that the worker runs through
-// the batch planner as packed SoA kernel lanes -- byte-identical rows,
-// several-fold throughput.
+// never a disconnect.  A client's next unit is the first planned unit of
+// its jobs with pending scenarios, trimmed to its remaining inflight
+// quota (each scenario spends one slot): one scenario, or MC-yield
+// scenarios sharing kernel constants that the worker runs as packed SoA
+// kernel lanes -- byte-identical rows, several-fold throughput.  Each
+// finished unit is one journal commit.
 //
 // A `cancel` frame tears a job down cooperatively: pending scenarios are
 // never dispatched, queued ones are withdrawn, in-flight ones finish and
@@ -38,8 +42,8 @@
 // starving the loop.  Every violation is structured error accounting
 // (ServiceStats), never a crash and never an unbounded buffer.
 //
-// Threading: one event-loop thread owns every session, job and journal
-// writer (poll over the listeners, client sockets and a self-pipe);
+// Threading: one event-loop thread owns every session and job (poll over
+// the listeners, client sockets and a self-pipe);
 // `workers` pool threads each own a scenario::ScenarioExecutor -- in the
 // default process isolation a fork()ed sandbox worker whose crash or
 // resource-limit death becomes a structured error row (and whose process
@@ -123,8 +127,8 @@ struct ServiceStats {
   std::size_t replay_jobs = 0;        ///< Jobs born from `submit_replay`.
   std::size_t sessions_timed_out = 0;  ///< Dead-peer / partial-frame kills.
   std::size_t outbox_overflows = 0;    ///< Sessions over max_outbox_bytes.
-  /// Dispatch units that coalesced >1 batch-eligible MC-yield scenario
-  /// into one worker claim (run as packed kernel lanes).
+  /// Dispatch units of more than one scenario (packed MC-yield kernel
+  /// lanes in one worker claim).
   std::size_t batched_units = 0;
   /// Sandbox containment (process isolation; see ddl/scenario/sandbox.h).
   std::size_t sandbox_crashes = 0;    ///< Workers killed by a fatal signal.

@@ -18,7 +18,6 @@
 #include <cstring>
 #include <deque>
 #include <filesystem>
-#include <iterator>
 #include <map>
 #include <mutex>
 #include <optional>
@@ -28,7 +27,7 @@
 
 #include "ddl/analysis/bench_json.h"
 #include "ddl/core/hash.h"
-#include "ddl/scenario/batch_plan.h"
+#include "ddl/scenario/campaign.h"
 #include "ddl/scenario/chaos.h"
 #include "ddl/scenario/cli.h"
 #include "ddl/scenario/journal.h"
@@ -86,71 +85,53 @@ bool set_nonblocking(int fd) {
   return flags >= 0 && ::fcntl(fd, F_SETFL, flags | O_NONBLOCK) == 0;
 }
 
-/// One result / health row pair as the worker hands it back: rendered to
-/// its final JSONL text on the worker thread (the expensive part), so the
-/// event loop only journals and frames bytes.
-struct Completion {
+/// A dispatch unit in flight: a planned unit of one job (trimmed to the
+/// owner's inflight quota, each scenario spending one slot) that one
+/// worker runs in a single run_unit -- packed kernel lanes for several
+/// yield scenarios.  The worker fills `runs` with rows rendered to their
+/// final JSONL text (the expensive part), so the event loop only commits
+/// and frames bytes; `runs` stays empty when a cancel killed the unit.
+struct Unit {
   std::string job_id;
-  std::size_t index = 0;
-  bool pass = false;
-  std::string line;
-  std::vector<std::string> health_lines;
-  /// The unit was killed by a cancel before producing a row (process-mode
-  /// interrupt): the spec returns to pending, nothing journals or frames.
-  bool withdrawn = false;
+  std::vector<std::size_t> indices;
+  std::vector<ScenarioSpec> specs;
+  std::vector<scenario::ExecutedScenario> runs;
 };
-
-/// One scenario of a dispatch unit.
-struct TaskEntry {
-  std::size_t index = 0;
-  ScenarioSpec spec;
-};
-
-/// A dispatch unit: one or more scenarios of the same job claimed by one
-/// worker in a single scheduling decision.  Units with several entries are
-/// batch-eligible MC-yield scenarios that the worker runs through the
-/// batch planner (src/scenario/batch_plan.h) as packed kernel lanes; every
-/// entry still counts against the owner's inflight quota and completes
-/// with its own Completion, so quota accounting, cancel withdrawal and
-/// result frames are per-scenario exactly as before.
-struct Task {
-  std::string job_id;
-  std::vector<TaskEntry> entries;
-};
-
-enum class SpecState : unsigned char { kPending, kInflight, kDone };
 
 struct Job {
   std::string id;
   std::string tag;
   std::string owner;  ///< Client name (job identity includes it).
   std::vector<ScenarioSpec> specs;
-  std::string name_fingerprint;     ///< journal fingerprint (spec names)
   std::string content_fingerprint;  ///< job identity (every spec field)
-  std::vector<SpecState> state;
-  std::vector<std::string> result_lines;  ///< By index; "" until done.
-  std::vector<std::vector<std::string>> health_lines;
-  std::size_t completed = 0;
-  std::size_t executed = 0;  ///< Run by this process (not resumed).
-  std::size_t resumed = 0;   ///< Restored from the journal on recovery.
-  std::size_t passed = 0;
-  std::size_t failed = 0;
-  std::unique_ptr<scenario::JournalWriter> journal;
+  /// Rows, journal and unit plan.  Behind a pointer because a CampaignJob
+  /// does not move.
+  std::unique_ptr<scenario::CampaignJob> campaign;
+  /// The job's dispatch units, planned once when it opens.
+  std::vector<std::vector<std::size_t>> units;
+  std::vector<bool> inflight;  ///< By index: queued or running on a worker.
   int session_fd = -1;  ///< Attached session; -1 = orphan.
   bool cancelled = false;  ///< Cooperative teardown requested (durable).
   bool is_replay = false;  ///< Born from a submit_replay frame.
   std::string expected_failure_reason;  ///< Replay jobs: expected verdict.
 
-  bool done() const noexcept { return completed == specs.size(); }
+  bool done() const noexcept { return campaign->done(); }
 
   /// Scenarios currently queued or running on a worker.  Cancel waits for
   /// these to finish and journal before the teardown completes.
   std::size_t inflight_specs() const noexcept {
-    std::size_t count = 0;
-    for (const SpecState s : state) {
-      count += (s == SpecState::kInflight) ? 1 : 0;
-    }
-    return count;
+    return static_cast<std::size_t>(
+        std::count(inflight.begin(), inflight.end(), true));
+  }
+
+  /// Opens the job's rows and plans its units; `journal_dir` empty keeps
+  /// it in memory.
+  void open(const std::string& journal_dir, bool resume,
+            scenario::ScenarioWorkspace& workspace) {
+    campaign = std::make_unique<scenario::CampaignJob>(specs, journal_dir,
+                                                       resume, workspace);
+    units = campaign->units([](std::size_t) { return true; });
+    inflight.assign(specs.size(), false);
   }
 };
 
@@ -201,8 +182,8 @@ struct ScenarioServer::Impl {
   std::vector<ClientSlot> clients;
   std::size_t rr_cursor = 0;
   bool draining = false;
-  /// Event-loop-owned sizing cache backing batch-eligibility checks at
-  /// dispatch time (single-threaded owner, like everything above).
+  /// Event-loop-owned sizing cache the jobs plan their units on
+  /// (single-threaded owner, like everything above).
   scenario::ScenarioWorkspace plan_workspace;
 
   // --- Worker pool ------------------------------------------------------
@@ -210,10 +191,10 @@ struct ScenarioServer::Impl {
   std::thread event_thread;
   std::mutex task_mutex;
   std::condition_variable task_cv;
-  std::deque<Task> task_queue;
+  std::deque<Unit> task_queue;
   bool workers_quit = false;
   std::mutex completion_mutex;
-  std::deque<Completion> completions;
+  std::deque<Unit> completions;
   scenario::SandboxCounters sandbox_counters;
   /// One executor per worker, built in start() before any thread exists
   /// and destroyed after the workers join.
@@ -355,26 +336,13 @@ struct ScenarioServer::Impl {
     return config.state_dir + "/jobs/" + job_id;
   }
 
-  /// Creates (and, with a state_dir, persists) a fresh job.  Throws
-  /// std::runtime_error when the state directory is not writable.
-  Job& create_job(const std::string& tag, const std::string& owner,
-                  std::vector<ScenarioSpec> specs, bool is_replay = false,
-                  const std::string& expected_failure_reason = "") {
-    Job job;
-    job.tag = tag;
-    job.owner = owner;
-    job.is_replay = is_replay;
-    job.expected_failure_reason = expected_failure_reason;
-    job.name_fingerprint = scenario::fingerprint_of(specs);
-    job.content_fingerprint = scenario::content_fingerprint_of(specs);
-    job.id = job_id_of(owner, tag, job.content_fingerprint);
-    job.state.assign(specs.size(), SpecState::kPending);
-    job.result_lines.assign(specs.size(), std::string());
-    job.health_lines.assign(specs.size(), {});
-    job.specs = std::move(specs);
-
+  /// Persists a fresh job (with a state_dir: job.json and specs.jsonl,
+  /// then its journal) and registers it.  Throws std::runtime_error when
+  /// the state directory is not writable.
+  Job& create_job(Job job) {
+    std::string dir;
     if (!config.state_dir.empty()) {
-      const std::string dir = job_dir(job.id);
+      dir = job_dir(job.id);
       fs::create_directories(dir);
       analysis::JsonObject meta;
       meta.set("schema_version", analysis::kBenchJsonSchemaVersion);
@@ -398,13 +366,12 @@ struct ScenarioServer::Impl {
       // after the accept.
       analysis::write_file_atomic(dir + "/specs.jsonl", spec_lines);
       analysis::write_file_atomic(dir + "/job.json", meta.to_json_line() + "\n");
-      job.journal = std::make_unique<scenario::JournalWriter>(
-          dir, job.name_fingerprint, job.specs.size(), 0, /*append=*/false);
     }
+    job.open(dir, /*resume=*/false, plan_workspace);
 
     const std::string id = job.id;
     Job& stored = jobs.emplace(id, std::move(job)).first->second;
-    slot_of(owner).jobs.push_back(id);
+    slot_of(stored.owner).jobs.push_back(id);
     set_active_jobs_delta(+1);
     bump(&ServiceStats::jobs_accepted);
     if (stored.is_replay) {
@@ -420,14 +387,16 @@ struct ScenarioServer::Impl {
     frame.set("scenarios", static_cast<std::uint64_t>(job.specs.size()));
     frame.set("fingerprint", job.content_fingerprint);
     frame.set("resumed", resumed);
-    frame.set("completed", static_cast<std::uint64_t>(job.completed));
+    frame.set("completed",
+              static_cast<std::uint64_t>(job.campaign->completed()));
     send_frame(session, frame);
   }
 
   void send_result_frames(Session& session, const Job& job,
                           std::size_t index) {
+    const scenario::ExecutedScenario& row = job.campaign->row(index);
     std::size_t seq = 0;
-    for (const std::string& line : job.health_lines[index]) {
+    for (const std::string& line : row.health_lines) {
       analysis::JsonObject frame = make_frame("health");
       frame.set("job_id", job.id);
       frame.set("index", static_cast<std::uint64_t>(index));
@@ -438,14 +407,15 @@ struct ScenarioServer::Impl {
     analysis::JsonObject frame = make_frame("result");
     frame.set("job_id", job.id);
     frame.set("index", static_cast<std::uint64_t>(index));
-    frame.set("row", job.result_lines[index]);
+    frame.set("row", row.line);
     send_frame(session, frame);
   }
 
-  void send_progress(Session& session, const Job& job) {
+  void send_progress(Session& session, const Job& job,
+                     std::size_t completed) {
     analysis::JsonObject frame = make_frame("progress");
     frame.set("job_id", job.id);
-    frame.set("completed", static_cast<std::uint64_t>(job.completed));
+    frame.set("completed", static_cast<std::uint64_t>(completed));
     frame.set("total", static_cast<std::uint64_t>(job.specs.size()));
     send_frame(session, frame);
   }
@@ -455,29 +425,28 @@ struct ScenarioServer::Impl {
   /// expectation (or, with an empty expectation, the scenario passed) --
   /// mirrors scenario::replay().
   bool replay_reproduced(const Job& job) const {
-    if (job.result_lines.empty() || job.result_lines[0].empty()) {
-      return false;
-    }
-    const auto fields = analysis::parse_flat_json_line(job.result_lines[0]);
-    if (!fields) {
-      return false;
-    }
-    if (job.expected_failure_reason.empty()) {
-      return fields->count("verdict") && fields->at("verdict") == "pass";
-    }
-    return fields->count("failure_reason") &&
-           fields->at("failure_reason") == job.expected_failure_reason;
+    const scenario::ScenarioResult& result = job.campaign->row(0).result;
+    return job.expected_failure_reason.empty()
+               ? result.pass
+               : result.failure_reason == job.expected_failure_reason;
   }
 
   void send_job_done(Session& session, const Job& job) {
+    const scenario::CampaignJob& campaign = *job.campaign;
+    std::size_t passed = 0;
+    for (std::size_t i = 0; i < job.specs.size(); ++i) {
+      passed += campaign.row(i).result.pass ? 1 : 0;
+    }
     analysis::JsonObject frame = make_frame("job_done");
     frame.set("job_id", job.id);
     frame.set("job", job.tag);
     frame.set("scenarios", static_cast<std::uint64_t>(job.specs.size()));
-    frame.set("passed", static_cast<std::uint64_t>(job.passed));
-    frame.set("failed", static_cast<std::uint64_t>(job.failed));
-    frame.set("executed", static_cast<std::uint64_t>(job.executed));
-    frame.set("resumed", static_cast<std::uint64_t>(job.resumed));
+    frame.set("passed", static_cast<std::uint64_t>(passed));
+    frame.set("failed",
+              static_cast<std::uint64_t>(campaign.completed() - passed));
+    frame.set("executed", static_cast<std::uint64_t>(campaign.completed() -
+                                                      campaign.resumed()));
+    frame.set("resumed", static_cast<std::uint64_t>(campaign.resumed()));
     if (job.is_replay) {
       frame.set("replay", true);
       frame.set("reproduced", replay_reproduced(job));
@@ -489,7 +458,8 @@ struct ScenarioServer::Impl {
     analysis::JsonObject frame = make_frame("cancelled");
     frame.set("job_id", job.id);
     frame.set("job", job.tag);
-    frame.set("completed", static_cast<std::uint64_t>(job.completed));
+    frame.set("completed",
+              static_cast<std::uint64_t>(job.campaign->completed()));
     frame.set("total", static_cast<std::uint64_t>(job.specs.size()));
     send_frame(session, frame);
   }
@@ -500,11 +470,11 @@ struct ScenarioServer::Impl {
     job.session_fd = session.fd;
     send_accepted(session, job, /*resumed=*/true);
     for (std::size_t i = 0; i < job.specs.size(); ++i) {
-      if (job.state[i] == SpecState::kDone) {
+      if (job.campaign->committed(i)) {
         send_result_frames(session, job, i);
       }
     }
-    send_progress(session, job);
+    send_progress(session, job, job.campaign->completed());
     if (job.done()) {
       send_job_done(session, job);
     } else if (job.cancelled && job.inflight_specs() == 0) {
@@ -517,6 +487,8 @@ struct ScenarioServer::Impl {
 
   // --- Scheduling -------------------------------------------------------
 
+  /// Dispatches the first planned unit of the client's jobs that still has
+  /// pending members, trimmed to the client's remaining inflight quota.
   bool try_dispatch_one(ClientSlot& slot) {
     if (slot.inflight >= config.max_inflight_per_client) {
       return false;
@@ -526,43 +498,31 @@ struct ScenarioServer::Impl {
       if (job.cancelled) {
         continue;  // Pending specs of a cancelled job never dispatch.
       }
-      for (std::size_t i = 0; i < job.specs.size(); ++i) {
-        if (job.state[i] != SpecState::kPending) {
+      for (const std::vector<std::size_t>& planned : job.units) {
+        Unit unit;
+        for (const std::size_t index : planned) {
+          if (slot.inflight >= config.max_inflight_per_client) {
+            break;
+          }
+          if (job.inflight[index] || job.campaign->committed(index)) {
+            continue;
+          }
+          job.inflight[index] = true;
+          slot.inflight++;
+          note_dispatch(slot.name);
+          unit.indices.push_back(index);
+          unit.specs.push_back(job.specs[index]);
+        }
+        if (unit.indices.empty()) {
           continue;
         }
-        Task task;
-        task.job_id = job.id;
-        job.state[i] = SpecState::kInflight;
-        slot.inflight++;
-        note_dispatch(slot.name);
-        task.entries.push_back(TaskEntry{i, job.specs[i]});
-        // Coalesce: when the claimed scenario is batch-eligible, later
-        // pending batch-eligible scenarios of the same job join this
-        // dispatch unit (up to the inflight quota) so the worker can pack
-        // them into SoA kernel lanes.  Still one unit per rotation --
-        // the extra entries spend quota the client would have spent on
-        // later rotations, so cross-client fairness is unchanged.
-        if (scenario::batch_eligible(job.specs[i], plan_workspace)) {
-          for (std::size_t j = i + 1;
-               j < job.specs.size() &&
-               slot.inflight < config.max_inflight_per_client;
-               ++j) {
-            if (job.state[j] != SpecState::kPending ||
-                !scenario::batch_eligible(job.specs[j], plan_workspace)) {
-              continue;
-            }
-            job.state[j] = SpecState::kInflight;
-            slot.inflight++;
-            note_dispatch(slot.name);
-            task.entries.push_back(TaskEntry{j, job.specs[j]});
-          }
-        }
-        if (task.entries.size() > 1) {
+        if (unit.indices.size() > 1) {
           bump(&ServiceStats::batched_units);
         }
+        unit.job_id = job.id;
         {
           std::lock_guard<std::mutex> lock(task_mutex);
-          task_queue.push_back(std::move(task));
+          task_queue.push_back(std::move(unit));
         }
         task_cv.notify_one();
         return true;
@@ -571,7 +531,7 @@ struct ScenarioServer::Impl {
     return false;
   }
 
-  /// Fair round-robin at scenario granularity: one scenario per eligible
+  /// Fair round-robin at dispatch-unit granularity: one unit per eligible
   /// client per rotation, until a full pass dispatches nothing (every
   /// client is at quota or out of work).
   void dispatch() {
@@ -590,58 +550,55 @@ struct ScenarioServer::Impl {
     }
   }
 
-  void handle_completion(Completion&& done) {
-    auto it = jobs.find(done.job_id);
+  /// Takes a unit's specs off the worker queue's books: they return to
+  /// pending (unless its rows commit next) and free the owner's quota.
+  void release(Job& job, const Unit& unit) {
+    for (const std::size_t index : unit.indices) {
+      job.inflight[index] = false;
+    }
+    ClientSlot& slot = slot_of(job.owner);
+    slot.inflight -= std::min(slot.inflight, unit.indices.size());
+  }
+
+  /// Commits a finished unit once, then streams each scenario's
+  /// result/health/progress frames.
+  void handle_completion(Unit&& unit) {
+    auto it = jobs.find(unit.job_id);
     if (it == jobs.end()) {
       return;
     }
     Job& job = it->second;
-    if (done.withdrawn) {
+    release(job, unit);
+    if (unit.runs.size() != unit.indices.size()) {
       // A cancel killed the unit's sandbox worker before any row existed:
-      // the spec returns to pending (a cancelled job never re-dispatches
-      // it), quota is released, and nothing journals or frames.
-      job.state[done.index] = SpecState::kPending;
-      ClientSlot& slot = slot_of(job.owner);
-      if (slot.inflight > 0) {
-        slot.inflight--;
-      }
+      // its specs return to pending (a cancelled job never re-dispatches
+      // them), quota is released, and nothing journals or frames.
       if (job.cancelled && job.inflight_specs() == 0) {
         finalize_cancel(job);
       }
       return;
     }
-    job.result_lines[done.index] = std::move(done.line);
-    job.health_lines[done.index] = std::move(done.health_lines);
-    job.state[done.index] = SpecState::kDone;
-    job.completed++;
-    job.executed++;
-    (done.pass ? job.passed : job.failed)++;
-    if (job.journal) {
-      try {
-        job.journal->record(job.result_lines[done.index],
-                            job.health_lines[done.index]);
-      } catch (const scenario::JournalIoError& e) {
-        // Disk fault (ENOSPC/EIO): drop the job's durability fail-closed
-        // -- no torn-commit ambiguity on a later resume -- and tell the
-        // client.  The job keeps executing in memory.
-        job.journal.reset();
-        bump(&ServiceStats::journal_io_errors);
-        auto error_session = sessions.find(job.session_fd);
-        if (error_session != sessions.end()) {
-          send_error(error_session->second, "journal_io", e.what(), job.tag);
-        }
+    try {
+      job.campaign->commit(unit.indices, std::move(unit.runs));
+    } catch (const scenario::JournalIoError& e) {
+      // Disk fault (ENOSPC/EIO): the job's durability is dropped
+      // fail-closed -- no torn-commit ambiguity on a later resume -- and
+      // the client is told.  The job keeps executing in memory.
+      bump(&ServiceStats::journal_io_errors);
+      auto error_session = sessions.find(job.session_fd);
+      if (error_session != sessions.end()) {
+        send_error(error_session->second, "journal_io", e.what(), job.tag);
       }
     }
-    ClientSlot& slot = slot_of(job.owner);
-    if (slot.inflight > 0) {
-      slot.inflight--;
-    }
-    bump(&ServiceStats::scenarios_executed);
+    bump(&ServiceStats::scenarios_executed, unit.indices.size());
 
     auto session_it = sessions.find(job.session_fd);
     if (session_it != sessions.end()) {
-      send_result_frames(session_it->second, job, done.index);
-      send_progress(session_it->second, job);
+      std::size_t completed = job.campaign->completed() - unit.indices.size();
+      for (const std::size_t index : unit.indices) {
+        send_result_frames(session_it->second, job, index);
+        send_progress(session_it->second, job, ++completed);
+      }
     }
     if (job.done()) {
       finish_job(job);
@@ -682,7 +639,8 @@ struct ScenarioServer::Impl {
     marker.set("schema_version", analysis::kBenchJsonSchemaVersion);
     marker.set("record", "job_cancelled");
     marker.set("job_id", job.id);
-    marker.set("completed", static_cast<std::uint64_t>(job.completed));
+    marker.set("completed",
+               static_cast<std::uint64_t>(job.campaign->completed()));
     try {
       analysis::write_file_atomic(job_dir(job.id) + "/cancelled.json",
                                   marker.to_json_line() + "\n");
@@ -705,6 +663,7 @@ struct ScenarioServer::Impl {
         break;
       }
     }
+    job.campaign->close();
     // Stats before the terminal frame (same ordering contract as
     // finish_job): observing `cancelled` implies the stats reflect it.
     bump(&ServiceStats::jobs_cancelled);
@@ -761,24 +720,17 @@ struct ScenarioServer::Impl {
     // Withdraw queued-but-unstarted tasks: they have no journal entry and
     // must never run.  Tasks already claimed by a worker finish and
     // journal normally (cooperative, journal-consistent teardown).
-    std::vector<Task> kept;
     {
       std::lock_guard<std::mutex> lock(task_mutex);
-      ClientSlot& slot = slot_of(job.owner);
-      for (Task& task : task_queue) {
-        if (task.job_id != job.id) {
-          kept.push_back(std::move(task));
-          continue;
-        }
-        for (const TaskEntry& entry : task.entries) {
-          job.state[entry.index] = SpecState::kPending;
-          if (slot.inflight > 0) {
-            slot.inflight--;
-          }
+      std::deque<Unit> kept;
+      for (Unit& queued : task_queue) {
+        if (queued.job_id == job.id) {
+          release(job, queued);
+        } else {
+          kept.push_back(std::move(queued));
         }
       }
-      task_queue.assign(std::make_move_iterator(kept.begin()),
-                        std::make_move_iterator(kept.end()));
+      task_queue = std::move(kept);
     }
     // Units already claimed by a worker: in process isolation the unit's
     // sandbox worker (a whole process group) is killed and the unit comes
@@ -827,37 +779,48 @@ struct ScenarioServer::Impl {
       send_error(session, "invalid_replay", join(errors), tag);
       return;
     }
+    Job job;
+    job.tag = tag;
+    job.specs.push_back(std::move(parsed.spec));
+    job.is_replay = true;
     const auto expected_it = fields.find("expected_failure_reason");
-    const std::string expected =
-        expected_it == fields.end() ? "" : expected_it->second;
+    if (expected_it != fields.end()) {
+      job.expected_failure_reason = expected_it->second;
+    }
+    admit(session, std::move(job));
+  }
 
-    std::vector<ScenarioSpec> specs;
-    specs.push_back(std::move(parsed.spec));
-    const std::string id = job_id_of(
-        session.client_name, tag, scenario::content_fingerprint_of(specs));
-    auto existing = jobs.find(id);
+  /// The one admission path of every submit kind, by content-addressed
+  /// identity: a known job attaches and replays, a client over its job
+  /// quota gets an explicit, retryable `backpressure` frame (never a
+  /// disconnect), anything else becomes a new job announced by `accepted`.
+  void admit(Session& session, Job job) {
+    job.owner = session.client_name;
+    job.content_fingerprint = scenario::content_fingerprint_of(job.specs);
+    job.id = job_id_of(job.owner, job.tag, job.content_fingerprint);
+    auto existing = jobs.find(job.id);
     if (existing != jobs.end()) {
       attach_and_replay(session, existing->second);
       return;
     }
-    ClientSlot& slot = slot_of(session.client_name);
+    ClientSlot& slot = slot_of(job.owner);
     if (slot.jobs.size() >= config.max_pending_jobs_per_client) {
       analysis::JsonObject frame = make_frame("backpressure");
-      frame.set("job", tag);
+      frame.set("job", job.tag);
       frame.set("reason", "job_quota");
       frame.set("active", static_cast<std::uint64_t>(slot.jobs.size()));
       frame.set("limit", static_cast<std::uint64_t>(
                              config.max_pending_jobs_per_client));
       frame.set("retry_ms", std::uint64_t{200});
-      bump(&ServiceStats::backpressure_frames);
-      send_frame(session, frame);
+      bump(&ServiceStats::backpressure_frames);  // Before the send: see
+      send_frame(session, frame);                // send_error for why.
       return;
     }
+    const std::string tag = job.tag;
     try {
-      Job& job = create_job(tag, session.client_name, std::move(specs),
-                            /*is_replay=*/true, expected);
-      job.session_fd = session.fd;
-      send_accepted(session, job, /*resumed=*/false);
+      Job& created = create_job(std::move(job));
+      created.session_fd = session.fd;
+      send_accepted(session, created, /*resumed=*/false);
     } catch (const std::exception& e) {
       send_error(session, "io_error", e.what(), tag);
       return;
@@ -867,7 +830,7 @@ struct ScenarioServer::Impl {
 
   void drain_completions() {
     for (;;) {
-      Completion done;
+      Unit done;
       {
         std::lock_guard<std::mutex> lock(completion_mutex);
         if (completions.empty()) {
@@ -987,7 +950,8 @@ struct ScenarioServer::Impl {
     }
     const std::string& tag = tag_it->second;
 
-    std::vector<ScenarioSpec> specs;
+    Job job;
+    job.tag = tag;
     if (chaos) {
       const auto base_fields = strip_prefix(fields, "spec.");
       scenario::SpecParse parsed =
@@ -1016,7 +980,7 @@ struct ScenarioServer::Impl {
         campaign.max_faults_per_storm = static_cast<std::size_t>(max_faults);
       }
       try {
-        specs = scenario::expand_chaos(campaign);
+        job.specs = scenario::expand_chaos(campaign);
       } catch (const std::exception& e) {
         send_error(session, "invalid_chaos", e.what(), tag);
         return;
@@ -1026,44 +990,9 @@ struct ScenarioServer::Impl {
       if (!parsed) {
         return;
       }
-      specs = std::move(*parsed);
+      job.specs = std::move(*parsed);
     }
-
-    const std::string id = job_id_of(
-        session.client_name, tag, scenario::content_fingerprint_of(specs));
-    auto existing = jobs.find(id);
-    if (existing != jobs.end()) {
-      // Idempotent resubmission (same client, tag and spec content):
-      // attach and replay instead of counting against the job quota.
-      attach_and_replay(session, existing->second);
-      return;
-    }
-
-    ClientSlot& slot = slot_of(session.client_name);
-    if (slot.jobs.size() >= config.max_pending_jobs_per_client) {
-      // Explicit, retryable backpressure -- the quota contract is a frame,
-      // never a disconnect.
-      analysis::JsonObject frame = make_frame("backpressure");
-      frame.set("job", tag);
-      frame.set("reason", "job_quota");
-      frame.set("active", static_cast<std::uint64_t>(slot.jobs.size()));
-      frame.set("limit", static_cast<std::uint64_t>(
-                             config.max_pending_jobs_per_client));
-      frame.set("retry_ms", std::uint64_t{200});
-      bump(&ServiceStats::backpressure_frames);  // Before the send: see
-      send_frame(session, frame);                // send_error for why.
-      return;
-    }
-
-    try {
-      Job& job = create_job(tag, session.client_name, std::move(specs));
-      job.session_fd = session.fd;
-      send_accepted(session, job, /*resumed=*/false);
-    } catch (const std::exception& e) {
-      send_error(session, "io_error", e.what(), tag);
-      return;
-    }
-    dispatch();
+    admit(session, std::move(job));
   }
 
   // --- Frame dispatch ---------------------------------------------------
@@ -1368,46 +1297,19 @@ struct ScenarioServer::Impl {
     if (job.specs.empty()) {
       throw std::runtime_error("empty spec list");
     }
-    job.name_fingerprint = scenario::fingerprint_of(job.specs);
     job.content_fingerprint = scenario::content_fingerprint_of(job.specs);
     if (job.id != job_id_of(job.owner, job.tag, job.content_fingerprint)) {
       throw std::runtime_error("job id does not match its content");
     }
-
-    scenario::check_resumable(dir, job.name_fingerprint, job.specs.size());
-    scenario::drop_torn_tail(scenario::journal_path(dir));
-    scenario::drop_torn_tail(scenario::health_journal_path(dir));
-    const scenario::JournalState journal = scenario::load_journal(dir);
-
-    job.state.assign(job.specs.size(), SpecState::kPending);
-    job.result_lines.assign(job.specs.size(), std::string());
-    job.health_lines.assign(job.specs.size(), {});
-    for (std::size_t i = 0; i < job.specs.size(); ++i) {
-      const auto line_it = journal.lines.find(job.specs[i].name);
-      if (line_it == journal.lines.end()) {
-        continue;
-      }
-      job.state[i] = SpecState::kDone;
-      job.result_lines[i] = line_it->second;
-      const auto health_it = journal.health.find(job.specs[i].name);
-      if (health_it != journal.health.end()) {
-        job.health_lines[i] = health_it->second;
-      }
-      job.completed++;
-      job.resumed++;
-      const auto fields = analysis::parse_flat_json_line(line_it->second);
-      const bool passed = fields && fields->count("verdict") &&
-                          fields->at("verdict") == "pass";
-      (passed ? job.passed : job.failed)++;
+    job.open(dir, /*resume=*/true, plan_workspace);
+    if (job.cancelled) {
+      job.campaign->close();  // It commits nothing more.
     }
-    job.journal = std::make_unique<scenario::JournalWriter>(
-        dir, job.name_fingerprint, job.specs.size(), job.completed,
-        /*append=*/true);
 
     const bool schedulable = !job.done() && !job.cancelled;
     const std::string id = job.id;
     const std::string owner = job.owner;
-    const std::size_t resumed = job.resumed;
+    const std::size_t resumed = job.campaign->resumed();
     jobs.emplace(id, std::move(job));
     if (schedulable) {
       slot_of(owner).jobs.push_back(id);
@@ -1419,52 +1321,13 @@ struct ScenarioServer::Impl {
 
   // --- Worker / event threads -------------------------------------------
 
-  /// Runs one dispatch unit on the calling worker's executor.  In process
-  /// isolation the unit ships whole into the worker's sandbox child (one
-  /// batched kernel dispatch for multi-entry units); in thread mode the
-  /// executor runs the same batch planner in process.  Rows come back as
-  /// pre-rendered JSONL bytes either way, byte-identical across modes.  An
-  /// empty executor return means interrupt() killed the unit mid-flight
-  /// (cancel): each entry completes as `withdrawn`.
-  std::vector<Completion> run_unit(Task& task,
-                                   scenario::ScenarioExecutor& executor) {
-    std::vector<ScenarioSpec> specs;
-    specs.reserve(task.entries.size());
-    for (TaskEntry& entry : task.entries) {
-      specs.push_back(entry.spec);
-    }
-    std::vector<scenario::ExecutedScenario> runs = executor.run_unit(specs);
-    std::vector<Completion> out;
-    out.reserve(task.entries.size());
-    if (runs.size() != task.entries.size()) {
-      for (const TaskEntry& entry : task.entries) {
-        Completion done;
-        done.job_id = task.job_id;
-        done.index = entry.index;
-        done.withdrawn = true;
-        out.push_back(std::move(done));
-      }
-      return out;
-    }
-    for (std::size_t k = 0; k < task.entries.size(); ++k) {
-      Completion done;
-      done.job_id = task.job_id;
-      done.index = task.entries[k].index;
-      done.pass = runs[k].result.pass;
-      done.line = std::move(runs[k].line);
-      done.health_lines = std::move(runs[k].health_lines);
-      out.push_back(std::move(done));
-    }
-    return out;
-  }
-
   void worker_main(std::size_t worker_index) {
     // In process mode the executor owns a long-lived sandbox child
     // (respawned on death); in thread mode it carries the scenario arena
     // whose sizing caches persist across units.
     scenario::ScenarioExecutor& executor = *executors[worker_index];
     for (;;) {
-      Task task;
+      Unit unit;
       {
         std::unique_lock<std::mutex> lock(task_mutex);
         task_cv.wait(lock,
@@ -1472,14 +1335,19 @@ struct ScenarioServer::Impl {
         if (workers_quit) {
           return;  // Graceful stop re-marks queued tasks as pending.
         }
-        task = std::move(task_queue.front());
+        unit = std::move(task_queue.front());
         task_queue.pop_front();
       }
       {
         std::lock_guard<std::mutex> lock(active_mutex);
-        active_units[worker_index] = ActiveUnit{task.job_id, &executor};
+        active_units[worker_index] = ActiveUnit{unit.job_id, &executor};
       }
-      std::vector<Completion> batch = run_unit(task, executor);
+      // Process isolation ships the unit whole into the worker's sandbox
+      // child (one batched kernel dispatch for a packed unit); thread mode
+      // runs the same planner in process.  An empty return means
+      // interrupt() withdrew the unit (cancel).
+      unit.runs = executor.run_unit(unit.specs);
+      unit.specs.clear();
       {
         std::lock_guard<std::mutex> lock(active_mutex);
         active_units.erase(worker_index);
@@ -1491,9 +1359,7 @@ struct ScenarioServer::Impl {
       executor.clear_interrupt();
       {
         std::lock_guard<std::mutex> lock(completion_mutex);
-        for (Completion& done : batch) {
-          completions.push_back(std::move(done));
-        }
+        completions.push_back(std::move(unit));
       }
       wake();
     }
@@ -1608,25 +1474,19 @@ struct ScenarioServer::Impl {
     stopped_cv.notify_all();
   }
 
-  /// Graceful drain: queued-but-unstarted tasks return to pending (they
+  /// Graceful drain: queued-but-unstarted units return to pending (they
   /// have no journal entry, so a restart resumes them -- exactly the
-  /// campaign engine's stop-flag semantics), in-flight scenarios finish on
-  /// their workers and are journaled, manifests flush via JournalWriter's
-  /// per-record checkpoint, then every session closes.
+  /// campaign engine's stop-flag semantics), in-flight units finish on
+  /// their workers and commit (each commit rewrites the checkpoint
+  /// manifest), then every session closes.
   void shutdown_gracefully() {
     draining = true;
     {
       std::lock_guard<std::mutex> lock(task_mutex);
-      for (const Task& task : task_queue) {
-        auto it = jobs.find(task.job_id);
+      for (const Unit& queued : task_queue) {
+        auto it = jobs.find(queued.job_id);
         if (it != jobs.end()) {
-          ClientSlot& slot = slot_of(it->second.owner);
-          for (const TaskEntry& entry : task.entries) {
-            it->second.state[entry.index] = SpecState::kPending;
-            if (slot.inflight > 0) {
-              slot.inflight--;
-            }
-          }
+          release(it->second, queued);
         }
       }
       task_queue.clear();

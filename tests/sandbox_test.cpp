@@ -260,7 +260,7 @@ TEST(SandboxTest, GroupCrashDegradesToPerScenarioRetries) {
       EXPECT_EQ(runs[i].result.error, ScenarioError::kNone) << i;
       EXPECT_FALSE(runs[i].line.empty()) << i;
       // The degraded rows byte-match a clean single-spec execution.
-      EXPECT_EQ(runs[i].line, clean.run_one(specs[i]).line) << i;
+      EXPECT_EQ(runs[i].line, clean.run_unit({specs[i]}).front().line) << i;
     }
   }
 }
@@ -285,7 +285,8 @@ TEST(SandboxTest, InterruptWithdrawsTheInFlightUnit) {
 
   // A re-armed executor respawns its worker and runs normally.
   executor.clear_interrupt();
-  const ExecutedScenario after = executor.run_one(quick_spec("after", 42));
+  const ExecutedScenario after =
+      executor.run_unit({quick_spec("after", 42)}).front();
   EXPECT_EQ(after.result.error, ScenarioError::kNone);
   EXPECT_TRUE(after.result.pass);
 }

@@ -27,7 +27,10 @@
 #include <thread>
 #include <vector>
 
+#include "ddl/core/hash.h"
+#include "ddl/scenario/campaign.h"
 #include "ddl/scenario/chaos.h"
+#include "ddl/scenario/journal.h"
 #include "ddl/scenario/registry.h"
 #include "ddl/scenario/runner.h"
 #include "ddl/scenario/spec.h"
@@ -118,6 +121,18 @@ bool eventually(const std::function<bool()>& done,
     std::this_thread::sleep_for(std::chrono::milliseconds(5));
   }
   return done();
+}
+
+/// Open descriptors of this process that point under `dir`.
+std::size_t fds_under(const std::string& dir) {
+  const std::string root = fs::canonical(dir).string() + "/";
+  std::size_t count = 0;
+  for (const auto& entry : fs::directory_iterator("/proc/self/fd")) {
+    std::error_code ec;
+    const std::string target = fs::read_symlink(entry.path(), ec).string();
+    count += !ec && target.rfind(root, 0) == 0 ? 1 : 0;
+  }
+  return count;
 }
 
 /// A bare loopback TCP connection: the adversarial tests drive the wire
@@ -607,7 +622,125 @@ TEST(ServiceTest, RestartResumesTheJournalWithoutRerunningAnything) {
   server.stop();
 }
 
+TEST(ServiceTest, JobsCloseTheirJournalFilesWhenTheyEnd) {
+  // Finished and cancelled jobs stay in memory for replay; their journal
+  // files must not stay open with them, before or after a restart.
+  const std::string state_dir = fresh_dir("journal_fds");
+  constexpr std::size_t kJobs = 3;
+  {
+    ServiceConfig config = base_config();
+    config.state_dir = state_dir;
+    config.workers = 1;
+    config.record_dispatch_log = true;
+    ScenarioServer server(config);
+    ASSERT_TRUE(server.start());
+    ScenarioClient client(client_for(server, "olga"));
+    ASSERT_TRUE(client.connect());
+    for (std::size_t i = 0; i < kJobs; ++i) {
+      const std::string name = "fd" + std::to_string(i);
+      const auto submission =
+          client.submit_specs(name, {quick_spec(name, 110 + i)});
+      ASSERT_TRUE(submission.accepted);
+      ASSERT_TRUE(client.wait(submission.job_id).done);
+    }
+    EXPECT_EQ(fds_under(state_dir), 0u);
+
+    const auto doomed =
+        client.submit_specs("doomed", {quick_spec("doomed", 119, 2'000'000)});
+    ASSERT_TRUE(doomed.accepted);
+    ASSERT_TRUE(
+        eventually([&] { return server.dispatch_log().size() > kJobs; }));
+    ASSERT_TRUE(client.cancel("doomed"));
+    ASSERT_TRUE(client.wait(doomed.job_id).cancelled);
+    EXPECT_EQ(fds_under(state_dir), 0u);
+    client.bye();
+    server.stop();
+  }
+
+  ServiceConfig config = base_config();
+  config.state_dir = state_dir;
+  ScenarioServer server(config);
+  ASSERT_TRUE(server.start());
+  EXPECT_EQ(server.stats().jobs_recovered, kJobs + 1);
+  EXPECT_EQ(fds_under(state_dir), 0u);
+  server.stop();
+}
+
+TEST(ServiceTest, DaemonJournalsResumeAsACampaign) {
+  // The daemon and the CLI share one journal format: a finished job's
+  // directory resumes under Campaign with nothing left to run.
+  auto specs = ddl::scenario::ScenarioRegistry::builtin().expand("yield");
+  specs.push_back(quick_spec("shared", 131));
+  specs.push_back(supervised_spec());
+  ServiceConfig config = base_config();
+  config.state_dir = fresh_dir("shared_journal");
+  ScenarioServer server(config);
+  ASSERT_TRUE(server.start());
+  ScenarioClient client(client_for(server, "quinn"));
+  ASSERT_TRUE(client.connect());
+  const auto submission = client.submit_specs("shared", specs);
+  ASSERT_TRUE(submission.accepted);
+  ASSERT_TRUE(client.wait(submission.job_id).done);
+  client.bye();
+  server.stop();
+
+  ddl::scenario::CampaignConfig resume;
+  resume.journal_dir = config.state_dir + "/jobs/" + submission.job_id;
+  resume.resume = true;
+  const auto outcome = ddl::scenario::Campaign(resume).run(specs);
+  EXPECT_EQ(outcome.executed, 0u);
+  EXPECT_EQ(outcome.resumed, specs.size());
+  const auto reference = ScenarioRunner(1).run(specs);
+  EXPECT_EQ(outcome.jsonl(), ScenarioRunner::jsonl(reference));
+  EXPECT_EQ(outcome.health_jsonl, ScenarioRunner::health_jsonl(reference));
+}
+
 // ---- Error paths ----------------------------------------------------------
+
+TEST(ServiceTest, JournalDiskFaultIsAnErrorFrameAndTheJobFinishesInMemory) {
+  const std::vector<ScenarioSpec> specs = {quick_spec("full", 141),
+                                           supervised_spec()};
+  ServiceConfig config = base_config();
+  config.state_dir = fresh_dir("disk_full");
+  // Job identity as DESIGN.md defines it: client, tag and the content
+  // fingerprint of the specs.  /dev/full accepts the journal's open and
+  // fails every write with ENOSPC.
+  const std::string id = ddl::core::fnv1a64_hex(
+      "rita\nfull\n" + ddl::scenario::content_fingerprint_of(specs));
+  const std::string job_dir = config.state_dir + "/jobs/" + id;
+  fs::create_directories(job_dir);
+  std::error_code ec;
+  fs::create_symlink("/dev/full", ddl::scenario::journal_path(job_dir), ec);
+  ASSERT_FALSE(ec) << ec.message();
+  ScenarioServer server(config);
+  ASSERT_TRUE(server.start());
+
+  {
+    ScenarioClient client(client_for(server, "rita"));
+    ASSERT_TRUE(client.connect());
+    const auto submission = client.submit_specs("full", specs);
+    ASSERT_TRUE(submission.accepted);
+    ASSERT_EQ(submission.job_id, id);
+    const auto outcome = client.wait(submission.job_id);
+    EXPECT_EQ(outcome.error_code, "journal_io") << outcome.error_detail;
+  }
+  // Durability is dropped fail-closed; the job completes in memory.
+  ASSERT_TRUE(server.wait_all_jobs_done(60'000));
+  EXPECT_EQ(server.stats().journal_io_errors, 1u);
+
+  ScenarioClient client(client_for(server, "rita"));
+  ASSERT_TRUE(client.connect());
+  const auto submission = client.submit_specs("full", specs);
+  ASSERT_TRUE(submission.accepted);
+  EXPECT_TRUE(submission.resumed);
+  const auto outcome = client.wait(submission.job_id);
+  ASSERT_TRUE(outcome.done) << outcome.error_code;
+  const auto reference = ScenarioRunner(1).run(specs);
+  EXPECT_EQ(outcome.jsonl(), ScenarioRunner::jsonl(reference));
+  EXPECT_EQ(outcome.health_jsonl(), ScenarioRunner::health_jsonl(reference));
+  EXPECT_EQ(server.stats().scenarios_executed, specs.size());
+  server.stop();
+}
 
 TEST(ServiceTest, MalformedSubmissionsGetStructuredErrorFrames) {
   ScenarioServer server(base_config());
