@@ -14,15 +14,15 @@
 // the same failure reason.  The result is rendered as a *replay bundle* --
 // a flat JSON file carrying the complete minimal ScenarioSpec, its seed
 // and the expected verdict -- reproducible on any checkout via
-// `ddl_scenario_runner --replay <bundle>`.
+// `ddl_scenario_runner --replay <bundle>`.  The spec sits under a `spec.`
+// key prefix, written and read by the one spec codec (spec.h): a bundle is
+// read strictly, so an unknown `spec.` key rejects it.
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <string>
 #include <vector>
 
-#include "ddl/analysis/bench_json.h"
 #include "ddl/scenario/runner.h"
 #include "ddl/scenario/spec.h"
 
@@ -44,43 +44,9 @@ struct ChaosCampaignSpec {
 /// `chaos/<arch>/<corner>/storm-<i>` with family "chaos".  Every spec
 /// passes validate() by construction.  Throws std::invalid_argument when
 /// the base cannot carry runtime faults (counter architecture, DVFS
-/// schedule, infeasible sizing or a pre-existing fault plan).
+/// schedule, infeasible sizing or a pre-existing fault plan) or when
+/// `max_faults_per_storm` exceeds kMaxSpecEntries.
 std::vector<ScenarioSpec> expand_chaos(const ChaosCampaignSpec& chaos);
-
-/// Serializes a complete ScenarioSpec as a flat JsonObject (vectors are
-/// flattened as `faults.<i>.<field>` / `dvfs.<i>.<field>`): the replay
-/// bundle dialect, parseable by `analysis::parse_flat_json_line`.
-analysis::JsonObject spec_to_json(const ScenarioSpec& spec);
-
-/// Appends the same flat serialization onto an existing object (whose own
-/// fields -- a frame type, a sequence number -- stay in front).  The
-/// sandbox supervisor ships specs to its worker processes this way.
-void spec_to_json_into(analysis::JsonObject& object, const ScenarioSpec& spec);
-
-/// Rebuilds a spec from the flat dialect.  Unknown keys are ignored and
-/// missing keys keep their defaults, so bundles stay forward-compatible;
-/// throws std::invalid_argument on unparseable enum values.
-ScenarioSpec spec_from_json(const std::map<std::string, std::string>& fields);
-
-/// A strict parse attempt: the rebuilt spec plus every problem found.
-/// `errors` uses the same human-readable shape as validate() messages
-/// ("<key>: <what went wrong>"); the spec keeps defaults for every field
-/// that failed to parse, so callers can still render context from it.
-struct SpecParse {
-  ScenarioSpec spec;
-  std::vector<std::string> errors;
-  bool ok() const noexcept { return errors.empty(); }
-};
-
-/// Strict counterpart of spec_from_json for untrusted input (the campaign
-/// service's submit path): never throws or aborts.  Collects an error for
-/// every wrong-typed field (the whole value must parse -- "8oops" is
-/// rejected, not truncated), every unparseable enum, and -- unless
-/// `allow_unknown` -- every key outside the spec dialect (typo'd field
-/// names fail loudly instead of silently keeping a default).
-SpecParse spec_from_json_checked(
-    const std::map<std::string, std::string>& fields,
-    bool allow_unknown = false);
 
 /// Outcome of shrinking one failing storm.
 struct ShrinkReport {
@@ -109,7 +75,8 @@ struct ReplayBundle {
 };
 
 /// Parses a bundle document.  Throws std::invalid_argument when the
-/// content is not a bundle.
+/// content is not a bundle or its spec does not parse strictly (the
+/// message names the first offending key).
 ReplayBundle parse_replay_bundle(const std::string& content);
 
 /// Re-runs a bundle's spec and checks the expected verdict reproduces.

@@ -10,7 +10,7 @@
 //
 //   supervisor (this process)              worker (forked child)
 //   ----------------------------          ---------------------------
-//   spec frames + go  ------------------>  spec_from_json, run
+//   spec frames + go  ------------------>  strict spec read, run
 //                     <------------------  health / row frames
 //                     <------------------  unit_done
 //   waitpid on death; classify; respawn

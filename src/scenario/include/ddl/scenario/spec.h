@@ -8,13 +8,18 @@
 // DVFS schedules, ProposedDelayLine fault injection), so executing one is
 // pure plumbing: see runner.h.  Specs are plain values -- copyable,
 // comparable by name, and cheap to generate in bulk from the registry.
+// A spec crosses every process and file boundary (sandbox pipe, submit
+// frames, specs.jsonl, replay bundles) as flat JSON through one codec: one
+// key list, walked by a writer and a strict reader under a key prefix.
 #pragma once
 
 #include <cstdint>
+#include <map>
 #include <string>
 #include <string_view>
 #include <vector>
 
+#include "ddl/analysis/bench_json.h"
 #include "ddl/cells/operating_point.h"
 #include "ddl/control/closed_loop.h"
 #include "ddl/control/dvfs.h"
@@ -247,5 +252,37 @@ std::vector<std::string> validate(const ScenarioSpec& spec);
 /// re-running the DesignCalculator.
 std::vector<std::string> validate(const ScenarioSpec& spec,
                                   std::size_t line_cells);
+
+/// The most faults, and the most DVFS steps, validate() lets one spec
+/// carry (a spec at the cap renders to about 78 KB).
+inline constexpr std::size_t kMaxSpecEntries = 256;
+
+/// Serializes a spec as a flat JsonObject (lists flatten to `<list>.count`
+/// plus `<list>.<i>.<field>`).  A persisted contract:
+/// content_fingerprint_of hashes these bytes into job ids and crash rows.
+analysis::JsonObject spec_to_json(const ScenarioSpec& spec);
+
+/// Appends the same fields, each as `<prefix><key>`, onto an object whose
+/// own fields (a frame type, a sequence number) stay in front.
+void spec_to_json_into(analysis::JsonObject& object, const ScenarioSpec& spec,
+                       const std::string& prefix);
+
+/// A parse attempt: the rebuilt spec (defaults where a field failed) plus
+/// every problem found, each as "<full key>: <what went wrong>".
+struct SpecParse {
+  ScenarioSpec spec;
+  std::vector<std::string> errors;
+  bool ok() const noexcept { return errors.empty(); }
+};
+
+/// The one reader, strict, for every source: reads the spec under `prefix`
+/// in a flat field map and ignores keys outside it.  Never throws.  Any
+/// wrong-typed value ("8oops" is not 8), unknown enum name, list count
+/// above the keys present, missing spec (no key at all) or key the codec
+/// does not know is an error: there are no forward-compatible unknown
+/// keys.  A missing key keeps its default.
+SpecParse spec_from_json_checked(
+    const std::map<std::string, std::string>& fields,
+    const std::string& prefix = "");
 
 }  // namespace ddl::scenario

@@ -1,15 +1,12 @@
 #include "ddl/scenario/chaos.h"
 
 #include <algorithm>
-#include <cerrno>
 #include <cstdio>
-#include <cstdlib>
-#include <set>
 #include <stdexcept>
+#include <string>
 #include <utility>
 
 #include "ddl/core/hash.h"
-#include "ddl/scenario/cli.h"
 
 namespace ddl::scenario {
 namespace {
@@ -56,198 +53,6 @@ FaultSpec random_fault(SplitMix64& rng, const ScenarioSpec& base,
   }
 }
 
-// ---- Flat-spec field helpers ----------------------------------------------
-
-const std::string* find_field(const std::map<std::string, std::string>& fields,
-                              const std::string& key) {
-  const auto it = fields.find(key);
-  return it == fields.end() ? nullptr : &it->second;
-}
-
-void get(const std::map<std::string, std::string>& fields,
-         const std::string& key, std::string& out) {
-  if (const std::string* value = find_field(fields, key)) {
-    out = *value;
-  }
-}
-
-void get(const std::map<std::string, std::string>& fields,
-         const std::string& key, double& out) {
-  if (const std::string* value = find_field(fields, key)) {
-    out = std::strtod(value->c_str(), nullptr);
-  }
-}
-
-void get(const std::map<std::string, std::string>& fields,
-         const std::string& key, std::uint64_t& out) {
-  if (const std::string* value = find_field(fields, key)) {
-    out = std::strtoull(value->c_str(), nullptr, 10);
-  }
-}
-
-void get(const std::map<std::string, std::string>& fields,
-         const std::string& key, int& out) {
-  if (const std::string* value = find_field(fields, key)) {
-    out = std::atoi(value->c_str());
-  }
-}
-
-void get(const std::map<std::string, std::string>& fields,
-         const std::string& key, bool& out) {
-  if (const std::string* value = find_field(fields, key)) {
-    out = *value == "true";
-  }
-}
-
-Architecture architecture_from_string(const std::string& text) {
-  for (const Architecture architecture :
-       {Architecture::kCounter, Architecture::kHybrid, Architecture::kProposed,
-        Architecture::kConventional}) {
-    if (text == to_string(architecture)) {
-      return architecture;
-    }
-  }
-  throw std::invalid_argument("spec_from_json: unknown architecture '" +
-                              text + "'");
-}
-
-cells::ProcessCorner corner_from_string(const std::string& text) {
-  for (const cells::ProcessCorner corner :
-       {cells::ProcessCorner::kFast, cells::ProcessCorner::kTypical,
-        cells::ProcessCorner::kSlow}) {
-    if (text == cells::to_string(corner)) {
-      return corner;
-    }
-  }
-  throw std::invalid_argument("spec_from_json: unknown process corner '" +
-                              text + "'");
-}
-
-LoadSpec::Kind load_kind_from_string(const std::string& text) {
-  LoadSpec probe;
-  for (const LoadSpec::Kind kind :
-       {LoadSpec::Kind::kConstant, LoadSpec::Kind::kStep, LoadSpec::Kind::kRamp,
-        LoadSpec::Kind::kMarkov}) {
-    probe.kind = kind;
-    if (text == probe.kind_name()) {
-      return kind;
-    }
-  }
-  throw std::invalid_argument("spec_from_json: unknown load kind '" + text +
-                              "'");
-}
-
-FaultSpec::Kind fault_kind_from_string(const std::string& text) {
-  FaultSpec probe;
-  for (const FaultSpec::Kind kind :
-       {FaultSpec::Kind::kDelayCell, FaultSpec::Kind::kStuckTap,
-        FaultSpec::Kind::kClockPeriodStep}) {
-    probe.kind = kind;
-    if (text == probe.kind_name()) {
-      return kind;
-    }
-  }
-  throw std::invalid_argument("spec_from_json: unknown fault kind '" + text +
-                              "'");
-}
-
-std::string indexed(const std::string& prefix, std::size_t i,
-                    const char* field) {
-  return prefix + "." + std::to_string(i) + "." + field;
-}
-
-// ---- Strict (checked) spec parsing ----------------------------------------
-
-/// Full-string double parse: strtod must consume every character and stay
-/// in range.  ("1.5oops" and "" are rejected, not truncated.)
-bool parse_double_strict(const std::string& text, double& out) {
-  if (text.empty()) {
-    return false;
-  }
-  errno = 0;
-  char* end = nullptr;
-  const double value = std::strtod(text.c_str(), &end);
-  if (end != text.c_str() + text.size() || errno == ERANGE) {
-    return false;
-  }
-  out = value;
-  return true;
-}
-
-/// Typed, unknown-key-tracking view over a flat field map: every find()
-/// marks its key consumed so the caller can flag leftovers, and every
-/// typed take() records a structured error instead of silently defaulting.
-struct CheckedFields {
-  const std::map<std::string, std::string>& fields;
-  std::vector<std::string>& errors;
-  std::set<std::string> consumed;
-
-  const std::string* find(const std::string& key) {
-    const auto it = fields.find(key);
-    if (it == fields.end()) {
-      return nullptr;
-    }
-    consumed.insert(key);
-    return &it->second;
-  }
-
-  void fail(const std::string& key, const char* expected,
-            const std::string& got) {
-    errors.push_back(key + ": expected " + expected + ", got '" + got + "'");
-  }
-
-  void take(const std::string& key, std::string& out) {
-    if (const std::string* value = find(key)) {
-      out = *value;
-    }
-  }
-  void take(const std::string& key, double& out) {
-    if (const std::string* value = find(key)) {
-      if (!parse_double_strict(*value, out)) {
-        fail(key, "a number", *value);
-      }
-    }
-  }
-  void take(const std::string& key, std::uint64_t& out) {
-    if (const std::string* value = find(key)) {
-      if (!parse_u64(*value, out)) {
-        fail(key, "an unsigned integer", *value);
-      }
-    }
-  }
-  void take(const std::string& key, int& out) {
-    if (const std::string* value = find(key)) {
-      if (!parse_count(*value, out)) {
-        fail(key, "a non-negative integer", *value);
-      }
-    }
-  }
-  void take(const std::string& key, bool& out) {
-    if (const std::string* value = find(key)) {
-      if (*value == "true") {
-        out = true;
-      } else if (*value == "false") {
-        out = false;
-      } else {
-        fail(key, "true or false", *value);
-      }
-    }
-  }
-
-  /// Enum fields: `parse` throws std::invalid_argument on unknown values
-  /// (the lenient parser's contract); here that becomes a collected error.
-  template <typename T, typename Parse>
-  void take_enum(const std::string& key, T& out, Parse parse) {
-    if (const std::string* value = find(key)) {
-      try {
-        out = parse(*value);
-      } catch (const std::invalid_argument& e) {
-        errors.push_back(key + ": " + e.what());
-      }
-    }
-  }
-};
-
 }  // namespace
 
 std::vector<ScenarioSpec> expand_chaos(const ChaosCampaignSpec& chaos) {
@@ -266,6 +71,12 @@ std::vector<ScenarioSpec> expand_chaos(const ChaosCampaignSpec& chaos) {
   }
   if (base.periods < 2) {
     throw std::invalid_argument("expand_chaos: base run too short to storm");
+  }
+  if (chaos.max_faults_per_storm > kMaxSpecEntries) {
+    throw std::invalid_argument(
+        "expand_chaos: max_faults_per_storm " +
+        std::to_string(chaos.max_faults_per_storm) + " exceeds the " +
+        std::to_string(kMaxSpecEntries) + "-fault cap");
   }
   const std::size_t cells = base.expected_line_cells();
   if (cells == 0) {
@@ -292,289 +103,6 @@ std::vector<ScenarioSpec> expand_chaos(const ChaosCampaignSpec& chaos) {
     storms.push_back(std::move(storm));
   }
   return storms;
-}
-
-analysis::JsonObject spec_to_json(const ScenarioSpec& spec) {
-  analysis::JsonObject object;
-  spec_to_json_into(object, spec);
-  return object;
-}
-
-void spec_to_json_into(analysis::JsonObject& object, const ScenarioSpec& spec) {
-  object.set("name", spec.name);
-  object.set("family", spec.family);
-  object.set("architecture", std::string(to_string(spec.architecture)));
-  object.set("clock_mhz", spec.clock_mhz);
-  object.set("resolution_bits", spec.resolution_bits);
-  object.set("counter_bits", spec.counter_bits);
-  object.set("seed", spec.seed);
-  object.set("corner.process",
-             std::string(cells::to_string(spec.corner.corner)));
-  object.set("corner.supply_v", spec.corner.supply_v);
-  object.set("corner.temperature_c", spec.corner.temperature_c);
-  object.set("temp_ramp_c_per_us", spec.temp_ramp_c_per_us);
-  object.set("supply_spike_v", spec.supply_spike_v);
-  object.set("spike_from_period", spec.spike_from_period);
-  object.set("spike_until_period", spec.spike_until_period);
-  object.set("vref_v", spec.vref_v);
-  object.set("load.kind", std::string(spec.load.kind_name()));
-  object.set("load.level_a", spec.load.level_a);
-  object.set("load.level2_a", spec.load.level2_a);
-  object.set("load.from_period", spec.load.from_period);
-  object.set("load.until_period", spec.load.until_period);
-  object.set("load.p_burst", spec.load.p_burst);
-  object.set("load.p_idle", spec.load.p_idle);
-  object.set("dvfs.count", static_cast<std::uint64_t>(spec.dvfs.size()));
-  for (std::size_t i = 0; i < spec.dvfs.size(); ++i) {
-    object.set(indexed("dvfs", i, "at_period"), spec.dvfs[i].at_period);
-    object.set(indexed("dvfs", i, "vref_v"), spec.dvfs[i].vref_v);
-  }
-  object.set("periods", spec.periods);
-  object.set("measure_from", spec.measure_from);
-  object.set("tolerance_v", spec.tolerance_v);
-  object.set("settle_band_v", spec.settle_band_v);
-  object.set("expect_lock", spec.expect_lock);
-  object.set("allow_limit_cycling", spec.allow_limit_cycling);
-  object.set("limit_cycle_stddev_v", spec.limit_cycle_stddev_v);
-  object.set("supervision.enabled", spec.supervision.enabled);
-  if (spec.supervision.enabled) {
-    const core::SupervisorConfig& config = spec.supervision.config;
-    object.set("supervision.tap_drift_window",
-               static_cast<std::uint64_t>(config.tap_drift_window));
-    object.set("supervision.margin_floor_ps", config.margin_floor_ps);
-    object.set("supervision.margin_periods", config.margin_periods);
-    object.set("supervision.watchdog_error_code", config.watchdog_error_code);
-    object.set("supervision.watchdog_periods", config.watchdog_periods);
-    object.set("supervision.max_relock_attempts", config.max_relock_attempts);
-    object.set("supervision.relock_backoff_periods",
-               config.relock_backoff_periods);
-    object.set("supervision.relock_stability_periods",
-               config.relock_stability_periods);
-    object.set("supervision.coarse_resolution_loss_bits",
-               config.coarse_resolution_loss_bits);
-    object.set("supervision.counter_fallback", config.counter_fallback);
-  }
-  object.set("expect_min_lock_losses", spec.expect_min_lock_losses);
-  object.set("expect_relock", spec.expect_relock);
-  object.set("max_relock_latency_periods", spec.max_relock_latency_periods);
-  object.set("expect_min_degradation", spec.expect_min_degradation);
-  object.set("mc_dies", spec.mc_dies);
-  object.set("mc_inl_limit_lsb", spec.mc_inl_limit_lsb);
-  object.set("mc_min_yield", spec.mc_min_yield);
-  object.set("mc_force_scalar", spec.mc_force_scalar);
-  object.set("faults.count", static_cast<std::uint64_t>(spec.faults.size()));
-  for (std::size_t i = 0; i < spec.faults.size(); ++i) {
-    const FaultSpec& fault = spec.faults[i];
-    object.set(indexed("faults", i, "kind"), std::string(fault.kind_name()));
-    object.set(indexed("faults", i, "victim_cell"),
-               static_cast<std::uint64_t>(fault.victim_cell));
-    object.set(indexed("faults", i, "severity"), fault.severity);
-    object.set(indexed("faults", i, "at_period"), fault.at_period);
-    object.set(indexed("faults", i, "clear_period"), fault.clear_period);
-  }
-  // Debug test hooks serialize only when set: every pre-existing spec keeps
-  // its exact serialization (content fingerprints and replay bundles are
-  // byte-stable), while hook-carrying specs survive the trip to a sandbox
-  // worker process.
-  if (spec.debug_hang_ms > 0) {
-    object.set("debug_hang_ms", spec.debug_hang_ms);
-    object.set("debug_hang_attempts", spec.debug_hang_attempts);
-  }
-  if (spec.debug_throw) {
-    object.set("debug_throw", spec.debug_throw);
-  }
-  if (!spec.debug_crash.empty()) {
-    object.set("debug_crash", spec.debug_crash);
-  }
-}
-
-ScenarioSpec spec_from_json(
-    const std::map<std::string, std::string>& fields) {
-  ScenarioSpec spec;
-  get(fields, "name", spec.name);
-  get(fields, "family", spec.family);
-  if (const std::string* text = find_field(fields, "architecture")) {
-    spec.architecture = architecture_from_string(*text);
-  }
-  get(fields, "clock_mhz", spec.clock_mhz);
-  get(fields, "resolution_bits", spec.resolution_bits);
-  get(fields, "counter_bits", spec.counter_bits);
-  get(fields, "seed", spec.seed);
-  if (const std::string* text = find_field(fields, "corner.process")) {
-    spec.corner.corner = corner_from_string(*text);
-  }
-  get(fields, "corner.supply_v", spec.corner.supply_v);
-  get(fields, "corner.temperature_c", spec.corner.temperature_c);
-  get(fields, "temp_ramp_c_per_us", spec.temp_ramp_c_per_us);
-  get(fields, "supply_spike_v", spec.supply_spike_v);
-  get(fields, "spike_from_period", spec.spike_from_period);
-  get(fields, "spike_until_period", spec.spike_until_period);
-  get(fields, "vref_v", spec.vref_v);
-  if (const std::string* text = find_field(fields, "load.kind")) {
-    spec.load.kind = load_kind_from_string(*text);
-  }
-  get(fields, "load.level_a", spec.load.level_a);
-  get(fields, "load.level2_a", spec.load.level2_a);
-  get(fields, "load.from_period", spec.load.from_period);
-  get(fields, "load.until_period", spec.load.until_period);
-  get(fields, "load.p_burst", spec.load.p_burst);
-  get(fields, "load.p_idle", spec.load.p_idle);
-  std::size_t dvfs_count = 0;
-  get(fields, "dvfs.count", dvfs_count);
-  for (std::size_t i = 0; i < dvfs_count; ++i) {
-    control::VoltageMode mode;
-    get(fields, indexed("dvfs", i, "at_period"), mode.at_period);
-    get(fields, indexed("dvfs", i, "vref_v"), mode.vref_v);
-    spec.dvfs.push_back(mode);
-  }
-  get(fields, "periods", spec.periods);
-  get(fields, "measure_from", spec.measure_from);
-  get(fields, "tolerance_v", spec.tolerance_v);
-  get(fields, "settle_band_v", spec.settle_band_v);
-  get(fields, "expect_lock", spec.expect_lock);
-  get(fields, "allow_limit_cycling", spec.allow_limit_cycling);
-  get(fields, "limit_cycle_stddev_v", spec.limit_cycle_stddev_v);
-  get(fields, "supervision.enabled", spec.supervision.enabled);
-  if (spec.supervision.enabled) {
-    core::SupervisorConfig& config = spec.supervision.config;
-    get(fields, "supervision.tap_drift_window", config.tap_drift_window);
-    get(fields, "supervision.margin_floor_ps", config.margin_floor_ps);
-    get(fields, "supervision.margin_periods", config.margin_periods);
-    get(fields, "supervision.watchdog_error_code", config.watchdog_error_code);
-    get(fields, "supervision.watchdog_periods", config.watchdog_periods);
-    get(fields, "supervision.max_relock_attempts", config.max_relock_attempts);
-    get(fields, "supervision.relock_backoff_periods",
-        config.relock_backoff_periods);
-    get(fields, "supervision.relock_stability_periods",
-        config.relock_stability_periods);
-    get(fields, "supervision.coarse_resolution_loss_bits",
-        config.coarse_resolution_loss_bits);
-    get(fields, "supervision.counter_fallback", config.counter_fallback);
-  }
-  get(fields, "expect_min_lock_losses", spec.expect_min_lock_losses);
-  get(fields, "expect_relock", spec.expect_relock);
-  get(fields, "max_relock_latency_periods", spec.max_relock_latency_periods);
-  get(fields, "expect_min_degradation", spec.expect_min_degradation);
-  get(fields, "mc_dies", spec.mc_dies);
-  get(fields, "mc_inl_limit_lsb", spec.mc_inl_limit_lsb);
-  get(fields, "mc_min_yield", spec.mc_min_yield);
-  get(fields, "mc_force_scalar", spec.mc_force_scalar);
-  std::size_t fault_count = 0;
-  get(fields, "faults.count", fault_count);
-  for (std::size_t i = 0; i < fault_count; ++i) {
-    FaultSpec fault;
-    if (const std::string* text =
-            find_field(fields, indexed("faults", i, "kind"))) {
-      fault.kind = fault_kind_from_string(*text);
-    }
-    get(fields, indexed("faults", i, "victim_cell"), fault.victim_cell);
-    get(fields, indexed("faults", i, "severity"), fault.severity);
-    get(fields, indexed("faults", i, "at_period"), fault.at_period);
-    get(fields, indexed("faults", i, "clear_period"), fault.clear_period);
-    spec.faults.push_back(fault);
-  }
-  get(fields, "debug_hang_ms", spec.debug_hang_ms);
-  get(fields, "debug_hang_attempts", spec.debug_hang_attempts);
-  get(fields, "debug_throw", spec.debug_throw);
-  get(fields, "debug_crash", spec.debug_crash);
-  return spec;
-}
-
-SpecParse spec_from_json_checked(
-    const std::map<std::string, std::string>& fields, bool allow_unknown) {
-  SpecParse parse;
-  ScenarioSpec& spec = parse.spec;
-  CheckedFields in{fields, parse.errors, {}};
-
-  in.take("name", spec.name);
-  in.take("family", spec.family);
-  in.take_enum("architecture", spec.architecture, architecture_from_string);
-  in.take("clock_mhz", spec.clock_mhz);
-  in.take("resolution_bits", spec.resolution_bits);
-  in.take("counter_bits", spec.counter_bits);
-  in.take("seed", spec.seed);
-  in.take_enum("corner.process", spec.corner.corner, corner_from_string);
-  in.take("corner.supply_v", spec.corner.supply_v);
-  in.take("corner.temperature_c", spec.corner.temperature_c);
-  in.take("temp_ramp_c_per_us", spec.temp_ramp_c_per_us);
-  in.take("supply_spike_v", spec.supply_spike_v);
-  in.take("spike_from_period", spec.spike_from_period);
-  in.take("spike_until_period", spec.spike_until_period);
-  in.take("vref_v", spec.vref_v);
-  in.take_enum("load.kind", spec.load.kind, load_kind_from_string);
-  in.take("load.level_a", spec.load.level_a);
-  in.take("load.level2_a", spec.load.level2_a);
-  in.take("load.from_period", spec.load.from_period);
-  in.take("load.until_period", spec.load.until_period);
-  in.take("load.p_burst", spec.load.p_burst);
-  in.take("load.p_idle", spec.load.p_idle);
-  std::size_t dvfs_count = 0;
-  in.take("dvfs.count", dvfs_count);
-  for (std::size_t i = 0; i < dvfs_count; ++i) {
-    control::VoltageMode mode;
-    in.take(indexed("dvfs", i, "at_period"), mode.at_period);
-    in.take(indexed("dvfs", i, "vref_v"), mode.vref_v);
-    spec.dvfs.push_back(mode);
-  }
-  in.take("periods", spec.periods);
-  in.take("measure_from", spec.measure_from);
-  in.take("tolerance_v", spec.tolerance_v);
-  in.take("settle_band_v", spec.settle_band_v);
-  in.take("expect_lock", spec.expect_lock);
-  in.take("allow_limit_cycling", spec.allow_limit_cycling);
-  in.take("limit_cycle_stddev_v", spec.limit_cycle_stddev_v);
-  in.take("supervision.enabled", spec.supervision.enabled);
-  {
-    // Config keys type-check whether or not supervision is enabled, so a
-    // disabled-but-present block still fails loudly on a typo'd value.
-    core::SupervisorConfig& config = spec.supervision.config;
-    in.take("supervision.tap_drift_window", config.tap_drift_window);
-    in.take("supervision.margin_floor_ps", config.margin_floor_ps);
-    in.take("supervision.margin_periods", config.margin_periods);
-    in.take("supervision.watchdog_error_code", config.watchdog_error_code);
-    in.take("supervision.watchdog_periods", config.watchdog_periods);
-    in.take("supervision.max_relock_attempts", config.max_relock_attempts);
-    in.take("supervision.relock_backoff_periods",
-            config.relock_backoff_periods);
-    in.take("supervision.relock_stability_periods",
-            config.relock_stability_periods);
-    in.take("supervision.coarse_resolution_loss_bits",
-            config.coarse_resolution_loss_bits);
-    in.take("supervision.counter_fallback", config.counter_fallback);
-  }
-  in.take("expect_min_lock_losses", spec.expect_min_lock_losses);
-  in.take("expect_relock", spec.expect_relock);
-  in.take("max_relock_latency_periods", spec.max_relock_latency_periods);
-  in.take("expect_min_degradation", spec.expect_min_degradation);
-  in.take("mc_dies", spec.mc_dies);
-  in.take("mc_inl_limit_lsb", spec.mc_inl_limit_lsb);
-  in.take("mc_min_yield", spec.mc_min_yield);
-  in.take("mc_force_scalar", spec.mc_force_scalar);
-  std::size_t fault_count = 0;
-  in.take("faults.count", fault_count);
-  for (std::size_t i = 0; i < fault_count; ++i) {
-    FaultSpec fault;
-    in.take_enum(indexed("faults", i, "kind"), fault.kind,
-                 fault_kind_from_string);
-    in.take(indexed("faults", i, "victim_cell"), fault.victim_cell);
-    in.take(indexed("faults", i, "severity"), fault.severity);
-    in.take(indexed("faults", i, "at_period"), fault.at_period);
-    in.take(indexed("faults", i, "clear_period"), fault.clear_period);
-    spec.faults.push_back(fault);
-  }
-  in.take("debug_hang_ms", spec.debug_hang_ms);
-  in.take("debug_hang_attempts", spec.debug_hang_attempts);
-  in.take("debug_throw", spec.debug_throw);
-  in.take("debug_crash", spec.debug_crash);
-
-  if (!allow_unknown) {
-    for (const auto& [key, value] : fields) {
-      if (in.consumed.count(key) == 0) {
-        parse.errors.push_back(key + ": unknown key");
-      }
-    }
-  }
-  return parse;
 }
 
 ShrinkReport shrink_failure(const ScenarioSpec& failing) {
@@ -645,14 +173,7 @@ std::string replay_bundle_json(const ShrinkReport& report) {
              static_cast<std::uint64_t>(report.removed_faults));
   bundle.set("simplified_faults",
              static_cast<std::uint64_t>(report.simplified_faults));
-  analysis::JsonObject spec = spec_to_json(report.minimal);
-  // Flatten the spec under a `spec.` prefix by re-parsing its own line
-  // (the dialect is flat, so this is lossless).
-  const auto fields = analysis::parse_flat_json_line(spec.to_json_line());
-  for (const auto& [key, value] : *fields) {
-    // Re-set through the typed API so strings re-escape correctly.
-    bundle.set("spec." + key, value);
-  }
+  spec_to_json_into(bundle, report.minimal, "spec.");
   return bundle.to_json();
 }
 
@@ -661,22 +182,20 @@ ReplayBundle parse_replay_bundle(const std::string& content) {
   if (!fields) {
     throw std::invalid_argument("replay bundle: not a flat JSON document");
   }
-  const std::string* kind = find_field(*fields, "bundle");
-  if (kind == nullptr || *kind != "chaos_replay") {
+  const auto kind = fields->find("bundle");
+  if (kind == fields->end() || kind->second != "chaos_replay") {
     throw std::invalid_argument(
         "replay bundle: missing bundle=chaos_replay marker");
   }
-  std::map<std::string, std::string> spec_fields;
-  for (const auto& [key, value] : *fields) {
-    if (key.rfind("spec.", 0) == 0) {
-      spec_fields.emplace(key.substr(5), value);
-    }
+  SpecParse parsed = spec_from_json_checked(*fields, "spec.");
+  if (!parsed.ok()) {
+    throw std::invalid_argument("replay bundle: " + parsed.errors.front());
   }
   ReplayBundle bundle;
-  bundle.spec = spec_from_json(spec_fields);
-  if (const std::string* expected =
-          find_field(*fields, "expected_failure_reason")) {
-    bundle.expected_failure_reason = *expected;
+  bundle.spec = std::move(parsed.spec);
+  const auto expected = fields->find("expected_failure_reason");
+  if (expected != fields->end()) {
+    bundle.expected_failure_reason = expected->second;
   }
   return bundle;
 }

@@ -10,7 +10,7 @@
 
 #include "ddl/analysis/bench_json.h"
 #include "ddl/core/hash.h"
-#include "ddl/scenario/chaos.h"
+#include "ddl/scenario/spec.h"
 
 namespace ddl::scenario {
 namespace {

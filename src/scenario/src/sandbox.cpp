@@ -26,8 +26,8 @@
 
 #include "ddl/analysis/bench_json.h"
 #include "ddl/scenario/batch_plan.h"
-#include "ddl/scenario/chaos.h"
 #include "ddl/scenario/journal.h"
+#include "ddl/scenario/spec.h"
 #include "ddl/scenario/workspace.h"
 #include "ddl/service/protocol.h"
 
@@ -303,11 +303,11 @@ void child_run_unit(const std::vector<ScenarioSpec>& specs,
         if (index_of(*fields, "entry") != specs.size()) {
           ::_exit(kExitProtocol);
         }
-        try {
-          specs.push_back(spec_from_json(*fields));
-        } catch (...) {
+        SpecParse parsed = spec_from_json_checked(*fields, "spec.");
+        if (!parsed.ok()) {
           ::_exit(kExitProtocol);
         }
+        specs.push_back(std::move(parsed.spec));
         attempts.push_back(
             static_cast<int>(index_of(*fields, "attempt")));
       } else if (type == "go") {
@@ -514,7 +514,7 @@ bool send_unit(ScenarioExecutor::Impl& impl,
     frame.set("entry", static_cast<std::uint64_t>(i));
     frame.set("attempt", static_cast<std::uint64_t>(
                              std::max(0, attempts[i])));
-    spec_to_json_into(frame, specs[i]);
+    spec_to_json_into(frame, specs[i], "spec.");
     wire += service::encode_frame(frame);
   }
   analysis::JsonObject go = service::make_frame("go");

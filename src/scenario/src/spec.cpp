@@ -201,6 +201,16 @@ std::vector<std::string> validate(const ScenarioSpec& spec,
           "' is not one of segv|abort|oom|spin");
   }
 
+  if (spec.faults.size() > kMaxSpecEntries ||
+      spec.dvfs.size() > kMaxSpecEntries) {
+    // Reported alone: the per-entry checks below are what an oversized
+    // list would make expensive.
+    error(std::to_string(spec.faults.size()) + " faults and " +
+          std::to_string(spec.dvfs.size()) + " DVFS steps exceed the " +
+          std::to_string(kMaxSpecEntries) + "-entry cap per list");
+    return errors;
+  }
+
   const std::size_t cells = line_cells;
   for (std::size_t i = 0; i < spec.faults.size(); ++i) {
     const FaultSpec& fault = spec.faults[i];

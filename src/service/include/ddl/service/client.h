@@ -72,7 +72,8 @@ class ScenarioClient {
   Submission submit_suite(const std::string& job_tag, const std::string& suite,
                           const std::string& filter = "");
 
-  /// Submits explicit specs (flattened into the frame via spec_to_json).
+  /// Submits explicit specs, each written into the frame under
+  /// `spec.<i>.` by the spec codec.
   Submission submit_specs(const std::string& job_tag,
                           const std::vector<scenario::ScenarioSpec>& specs);
 

@@ -253,16 +253,8 @@ ScenarioClient::Submission ScenarioClient::submit_specs(
   frame.set("job", job_tag);
   frame.set("spec_count", static_cast<std::uint64_t>(specs.size()));
   for (std::size_t i = 0; i < specs.size(); ++i) {
-    // Flatten through the replay-bundle dialect: parse_flat_json_line
-    // normalizes numbers and bools to their literal text, which the
-    // server's checked parser consumes identically whether the frame
-    // carried them quoted or bare.
-    const auto fields = analysis::parse_flat_json_line(
-        scenario::spec_to_json(specs[i]).to_json_line());
-    const std::string prefix = "spec." + std::to_string(i) + ".";
-    for (const auto& [key, value] : *fields) {
-      frame.set(prefix + key, value);
-    }
+    scenario::spec_to_json_into(frame, specs[i],
+                                "spec." + std::to_string(i) + ".");
   }
   return submit_frame(frame, job_tag);
 }
@@ -275,11 +267,7 @@ ScenarioClient::Submission ScenarioClient::submit_chaos(
   frame.set("chaos_seed", chaos.seed);
   frame.set("max_faults",
             static_cast<std::uint64_t>(chaos.max_faults_per_storm));
-  const auto fields = analysis::parse_flat_json_line(
-      scenario::spec_to_json(chaos.base).to_json_line());
-  for (const auto& [key, value] : *fields) {
-    frame.set("spec." + key, value);
-  }
+  scenario::spec_to_json_into(frame, chaos.base, "spec.");
   return submit_frame(frame, job_tag);
 }
 
@@ -288,11 +276,7 @@ ScenarioClient::Submission ScenarioClient::submit_replay(
   analysis::JsonObject frame = make_frame("submit_replay");
   frame.set("job", job_tag);
   frame.set("expected_failure_reason", bundle.expected_failure_reason);
-  const auto fields = analysis::parse_flat_json_line(
-      scenario::spec_to_json(bundle.spec).to_json_line());
-  for (const auto& [key, value] : *fields) {
-    frame.set("spec." + key, value);
-  }
+  scenario::spec_to_json_into(frame, bundle.spec, "spec.");
   return submit_frame(frame, job_tag);
 }
 

@@ -762,13 +762,8 @@ struct ScenarioServer::Impl {
       return;
     }
     const std::string& tag = tag_it->second;
-    const auto spec_fields = strip_prefix(fields, "spec.");
-    if (spec_fields.empty()) {
-      send_error(session, "invalid_replay",
-                 "submit_replay carries no 'spec.*' bundle fields", tag);
-      return;
-    }
-    scenario::SpecParse parsed = scenario::spec_from_json_checked(spec_fields);
+    scenario::SpecParse parsed =
+        scenario::spec_from_json_checked(fields, "spec.");
     std::vector<std::string> errors = std::move(parsed.errors);
     if (errors.empty()) {
       for (std::string& message : scenario::validate(parsed.spec)) {
@@ -845,20 +840,6 @@ struct ScenarioServer::Impl {
 
   // --- Submit path ------------------------------------------------------
 
-  /// Extracts the sub-map under `prefix` (keys with the prefix stripped).
-  static std::map<std::string, std::string> strip_prefix(
-      const std::map<std::string, std::string>& fields,
-      const std::string& prefix) {
-    std::map<std::string, std::string> out;
-    for (auto it = fields.lower_bound(prefix); it != fields.end(); ++it) {
-      if (it->first.compare(0, prefix.size(), prefix) != 0) {
-        break;
-      }
-      out.emplace(it->first.substr(prefix.size()), it->second);
-    }
-    return out;
-  }
-
   /// Parses the spec list of a submit frame; empty return means an error
   /// frame was already sent.
   std::optional<std::vector<ScenarioSpec>> parse_submit_specs(
@@ -907,17 +888,9 @@ struct ScenarioServer::Impl {
     std::vector<ScenarioSpec> specs;
     std::vector<std::string> errors;
     for (std::uint64_t i = 0; i < count; ++i) {
-      const std::string prefix = "spec." + std::to_string(i) + ".";
-      const auto sub = strip_prefix(fields, prefix);
-      if (sub.empty()) {
-        errors.push_back(prefix + "*: missing (spec_count says " +
-                         std::to_string(count) + " specs)");
-        continue;
-      }
-      scenario::SpecParse parsed = scenario::spec_from_json_checked(sub);
-      for (const std::string& error : parsed.errors) {
-        errors.push_back(prefix + error);
-      }
+      scenario::SpecParse parsed = scenario::spec_from_json_checked(
+          fields, "spec." + std::to_string(i) + ".");
+      errors.insert(errors.end(), parsed.errors.begin(), parsed.errors.end());
       if (parsed.ok()) {
         for (std::string& message : scenario::validate(parsed.spec)) {
           errors.push_back(std::move(message));
@@ -953,9 +926,8 @@ struct ScenarioServer::Impl {
     Job job;
     job.tag = tag;
     if (chaos) {
-      const auto base_fields = strip_prefix(fields, "spec.");
       scenario::SpecParse parsed =
-          scenario::spec_from_json_checked(base_fields);
+          scenario::spec_from_json_checked(fields, "spec.");
       if (!parsed.ok()) {
         send_error(session, "invalid_spec", join(parsed.errors), tag);
         return;
@@ -967,6 +939,13 @@ struct ScenarioServer::Impl {
       const auto storms_it = fields.find("storms");
       if (storms_it != fields.end() &&
           scenario::parse_u64(storms_it->second, storms) && storms > 0) {
+        if (storms > kMaxSpecsPerSubmit) {  // The spec_count cap.
+          send_error(session, "invalid_submit",
+                     "storms " + std::to_string(storms) + " exceeds the " +
+                         std::to_string(kMaxSpecsPerSubmit) + " per-submit cap",
+                     tag);
+          return;
+        }
         campaign.storms = static_cast<std::size_t>(storms);
       }
       const auto seed_it = fields.find("chaos_seed");
@@ -1292,7 +1271,11 @@ struct ScenarioServer::Impl {
       if (!fields) {
         throw std::runtime_error("torn specs.jsonl");
       }
-      job.specs.push_back(scenario::spec_from_json(*fields));
+      scenario::SpecParse parsed = scenario::spec_from_json_checked(*fields);
+      if (!parsed.ok()) {
+        throw std::runtime_error("specs.jsonl: " + parsed.errors.front());
+      }
+      job.specs.push_back(std::move(parsed.spec));
     }
     if (job.specs.empty()) {
       throw std::runtime_error("empty spec list");

@@ -8,6 +8,8 @@
 #include <climits>
 #include <filesystem>
 #include <fstream>
+#include <limits>
+#include <map>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -18,6 +20,7 @@
 #include "ddl/scenario/campaign.h"
 #include "ddl/scenario/chaos.h"
 #include "ddl/scenario/cli.h"
+#include "ddl/scenario/journal.h"
 #include "ddl/scenario/registry.h"
 #include "ddl/scenario/runner.h"
 #include "ddl/scenario/spec.h"
@@ -415,6 +418,13 @@ TEST(ChaosTest, RejectsBasesThatCannotCarryStorms) {
   auto faulted = quick_chaos();
   faulted.base.faults = {FaultSpec::delay_cell(0, 2.0)};
   EXPECT_THROW(ddl::scenario::expand_chaos(faulted), std::invalid_argument);
+
+  // Storms stay valid by construction: no storm may outgrow the fault cap.
+  auto greedy = quick_chaos();
+  greedy.max_faults_per_storm = ddl::scenario::kMaxSpecEntries;
+  EXPECT_NO_THROW(ddl::scenario::expand_chaos(greedy));
+  greedy.max_faults_per_storm = ddl::scenario::kMaxSpecEntries + 1;
+  EXPECT_THROW(ddl::scenario::expand_chaos(greedy), std::invalid_argument);
 }
 
 TEST(ChaosTest, SpecJsonRoundTripPreservesTheScenario) {
@@ -434,7 +444,9 @@ TEST(ChaosTest, SpecJsonRoundTripPreservesTheScenario) {
   const std::string line = ddl::scenario::spec_to_json(spec).to_json_line();
   const auto fields = ddl::analysis::parse_flat_json_line(line);
   ASSERT_TRUE(fields.has_value());
-  const ScenarioSpec back = ddl::scenario::spec_from_json(*fields);
+  const auto parse = ddl::scenario::spec_from_json_checked(*fields);
+  ASSERT_TRUE(parse.ok()) << parse.errors.front();
+  const ScenarioSpec& back = parse.spec;
 
   EXPECT_EQ(back.name, spec.name);
   EXPECT_EQ(back.family, spec.family);
@@ -468,15 +480,6 @@ TEST(ChaosTest, SpecJsonRoundTripPreservesTheScenario) {
   EXPECT_EQ(back.faults[0].clear_period, 200u);
   EXPECT_EQ(back.faults[1].kind, FaultSpec::Kind::kClockPeriodStep);
   EXPECT_DOUBLE_EQ(back.faults[1].severity, 1.25);
-}
-
-TEST(ChaosTest, SpecFromJsonRejectsUnknownEnumValues) {
-  std::map<std::string, std::string> fields{{"architecture", "analog"}};
-  EXPECT_THROW(ddl::scenario::spec_from_json(fields), std::invalid_argument);
-  fields = {{"corner.process", "cryogenic"}};
-  EXPECT_THROW(ddl::scenario::spec_from_json(fields), std::invalid_argument);
-  fields = {{"faults.count", "1"}, {"faults.0.kind", "gremlin"}};
-  EXPECT_THROW(ddl::scenario::spec_from_json(fields), std::invalid_argument);
 }
 
 /// The shrinker's fixture: one genuinely harmful fault (a stuck tap inside
@@ -725,6 +728,92 @@ TEST(CliTest, StrictNumericHelpers) {
   EXPECT_FALSE(ddl::scenario::parse_count("2147483648", n));
 }
 
+// ---- Golden content fingerprints -------------------------------------------
+//
+// content_fingerprint_of hashes the spec codec's bytes into server job ids
+// and crash-row details, so those bytes are a persisted contract: a writer
+// change that moves any of these values orphans every existing daemon job
+// directory and crash row.
+
+/// A spec that sets every codec field away from its default, including the
+/// conditional ones: supervision config, two DVFS steps, two faults and
+/// every debug hook, plus a name that needs JSON escaping.
+ScenarioSpec every_field_spec() {
+  ScenarioSpec spec;
+  spec.name = "golden/\"every\"\\field\t";
+  spec.family = "golden";
+  spec.architecture = Architecture::kHybrid;
+  spec.clock_mhz = 1.25;
+  spec.resolution_bits = 8;
+  spec.counter_bits = 5;
+  spec.seed = 2026;
+  spec.corner.corner = ddl::cells::ProcessCorner::kSlow;
+  spec.corner.supply_v = 0.95;
+  spec.corner.temperature_c = 85.0;
+  spec.temp_ramp_c_per_us = 0.02;
+  spec.supply_spike_v = -0.1;
+  spec.spike_from_period = 50;
+  spec.spike_until_period = 80;
+  spec.vref_v = 1.2;
+  spec.load = LoadSpec::burst(0.2, 0.8, 0.02, 0.1);
+  spec.load.from_period = 10;
+  spec.load.until_period = 20;
+  spec.dvfs = {{300, 0.9}, {600, 1.1}};
+  spec.periods = 3000;
+  spec.measure_from = 2000;
+  spec.tolerance_v = 0.04;
+  spec.settle_band_v = 0.05;
+  spec.expect_lock = false;
+  spec.allow_limit_cycling = true;
+  spec.limit_cycle_stddev_v = 0.02;
+  spec.supervision.enabled = true;
+  ddl::core::SupervisorConfig& config = spec.supervision.config;
+  config.tap_drift_window = 7;
+  config.margin_floor_ps = 12.5;
+  config.margin_periods = 3;
+  config.watchdog_error_code = 9;
+  config.watchdog_periods = 11;
+  config.max_relock_attempts = 4;
+  config.relock_backoff_periods = 13;
+  config.relock_stability_periods = 17;
+  config.coarse_resolution_loss_bits = 1;
+  config.counter_fallback = false;
+  spec.expect_min_lock_losses = 2;
+  spec.expect_relock = true;
+  spec.max_relock_latency_periods = 400;
+  spec.expect_min_degradation = 1;
+  spec.mc_dies = 64;
+  spec.mc_inl_limit_lsb = 0.75;
+  spec.mc_min_yield = 0.9;
+  spec.mc_force_scalar = true;
+  spec.faults = {FaultSpec::delay_cell(3, 4.5, 100, 200),
+                 FaultSpec::clock_period_step(1.25, 400)};
+  spec.debug_hang_ms = 250;
+  spec.debug_hang_attempts = 2;
+  spec.debug_throw = true;
+  spec.debug_crash = "segv";
+  return spec;
+}
+
+TEST(SpecCodecTest, GoldenContentFingerprints) {
+  const std::map<std::string, std::string> golden{
+      {"regulation", "60ace3fd51786687"}, {"transient", "906bb0a160d68bf7"},
+      {"dvfs", "9f2ed9257edc45eb"},       {"pvt", "f7316e548f52386e"},
+      {"fault", "9bb19881b5b1d442"},      {"recovery", "8360c82544943436"},
+      {"yield", "2a3dffc6b3204329"},      {"smoke", "5a1a65d3ebd042e2"},
+      {"chaos", "3f1f69906650d77b"},      {"regression", "71abdcbe9633b744"},
+  };
+  const ScenarioRegistry& registry = ScenarioRegistry::builtin();
+  ASSERT_EQ(registry.suite_names().size(), golden.size());
+  for (const auto& [suite, fingerprint] : golden) {
+    EXPECT_EQ(ddl::scenario::content_fingerprint_of(registry.expand(suite)),
+              fingerprint)
+        << suite;
+  }
+  EXPECT_EQ(ddl::scenario::content_fingerprint_of({every_field_spec()}),
+            "d02ca3c872cfd7c3");
+}
+
 // ---- spec_from_json error paths (untrusted input must never abort) --------
 
 TEST(SpecCheckedParseTest, CleanDocumentRoundTripsWithNoErrors) {
@@ -769,11 +858,6 @@ TEST(SpecCheckedParseTest, UnknownKeysAreStructuredErrors) {
   ASSERT_EQ(parse.errors.size(), 1u);
   EXPECT_NE(parse.errors[0].find("periosd"), std::string::npos);
   EXPECT_NE(parse.errors[0].find("unknown key"), std::string::npos);
-  // The lenient parser (replay bundles, forward compatibility) still
-  // ignores it, and allow_unknown opts the checked parser into that.
-  EXPECT_EQ(ddl::scenario::spec_from_json(fields).periods, 2500u);
-  EXPECT_TRUE(
-      ddl::scenario::spec_from_json_checked(fields, true).ok());
 }
 
 TEST(SpecCheckedParseTest, WrongTypedFieldsCollectPerKeyErrors) {
@@ -784,12 +868,15 @@ TEST(SpecCheckedParseTest, WrongTypedFieldsCollectPerKeyErrors) {
       {"expect_lock", "yes"},      // not true/false
       {"architecture", "quantum"}, // unknown enum
       {"resolution_bits", "-3"},   // negative count
+      {"corner.process", "cryogenic"},  // unknown enum
+      {"faults.count", "1"},
+      {"faults.0.kind", "gremlin"},     // unknown enum inside a list
   };
   const auto parse = ddl::scenario::spec_from_json_checked(fields);
-  ASSERT_EQ(parse.errors.size(), 5u);
+  ASSERT_EQ(parse.errors.size(), 7u);
   for (const char* key :
        {"periods", "clock_mhz", "expect_lock", "architecture",
-        "resolution_bits"}) {
+        "resolution_bits", "corner.process", "faults.0.kind"}) {
     bool found = false;
     for (const std::string& error : parse.errors) {
       found = found || error.find(key) == 0;
@@ -816,6 +903,130 @@ TEST(SpecCheckedParseTest, IndexedKeysBeyondTheirCountAreUnknown) {
   ASSERT_EQ(parse.errors.size(), 1u);
   EXPECT_NE(parse.errors[0].find("faults.1.kind"), std::string::npos);
   EXPECT_EQ(parse.spec.faults.size(), 1u);
+}
+
+TEST(SpecCheckedParseTest, CountsLargerThanTheKeysPresentReadNoEntries) {
+  // Each entry the writer emits brings keys of its own, so a count above
+  // the keys present is forged: it must not allocate entries no key backs.
+  const std::map<std::string, std::string> fields{
+      {"name", "x"}, {"faults.count", "10000000"}, {"dvfs.count", "4"}};
+  const auto parse = ddl::scenario::spec_from_json_checked(fields);
+  ASSERT_EQ(parse.errors.size(), 2u);
+  EXPECT_EQ(parse.errors[0].rfind("dvfs.count: count 4 exceeds", 0), 0u)
+      << parse.errors[0];
+  EXPECT_EQ(parse.errors[1].rfind("faults.count: count 10000000", 0), 0u)
+      << parse.errors[1];
+  EXPECT_TRUE(parse.spec.faults.empty());
+  EXPECT_TRUE(parse.spec.dvfs.empty());
+}
+
+TEST(SpecCheckedParseTest, PrefixSelectsOneSpecAndErrorsNameTheFullKey) {
+  ddl::analysis::JsonObject frame;
+  frame.set("frame", "submit");
+  ScenarioSpec first = every_field_spec();
+  ScenarioSpec second = quick_spec("second", 5);
+  ddl::scenario::spec_to_json_into(frame, first, "spec.0.");
+  ddl::scenario::spec_to_json_into(frame, second, "spec.1.");
+  auto fields = ddl::analysis::parse_flat_json_line(frame.to_json_line());
+  ASSERT_TRUE(fields.has_value());
+  for (const auto& [prefix, spec] :
+       {std::pair{"spec.0.", &first}, std::pair{"spec.1.", &second}}) {
+    const auto parse = ddl::scenario::spec_from_json_checked(*fields, prefix);
+    ASSERT_TRUE(parse.ok()) << parse.errors.front();
+    EXPECT_EQ(ddl::scenario::spec_to_json(parse.spec).to_json_line(),
+              ddl::scenario::spec_to_json(*spec).to_json_line());
+  }
+
+  // Keys outside the prefix are not the reader's business; keys under it
+  // are, and every error names the full key.
+  (*fields)["spec.1.periods"] = "abc";
+  (*fields)["spec.1.periosd"] = "2500";
+  const auto parse = ddl::scenario::spec_from_json_checked(*fields, "spec.1.");
+  ASSERT_EQ(parse.errors.size(), 2u);
+  EXPECT_EQ(parse.errors[0].rfind("spec.1.periods: expected", 0), 0u)
+      << parse.errors[0];
+  EXPECT_EQ(parse.errors[1], "spec.1.periosd: unknown key");
+}
+
+TEST(SpecCodecTest, ReadOfWriteReproducesTheBytes) {
+  // Every built-in spec plus the every-field spec with edge doubles in
+  // several fields: the strict reader accepts whatever the writer writes,
+  // subnormals included, and re-serializing reproduces the bytes.
+  std::vector<ScenarioSpec> specs;
+  const ScenarioRegistry& registry = ScenarioRegistry::builtin();
+  for (const std::string& suite : registry.suite_names()) {
+    const auto expanded = registry.expand(suite);
+    specs.insert(specs.end(), expanded.begin(), expanded.end());
+  }
+  for (const double edge :
+       {0.0, -0.0, std::numeric_limits<double>::denorm_min(), 1e-310,
+        std::numeric_limits<double>::max(),
+        std::numeric_limits<double>::infinity(),
+        -std::numeric_limits<double>::infinity(),
+        std::numeric_limits<double>::quiet_NaN()}) {
+    ScenarioSpec spec = every_field_spec();
+    spec.tolerance_v = edge;
+    spec.load.p_idle = edge;
+    spec.dvfs[1].vref_v = edge;
+    spec.faults[0].severity = edge;
+    spec.supervision.config.margin_floor_ps = edge;
+    specs.push_back(spec);
+  }
+  for (const ScenarioSpec& spec : specs) {
+    const std::string line = ddl::scenario::spec_to_json(spec).to_json_line();
+    const auto fields = ddl::analysis::parse_flat_json_line(line);
+    ASSERT_TRUE(fields.has_value()) << line;
+    const auto parse = ddl::scenario::spec_from_json_checked(*fields);
+    ASSERT_TRUE(parse.ok()) << parse.errors.front();
+    EXPECT_EQ(ddl::scenario::spec_to_json(parse.spec).to_json_line(), line);
+  }
+}
+
+// ---- Replay bundle format --------------------------------------------------
+
+TEST(ReplayBundleTest, BundleInTheOlderQuotedSortedFormStillParses) {
+  // Bundles written before the spec codec had one writer carried the spec
+  // keys sorted, every value a quoted string.  They read to the same spec.
+  const ScenarioSpec spec = every_field_spec();
+  ddl::analysis::JsonObject old_bundle;
+  old_bundle.set("schema_version", 2);
+  old_bundle.set("bundle", "chaos_replay");
+  old_bundle.set("expected_failure_reason", "regulation_error");
+  const auto fields = ddl::analysis::parse_flat_json_line(
+      ddl::scenario::spec_to_json(spec).to_json_line());
+  ASSERT_TRUE(fields.has_value());
+  for (const auto& [key, value] : *fields) {
+    old_bundle.set("spec." + key, value);
+  }
+  const std::string document = old_bundle.to_json();
+  ASSERT_NE(document.find("\"spec.periods\": \"3000\""), std::string::npos);
+
+  const auto bundle = ddl::scenario::parse_replay_bundle(document);
+  EXPECT_EQ(bundle.expected_failure_reason, "regulation_error");
+  EXPECT_EQ(ddl::scenario::spec_to_json(bundle.spec).to_json_line(),
+            ddl::scenario::spec_to_json(spec).to_json_line());
+}
+
+TEST(ReplayBundleTest, UnknownSpecKeyRejectsTheBundleByName) {
+  ddl::scenario::ShrinkReport report;
+  report.minimal = quick_spec("bundled", 4);
+  report.failure_reason = "regulation_error";
+  const std::string document = ddl::scenario::replay_bundle_json(report);
+  // The spec rides in key order with bare numbers.
+  EXPECT_LT(document.find("\"spec.name\""), document.find("\"spec.family\""));
+  EXPECT_NE(document.find("\"spec.periods\": 900"), std::string::npos);
+  EXPECT_EQ(ddl::scenario::parse_replay_bundle(document).spec.periods, 900u);
+
+  const std::string tampered =
+      document.substr(0, document.rfind('}')) + ", \"spec.periosd\": 1}";
+  try {
+    ddl::scenario::parse_replay_bundle(tampered);
+    FAIL() << "a bundle with an unknown spec key parsed";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("spec.periosd: unknown key"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 }  // namespace

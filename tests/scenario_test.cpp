@@ -316,6 +316,24 @@ TEST(SpecValidationTest, LastPeriodInjectionIsValid) {
   EXPECT_TRUE(ddl::scenario::validate(spec).empty());
 }
 
+TEST(SpecValidationTest, FaultAndDvfsListsAreCappedAt256Entries) {
+  auto spec = quick_spec();
+  spec.faults.assign(256, FaultSpec::delay_cell(3, 2.0));
+  EXPECT_TRUE(ddl::scenario::validate(spec).empty());
+  // One over the cap is one error, not one per entry.
+  spec.faults.push_back(FaultSpec::delay_cell(10'000, -1.0));
+  auto errors = ddl::scenario::validate(spec);
+  ASSERT_EQ(errors.size(), 1u);
+  EXPECT_NE(errors[0].find("257 faults"), std::string::npos) << errors[0];
+  EXPECT_NE(errors[0].find("256-entry cap"), std::string::npos) << errors[0];
+
+  spec.faults.clear();
+  spec.dvfs.assign(257, {100, 1.0});
+  errors = ddl::scenario::validate(spec);
+  ASSERT_EQ(errors.size(), 1u);
+  EXPECT_NE(errors[0].find("257 DVFS steps"), std::string::npos) << errors[0];
+}
+
 TEST(RegistryTest, ChaosSuiteIsDeterministicallySeededAndValid) {
   const auto& registry = ScenarioRegistry::builtin();
   const auto first = registry.expand("chaos");

@@ -770,6 +770,43 @@ TEST(ServiceTest, MalformedSubmissionsGetStructuredErrorFrames) {
   submission = client.submit_frame(empty, "bad3");
   EXPECT_EQ(submission.error_code, "invalid_submit");
 
+  // A tiny frame whose list count no key backs: it must not turn into
+  // thousands of default faults (a job that serializes for tens of seconds,
+  // then overflows the sandbox frame limit).
+  ddl::analysis::JsonObject forged = ddl::service::make_frame("submit");
+  forged.set("job", "bad4");
+  forged.set("spec_count", std::uint64_t{1});
+  forged.set("spec.0.name", "svc/forged");
+  forged.set("spec.0.family", "svc");
+  forged.set("spec.0.faults.count", "30000");
+  forged.set("spec.0.periods", "2500");
+  EXPECT_LT(forged.to_json_line().size(), 200u);
+  submission = client.submit_frame(forged, "bad4");
+  EXPECT_FALSE(submission.accepted);
+  EXPECT_EQ(submission.error_code, "invalid_spec");
+  EXPECT_NE(submission.error_detail.find("spec.0.faults.count"),
+            std::string::npos)
+      << submission.error_detail;
+
+  // Chaos storms are capped like explicit specs, and so are the faults
+  // each storm may draw.
+  ddl::analysis::JsonObject storms = ddl::service::make_frame("submit_chaos");
+  storms.set("job", "bad5");
+  storms.set("storms", std::uint64_t{3'000'000});
+  storms.set("spec.name", "svc/storm-base");
+  submission = client.submit_frame(storms, "bad5");
+  EXPECT_FALSE(submission.accepted);
+  EXPECT_EQ(submission.error_code, "invalid_submit");
+  EXPECT_NE(submission.error_detail.find("storms 3000000"), std::string::npos)
+      << submission.error_detail;
+  ddl::analysis::JsonObject faults = ddl::service::make_frame("submit_chaos");
+  faults.set("job", "bad6");
+  faults.set("max_faults", std::uint64_t{257});
+  faults.set("spec.name", "svc/storm-base");
+  submission = client.submit_frame(faults, "bad6");
+  EXPECT_FALSE(submission.accepted);
+  EXPECT_EQ(submission.error_code, "invalid_chaos");
+
   // A payload that is not JSON at all.
   ASSERT_TRUE(client.send_payload("certainly not json"));
   auto frame = client.next_frame();
