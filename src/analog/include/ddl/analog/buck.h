@@ -7,7 +7,9 @@
 // average output voltage (Eq 11) -- the whole point of the delay line.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "ddl/dpwm/behavioral.h"
@@ -52,8 +54,19 @@ struct EnergyAccount {
   }
 };
 
+/// Plants the closed-loop lane kernel steps at once (BuckLanes).
+inline constexpr std::size_t kBuckLanes = 8;
+
+namespace detail {
+struct BuckLaneBlock;
+}  // namespace detail
+
 /// The converter state machine.  Deterministic fixed-step trapezoidal-ish
-/// integration (explicit midpoint) with a default step of 1 ns.
+/// integration (explicit midpoint) with a default step of 1 ns.  The step
+/// arithmetic is written once (src/buck_step.h) and shared with BuckLanes,
+/// which steps up to kBuckLanes plants together; both build with
+/// -ffp-contract=off, so a plant stepped in a lane ends every period
+/// bit-identical to the same plant stepped by run_period.
 class BuckConverter {
  public:
   explicit BuckConverter(BuckParams params, double dt_s = 1e-9);
@@ -83,8 +96,12 @@ class BuckConverter {
   void reset();
 
  private:
+  friend class BuckLanes;
+
   enum class SwitchState { kHigh, kLow, kDeadTime };
   void integrate(double seconds, SwitchState state, double load_a);
+  /// The fixed per-cycle switching loss every period ends with.
+  void add_switching_loss();
 
   BuckParams params_;
   double dt_s_;
@@ -95,6 +112,35 @@ class BuckConverter {
   double last_vmin_ = 0.0;
   double last_vmax_ = 0.0;
   EnergyAccount energy_;
+};
+
+/// The closed-loop lane kernel: steps up to kBuckLanes independent plants
+/// through one PWM period each as one SIMD kernel.  State stays in each
+/// BuckConverter (gathered into lanes, stepped, scattered back), so a plant
+/// may join or leave at any period boundary.  Each lane follows its own
+/// interval schedule -- its own duty, load and parameters -- and ends the
+/// period bit-identical to `plant.run_period(period, load)`.  Two variants
+/// share one source: AVX2 when the CPU has it, else the portable base
+/// kernel; DDL_MC_BATCH_KERNEL=base, the batched Monte-Carlo engine's cap,
+/// forces base here too.
+class BuckLanes {
+ public:
+  /// Picks the variant (reads DDL_MC_BATCH_KERNEL and cpuid once).
+  BuckLanes();
+
+  /// Runs plants[k] through periods[k] at loads[k].  1..kBuckLanes
+  /// distinct plants with one period and one load each;
+  /// std::invalid_argument otherwise.
+  void run_period(std::span<BuckConverter* const> plants,
+                  std::span<const dpwm::PwmPeriod> periods,
+                  std::span<const double> loads) const;
+
+  /// "avx2" or "base".
+  const char* variant() const noexcept { return variant_; }
+
+ private:
+  void (*kernel_)(detail::BuckLaneBlock& block);
+  const char* variant_;
 };
 
 }  // namespace ddl::analog

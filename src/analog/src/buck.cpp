@@ -4,6 +4,8 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "buck_step.h"
+
 namespace ddl::analog {
 
 BuckConverter::BuckConverter(BuckParams params, double dt_s)
@@ -21,78 +23,60 @@ double BuckConverter::output_voltage() const noexcept {
 void BuckConverter::integrate(double seconds, SwitchState state,
                               double load_a) {
   last_load_a_ = load_a;
+  const detail::BuckStepParams<double> params{
+      params_.vin, params_.esr_ohm, params_.inductance_h,
+      params_.capacitance_f};
+  detail::BuckStepState<double> s{inductor_a_,      cap_v_,
+                                  elapsed_s_,       last_vmin_,
+                                  last_vmax_,       energy_.input_j,
+                                  energy_.output_j, energy_.conduction_loss_j};
+  // Conduction path of the interval: the high or low switch in series with
+  // the inductor DCR, or the DCR alone while the body diode conducts.
+  const bool dead = state == SwitchState::kDeadTime;
+  const bool high = state == SwitchState::kHigh;
+  double r_path = params_.r_inductor_ohm;
+  if (high) {
+    r_path += params_.r_on_high_ohm;
+  } else if (!dead) {
+    r_path += params_.r_on_low_ohm;
+  }
+  const double v_on = high ? params_.vin : 0.0;
+
   double remaining = seconds;
   while (remaining > 0.0) {
     const double dt = std::min(dt_s_, remaining);
     remaining -= dt;
-
-    // Switch-node voltage and conduction path.
-    double v_switch = 0.0;
-    double r_path = params_.r_inductor_ohm;
-    double input_current = 0.0;
-    switch (state) {
-      case SwitchState::kHigh:
-        v_switch = params_.vin;
-        r_path += params_.r_on_high_ohm;
-        input_current = inductor_a_;
-        break;
-      case SwitchState::kLow:
-        v_switch = 0.0;
-        r_path += params_.r_on_low_ohm;
-        break;
-      case SwitchState::kDeadTime:
-        // Body diode of the low switch conducts while iL > 0.
-        v_switch = inductor_a_ > 0.0 ? -params_.diode_vf : 0.0;
-        break;
-    }
-
-    const double vout = cap_v_ + params_.esr_ohm * (inductor_a_ - load_a);
-    // Explicit midpoint step on the two states.
-    const double di1 = (v_switch - vout - r_path * inductor_a_) /
-                       params_.inductance_h;
-    const double dv1 = (inductor_a_ - load_a) / params_.capacitance_f;
-    const double i_mid = inductor_a_ + 0.5 * dt * di1;
-    const double v_mid = cap_v_ + 0.5 * dt * dv1;
-    const double vout_mid = v_mid + params_.esr_ohm * (i_mid - load_a);
-    const double di2 = (v_switch - vout_mid - r_path * i_mid) /
-                       params_.inductance_h;
-    const double dv2 = (i_mid - load_a) / params_.capacitance_f;
-    inductor_a_ += dt * di2;
-    cap_v_ += dt * dv2;
-
-    // Synchronous converters allow negative inductor current; the body
-    // diode path does not.
-    if (state == SwitchState::kDeadTime && inductor_a_ < 0.0) {
-      inductor_a_ = 0.0;
-    }
-
-    // Energy bookkeeping (Eqs 1-2).
-    const double vload = cap_v_ + params_.esr_ohm * (inductor_a_ - load_a);
-    energy_.input_j += params_.vin * input_current * dt;
-    energy_.output_j += vload * load_a * dt;
-    energy_.conduction_loss_j += inductor_a_ * inductor_a_ * r_path * dt;
-
-    const double v_now = vload;
-    last_vmin_ = std::min(last_vmin_, v_now);
-    last_vmax_ = std::max(last_vmax_, v_now);
-    elapsed_s_ += dt;
+    // Dead time: the low switch's body diode conducts while iL > 0.
+    const double v_switch =
+        dead ? (s.inductor_a > 0.0 ? -params_.diode_vf : 0.0) : v_on;
+    const double input_current = high ? s.inductor_a : 0.0;
+    detail::buck_midpoint_step(s, params, v_switch, r_path, input_current,
+                               dead, dt, load_a);
   }
+
+  inductor_a_ = s.inductor_a;
+  cap_v_ = s.cap_v;
+  elapsed_s_ = s.elapsed_s;
+  last_vmin_ = s.vmin;
+  last_vmax_ = s.vmax;
+  energy_.input_j = s.input_j;
+  energy_.output_j = s.output_j;
+  energy_.conduction_loss_j = s.conduction_loss_j;
 }
 
 void BuckConverter::run_period(const dpwm::PwmPeriod& period, double load_a) {
   last_vmin_ = output_voltage();
   last_vmax_ = last_vmin_;
-  const double dead_s = params_.dead_time_ps * 1e-12;
-  const double high_s =
-      std::max(0.0, sim::to_ps(period.high_ps) * 1e-12 - dead_s);
-  const double total_s = sim::to_ps(period.period_ps) * 1e-12;
-  const double low_s = std::max(0.0, total_s - high_s - 2.0 * dead_s);
+  const detail::PeriodIntervals intervals =
+      detail::period_intervals(params_, period);
+  integrate(intervals.high_s, SwitchState::kHigh, load_a);
+  integrate(intervals.dead_s, SwitchState::kDeadTime, load_a);
+  integrate(intervals.low_s, SwitchState::kLow, load_a);
+  integrate(intervals.dead_s, SwitchState::kDeadTime, load_a);
+  add_switching_loss();
+}
 
-  integrate(high_s, SwitchState::kHigh, load_a);
-  integrate(dead_s, SwitchState::kDeadTime, load_a);
-  integrate(low_s, SwitchState::kLow, load_a);
-  integrate(dead_s, SwitchState::kDeadTime, load_a);
-
+void BuckConverter::add_switching_loss() {
   // Fixed per-cycle switching loss, drawn from the input rail (gate charge
   // and V/I overlap of the two switch transitions).
   energy_.input_j += params_.switch_energy_per_cycle_j;

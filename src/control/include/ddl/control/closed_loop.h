@@ -1,5 +1,8 @@
 // The complete digitally controlled buck converter of thesis Figure 15:
-// plant -> window ADC -> PID compensator -> DPWM -> plant.
+// plant -> window ADC -> PID compensator -> DPWM -> plant.  One period
+// splits at the plant into begin_period (sample, compensate, modulate) and
+// end_period (record), the per-period view of the loop that lets several
+// independent loops share one plant step.
 //
 // The DPWM is injected through the dpwm::DpwmModel interface, so the same
 // loop runs with the ideal counter DPWM, the hybrid, the proposed calibrated
@@ -10,6 +13,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <utility>
 #include <vector>
 
 #include "ddl/analog/adc.h"
@@ -27,6 +31,16 @@ struct LoopSample {
   int error_code = 0;
   std::uint64_t duty_word = 0;
   double load_a = 0.0;
+};
+
+/// What the pre-plant half of one period decided: the plant runs `pwm` at
+/// `load_a`, and the post-plant half records the rest into the sample.
+struct PeriodDrive {
+  std::uint64_t period_index = 0;
+  double load_a = 0.0;
+  int error_code = 0;
+  std::uint64_t duty_word = 0;
+  dpwm::PwmPeriod pwm;
 };
 
 /// Summary statistics over a run (steady-state window).
@@ -69,10 +83,26 @@ class DigitallyControlledBuck {
                           PidController pid, dpwm::DpwmModel& dpwm);
 
   /// Runs `periods` switching periods against the load profile, recording
-  /// one LoopSample each.
+  /// one LoopSample each: begin_period, plant().run_period, end_period.
   void run(std::uint64_t periods, const LoadProfile& load);
 
+  /// The loop split at the plant, so a caller can run the power stage
+  /// itself -- alone or in a lane beside other loops' plants
+  /// (analog::BuckLanes).  begin_period is the pre-plant half of the next
+  /// period: it draws the period's load, samples the previous period's
+  /// output, updates the PID and generates the PWM period.  The caller then
+  /// runs plant() through `drive.pwm` at `drive.load_a`, and end_period
+  /// (the post-plant half) records the sample and calls the observer.
+  PeriodDrive begin_period(const LoadProfile& load);
+  void end_period(const PeriodDrive& drive);
+
   const std::vector<LoopSample>& history() const noexcept { return history_; }
+  /// Pre-sizes the history for a run of known length.
+  void reserve_history(std::size_t periods) { history_.reserve(periods); }
+  /// Moves the history out; metrics and settling then see an empty run.
+  std::vector<LoopSample> take_history() noexcept {
+    return std::move(history_);
+  }
   const analog::BuckConverter& plant() const noexcept { return plant_; }
   analog::BuckConverter& plant() noexcept { return plant_; }
 

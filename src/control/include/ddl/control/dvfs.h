@@ -4,7 +4,10 @@
 // [14]: fast per-core DVFS through on-chip regulators).
 //
 // A VoltageModeManager walks the loop through a schedule of reference-
-// voltage changes and reports per-transition settling metrics.
+// voltage changes and reports per-transition settling metrics.  Both
+// halves also stand alone: apply_due is the per-period mode change (for a
+// caller that drives the loop one period at a time) and measure turns a
+// finished run's history into the transition reports.
 #pragma once
 
 #include <cstdint>
@@ -37,10 +40,28 @@ class VoltageModeManager {
                      std::uint64_t hold_periods = 20);
 
   /// Runs `total_periods` of the loop, applying each mode at its period and
-  /// measuring the transition.  Modes must be sorted by at_period.
+  /// measuring the transition.  Modes must be sorted by at_period.  A mode
+  /// at or past `total_periods` extends the run to its period and applies
+  /// after it (and measures as an empty, unsettled transition).
   std::vector<TransitionReport> run(DigitallyControlledBuck& loop,
                                     std::uint64_t total_periods,
                                     const LoadProfile& load);
+
+  /// The per-period step of run(): sets the loop's reference for every mode
+  /// due at `period` (counted from the run's first period), starting at
+  /// schedule index `next`.  Call it before each period's begin_period;
+  /// returns the index of the first mode still ahead.
+  std::size_t apply_due(DigitallyControlledBuck& loop, std::uint64_t period,
+                        std::size_t next) const;
+
+  /// The transition reports of a finished run whose first period is
+  /// `history[base]`, that started at reference `initial_vref_v` and
+  /// lasted `total_periods`: mode i is measured over [its at_period, the
+  /// next mode's at_period or total_periods).
+  std::vector<TransitionReport> measure(const std::vector<LoopSample>& history,
+                                        std::size_t base,
+                                        double initial_vref_v,
+                                        std::uint64_t total_periods) const;
 
   const std::vector<VoltageMode>& schedule() const noexcept {
     return schedule_;

@@ -66,31 +66,41 @@ DigitallyControlledBuck::DigitallyControlledBuck(analog::BuckConverter plant,
 void DigitallyControlledBuck::run(std::uint64_t periods,
                                   const LoadProfile& load) {
   for (std::uint64_t i = 0; i < periods; ++i) {
-    const std::uint64_t period_index = next_period_index_++;
-    const double load_a = load(period_index);
+    const PeriodDrive drive = begin_period(load);
+    plant_.run_period(drive.pwm, drive.load_a);
+    end_period(drive);
+  }
+}
 
-    // Sample -> quantize -> compensate: the duty word for *this* period is
-    // computed from the previous period's output (one-cycle loop latency,
-    // as in real digital controllers).
-    const int error_code = adc_.sample(plant_.output_voltage());
-    const std::uint64_t duty_word = pid_.update(error_code);
+PeriodDrive DigitallyControlledBuck::begin_period(const LoadProfile& load) {
+  PeriodDrive drive;
+  drive.period_index = next_period_index_++;
+  drive.load_a = load(drive.period_index);
 
-    // Modulate and run the power stage through the period.
-    const dpwm::PwmPeriod pwm = dpwm_->generate(
-        static_cast<sim::Time>(period_index) * dpwm_->period_ps(), duty_word);
-    plant_.run_period(pwm, load_a);
+  // Sample -> quantize -> compensate: the duty word for *this* period is
+  // computed from the previous period's output (one-cycle loop latency,
+  // as in real digital controllers).
+  drive.error_code = adc_.sample(plant_.output_voltage());
+  drive.duty_word = pid_.update(drive.error_code);
 
-    LoopSample sample;
-    sample.period_index = period_index;
-    sample.vout = plant_.output_voltage();
-    sample.ripple_v = plant_.last_period_vmax() - plant_.last_period_vmin();
-    sample.error_code = error_code;
-    sample.duty_word = duty_word;
-    sample.load_a = load_a;
-    history_.push_back(sample);
-    if (observer_) {
-      observer_(history_.back());
-    }
+  // Modulate: the PWM period the power stage runs next.
+  drive.pwm = dpwm_->generate(
+      static_cast<sim::Time>(drive.period_index) * dpwm_->period_ps(),
+      drive.duty_word);
+  return drive;
+}
+
+void DigitallyControlledBuck::end_period(const PeriodDrive& drive) {
+  LoopSample sample;
+  sample.period_index = drive.period_index;
+  sample.vout = plant_.output_voltage();
+  sample.ripple_v = plant_.last_period_vmax() - plant_.last_period_vmin();
+  sample.error_code = drive.error_code;
+  sample.duty_word = drive.duty_word;
+  sample.load_a = drive.load_a;
+  history_.push_back(sample);
+  if (observer_) {
+    observer_(history_.back());
   }
 }
 

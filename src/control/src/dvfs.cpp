@@ -24,25 +24,41 @@ VoltageModeManager::VoltageModeManager(std::vector<VoltageMode> schedule,
 std::vector<TransitionReport> VoltageModeManager::run(
     DigitallyControlledBuck& loop, std::uint64_t total_periods,
     const LoadProfile& load) {
-  std::vector<TransitionReport> reports;
-  const std::uint64_t base = loop.history().size();
-  std::uint64_t done = 0;
+  const std::size_t base = loop.history().size();
+  const double initial_vref = loop.reference_v();
+  std::size_t next = 0;
+  for (std::uint64_t period = 0;; ++period) {
+    next = apply_due(loop, period, next);
+    if (period >= total_periods && next == schedule_.size()) {
+      break;
+    }
+    loop.run(1, load);
+  }
+  return measure(loop.history(), base, initial_vref, total_periods);
+}
 
+std::size_t VoltageModeManager::apply_due(DigitallyControlledBuck& loop,
+                                          std::uint64_t period,
+                                          std::size_t next) const {
+  while (next < schedule_.size() && schedule_[next].at_period <= period) {
+    loop.set_reference_v(schedule_[next].vref_v);
+    ++next;
+  }
+  return next;
+}
+
+std::vector<TransitionReport> VoltageModeManager::measure(
+    const std::vector<LoopSample>& history, std::size_t base,
+    double initial_vref_v, std::uint64_t total_periods) const {
+  std::vector<TransitionReport> reports;
+  reports.reserve(schedule_.size());
   for (std::size_t i = 0; i < schedule_.size(); ++i) {
     const VoltageMode& mode = schedule_[i];
-    if (mode.at_period > done) {
-      loop.run(mode.at_period - done, load);
-      done = mode.at_period;
-    }
-    const double previous_vref = loop.reference_v();
-    loop.set_reference_v(mode.vref_v);
+    const double previous_vref =
+        i == 0 ? initial_vref_v : schedule_[i - 1].vref_v;
     const std::uint64_t until = i + 1 < schedule_.size()
                                     ? schedule_[i + 1].at_period
                                     : total_periods;
-    if (until > done) {
-      loop.run(until - done, load);
-      done = until;
-    }
 
     // Measure the transition over [at_period, until).
     TransitionReport report;
@@ -50,7 +66,7 @@ std::vector<TransitionReport> VoltageModeManager::run(
     const double direction = mode.vref_v - previous_vref;
     std::uint64_t consecutive = 0;
     for (std::uint64_t p = mode.at_period; p < until; ++p) {
-      const double vout = loop.history()[base + p].vout;
+      const double vout = history[base + p].vout;
       const double excursion =
           direction >= 0.0 ? vout - mode.vref_v : mode.vref_v - vout;
       report.overshoot_v = std::max(report.overshoot_v, excursion);
@@ -64,9 +80,6 @@ std::vector<TransitionReport> VoltageModeManager::run(
       }
     }
     reports.push_back(report);
-  }
-  if (done < total_periods) {
-    loop.run(total_periods - done, load);
   }
   return reports;
 }

@@ -1,5 +1,6 @@
 // Batch planner: routes a suite's Monte-Carlo yield scenarios through the
-// 8-lane mc_batch kernel *across* scenario boundaries.
+// 8-lane mc_batch kernel *across* scenario boundaries, and its closed-loop
+// scenarios through the 8-lane plant kernel (closed-loop lanes, below).
 //
 // A yield suite is dominated by scenarios that differ only in seed, fault
 // plan and verdict thresholds -- their kernel parameters (line geometry,
@@ -19,6 +20,7 @@
 #pragma once
 
 #include <cstddef>
+#include <functional>
 #include <vector>
 
 #include "ddl/analysis/mc_batch.h"
@@ -75,5 +77,36 @@ BatchPlan plan_batches(const std::vector<ScenarioSpec>& specs,
 void run_batch_group(const std::vector<ScenarioSpec>& specs,
                      const BatchGroup& group, ScenarioWorkspace& workspace,
                      std::size_t threads, std::vector<ScenarioResult>& results);
+
+// ---------------------------------------------------------------------------
+// Closed-loop lanes.  A closed-loop scenario spends ~99% of its time in the
+// buck plant's latency-bound midpoint chain, and independent scenarios do
+// not share that chain: run_lanes steps up to kBuckLanes of them through
+// one analog::BuckLanes kernel per period, each lane bit-identical to the
+// scalar plant, so every row, health line and history is byte-identical
+// to run_scenario's.  BatchPlan and batch_eligible keep their MC-yield
+// meaning; lanes are a separate classification that CampaignJob::units and
+// the dispatch units use.
+// ---------------------------------------------------------------------------
+
+/// True when `spec` may run in a closed-loop lane: it has a closed loop
+/// (mc_dies == 0), feasible sizing, passes validate() and sets no debug
+/// hook (hooks run only on the per-scenario path).  Deterministic, like
+/// batch_eligible.
+bool lane_eligible(const ScenarioSpec& spec, ScenarioWorkspace& workspace);
+
+/// Runs the lane-eligible scenarios `specs[members]` through closed-loop
+/// lanes.  Lanes take the longest scenario first (ties by index) and a
+/// lane refills from the queue as soon as its scenario finishes; when one
+/// scenario is left it finishes on the scalar plant.  `finished(index,
+/// artifacts)` receives each member's artifacts -- byte-identical to
+/// run_scenario_guarded's -- as soon as it completes, so the caller can
+/// keep the row and drop the history.  Each lane is guarded on its own: an
+/// exception becomes that scenario's exception row and the other lanes go
+/// on.
+void run_lanes(
+    const std::vector<ScenarioSpec>& specs,
+    std::vector<std::size_t> members, ScenarioWorkspace& workspace,
+    const std::function<void(std::size_t, ScenarioArtifacts)>& finished);
 
 }  // namespace ddl::scenario

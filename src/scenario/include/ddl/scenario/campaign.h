@@ -7,8 +7,9 @@
 // ddl_scenario_server job go through it.  The batch planner
 // (ddl/scenario/batch_plan.h) groups the list once; a unit is a run of
 // one planner group's members of a bounded die count (one batched kernel
-// dispatch), or any other spec alone, and units come in order of their
-// first member.
+// dispatch), a run of consecutive closed loops of a bounded period count
+// (one closed-loop lane unit, CLI only), or any other spec alone, and
+// units come in order of their first member.
 //
 // Campaign::run drives a CampaignJob: each job (thread) takes the units of
 // its contiguous shard of the uncommitted specs.  On top of that it adds
@@ -97,11 +98,15 @@ class CampaignJob {
 
   /// Dispatch units over the uncommitted specs `take` admits, ordered by
   /// first member: each planner group's admitted members in runs of at
-  /// most 16384 dies -- one batched kernel dispatch per unit, a scenario
-  /// never split -- and every other spec alone, so it keeps the sandbox's
-  /// deadline, retry and hook path.
+  /// most 16384 dies -- one batched kernel dispatch per unit -- with
+  /// `pack_lanes`, each run of consecutive admitted lane-eligible closed
+  /// loops (lane_eligible) in pieces of at most 48000 periods -- one
+  /// closed-loop lane unit each -- and every other spec alone, so it keeps
+  /// the sandbox's deadline, retry and hook path.  A scenario is never
+  /// split; a unit of one takes the single-spec path.  Campaign::run packs
+  /// lanes; the daemon does not (see ddl/service/server.h).
   std::vector<std::vector<std::size_t>> units(
-      const std::function<bool(std::size_t)>& take) const;
+      const std::function<bool(std::size_t)>& take, bool pack_lanes) const;
 
   /// Commits one executed unit: `runs[k]` is the row of spec `unit[k]`.
   /// One journal record per unit; the journal closes after the last row.
@@ -121,6 +126,8 @@ class CampaignJob {
  private:
   BatchPlan plan_;
   std::vector<std::uint64_t> dies_;  ///< mc_dies by spec index.
+  /// Periods of each lane-eligible spec by index; 0 for the others.
+  std::vector<std::uint64_t> lane_periods_;
   std::vector<ExecutedScenario> rows_;
   std::vector<bool> committed_;
   std::size_t completed_ = 0;

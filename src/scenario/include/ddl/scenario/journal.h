@@ -88,6 +88,15 @@ JournalState load_journal(const std::string& dir);
 /// concatenate onto it and corrupt both.
 void drop_torn_tail(const std::string& path);
 
+/// Drops the health journal's lines whose scenario has no committed result
+/// line in `state` (what load_journal just restored from `dir`).  A unit
+/// killed between its health append and its result commit leaves such
+/// orphans; the scenario re-runs on resume and appends its events again,
+/// so they must go *before* appending resumes, or a later resume would
+/// restore them twice.  The file is rewritten atomically, and only when
+/// something is dropped.
+void drop_orphan_health(const std::string& dir, const JournalState& state);
+
 /// Throws std::runtime_error unless `dir` holds a manifest matching the
 /// fingerprint and scenario count (refuses to resume a different campaign).
 void check_resumable(const std::string& dir, const std::string& fingerprint,

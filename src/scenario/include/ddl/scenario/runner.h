@@ -13,6 +13,7 @@
 
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -112,7 +113,8 @@ struct ScenarioArtifacts {
 
 class ScenarioWorkspace;
 
-/// Runs one scenario synchronously on the calling thread.
+/// Runs one scenario synchronously on the calling thread: a
+/// ScenarioStepper driven with the scalar plant.
 ScenarioArtifacts run_scenario(const ScenarioSpec& spec);
 
 /// Like `run_scenario`, with a caller-owned workspace arena supplying the
@@ -131,6 +133,46 @@ ScenarioArtifacts run_scenario_guarded(const ScenarioSpec& spec);
 /// Guarded run with a caller-owned workspace arena.
 ScenarioArtifacts run_scenario_guarded(const ScenarioSpec& spec,
                                        ScenarioWorkspace& workspace);
+
+/// The row `run_scenario_guarded` gives for the exception in flight, as
+/// artifacts.  Call it only from inside a catch block.
+ScenarioArtifacts exception_artifacts(const ScenarioSpec& spec);
+
+/// One scenario resumable one switching period at a time: run_scenario
+/// split at the plant, so several closed loops can share one plant step
+/// (run_lanes, batch_plan.h).  The constructor does everything before the
+/// loop -- validation, sizing, build, calibration, supervision, the
+/// runtime fault instants and the DVFS schedule -- and a spec whose row
+/// needs no loop (invalid, Monte-Carlo yield, a calibration verdict) is
+/// done() from the start.  Each period is begin() (the fault instants and
+/// DVFS modes due, then the loop's pre-plant half), one plant step through
+/// the returned drive -- plant().run_period, or a lane of
+/// analog::BuckLanes -- and end().  finish() computes the metrics and the
+/// verdict.  run_scenario drives exactly this with the scalar plant, so a
+/// lane run differs from it only in the plant kernel, which is
+/// bit-identical.  Fault instants and DVFS modes at or past the last
+/// period never apply.  `spec` must outlive the stepper; exceptions
+/// propagate (see exception_artifacts).
+class ScenarioStepper {
+ public:
+  ScenarioStepper(const ScenarioSpec& spec, ScenarioWorkspace& workspace);
+  ~ScenarioStepper();
+
+  /// No period left to run.
+  bool done() const noexcept;
+  /// Pre-plant half of the next period; the drive stays valid until end().
+  const control::PeriodDrive& begin();
+  /// The loop's plant (valid unless the spec needed no loop).
+  analog::BuckConverter& plant();
+  /// Post-plant half of the period begin() opened.
+  void end();
+  /// The run's artifacts and verdict; call once, after done().
+  ScenarioArtifacts finish();
+
+ private:
+  struct State;
+  std::unique_ptr<State> state_;
+};
 
 /// The identity prefix every result row shares (name, family, architecture,
 /// corner, seed, periods, target), factored out so the batch planner and

@@ -33,10 +33,11 @@
 // or address), so a journaled crash row replays byte-identically on
 // resume.
 //
-// Batch-plan dispatch units survive: a multi-spec unit ships whole into
-// one worker (one batched kernel dispatch, threads=1).  If the worker
-// dies mid-group the partial rows are discarded and every member degrades
-// to a per-scenario guarded retry -- never a lost or duplicated row.
+// Packed dispatch units survive: a multi-spec unit ships whole into one
+// worker (one batched kernel dispatch, threads=1, or one closed-loop lane
+// unit stepping up to eight plants together).  If the worker dies
+// mid-unit the partial rows are discarded and every member degrades to a
+// per-scenario guarded retry -- never a lost or duplicated row.
 #pragma once
 
 #include <atomic>
@@ -118,7 +119,7 @@ struct ExecutedScenario {
   std::vector<std::string> health_lines;
 };
 
-/// Executes dispatch units (one spec, or one packed batch-plan unit) under
+/// Executes dispatch units (one spec, or one packed unit) under
 /// the configured isolation mode.  One executor per campaign/server worker
 /// thread; not itself thread-safe except interrupt(), which any thread may
 /// call to kill the in-flight unit's worker process.
@@ -140,8 +141,9 @@ class ScenarioExecutor {
 
   /// Runs one dispatch unit in spec order.  In process mode a single-spec
   /// unit follows the full deadline/retry policy; a multi-spec unit is a
-  /// packed batch-plan unit (one worker, one batched dispatch) whose
-  /// members degrade to per-scenario retries if the group's worker dies.
+  /// packed unit (one worker; one batched dispatch per planner group,
+  /// closed-loop lanes for its lane-eligible members) whose members
+  /// degrade to per-scenario retries if the unit's worker dies.
   /// Never throws: every failure mode (crash, limit, timeout, lost worker)
   /// comes back as an error row.  Returns one entry per spec, in order --
   /// or an empty vector when interrupt() withdrew the unit (check

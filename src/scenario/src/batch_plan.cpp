@@ -1,11 +1,16 @@
 #include "ddl/scenario/batch_plan.h"
 
+#include <algorithm>
+#include <array>
 #include <bit>
 #include <cstdint>
 #include <map>
+#include <memory>
+#include <optional>
 #include <tuple>
 #include <utility>
 
+#include "ddl/analog/buck.h"
 #include "ddl/analysis/monte_carlo.h"
 
 namespace ddl::scenario {
@@ -119,6 +124,136 @@ void run_batch_group(const std::vector<ScenarioSpec>& specs,
     for (const std::size_t index : group.members) {
       results[index] = run_scenario_guarded(specs[index], workspace).result;
     }
+  }
+}
+
+bool lane_eligible(const ScenarioSpec& spec, ScenarioWorkspace& workspace) {
+  if (spec.mc_dies > 0 || spec.debug_throw || spec.debug_hang_ms > 0 ||
+      !spec.debug_crash.empty()) {
+    return false;
+  }
+  const ScenarioWorkspace::Sizing& sizing = workspace.sizing_for(spec);
+  return sizing.feasible && validate(spec, sizing.line_cells).empty();
+}
+
+void run_lanes(
+    const std::vector<ScenarioSpec>& specs, std::vector<std::size_t> members,
+    ScenarioWorkspace& workspace,
+    const std::function<void(std::size_t, ScenarioArtifacts)>& finished) {
+  // Longest first, so the tail of the unit is short scenarios filling
+  // lanes rather than one long scenario stepping alone.
+  std::sort(members.begin(), members.end(),
+            [&](std::size_t a, std::size_t b) {
+              if (specs[a].periods != specs[b].periods) {
+                return specs[a].periods > specs[b].periods;
+              }
+              return a < b;
+            });
+
+  struct Lane {
+    std::size_t index = 0;
+    std::unique_ptr<ScenarioStepper> stepper;
+  };
+  std::vector<Lane> lanes;
+  lanes.reserve(analog::kBuckLanes);
+  std::size_t queued = 0;
+
+  // Fills free lanes from the queue.  A scenario whose row needs no loop
+  // finishes on the spot.
+  const auto refill = [&] {
+    while (lanes.size() < analog::kBuckLanes && queued < members.size()) {
+      const std::size_t index = members[queued++];
+      ScenarioArtifacts artifacts;
+      try {
+        auto stepper = std::make_unique<ScenarioStepper>(specs[index],
+                                                         workspace);
+        if (!stepper->done()) {
+          lanes.push_back({index, std::move(stepper)});
+          continue;
+        }
+        artifacts = stepper->finish();
+      } catch (...) {
+        artifacts = exception_artifacts(specs[index]);
+      }
+      finished(index, std::move(artifacts));
+    }
+  };
+
+  const analog::BuckLanes kernel;
+  std::vector<analog::BuckConverter*> plants;
+  std::vector<dpwm::PwmPeriod> periods;
+  std::vector<double> loads;
+  std::vector<std::size_t> stepping;  ///< Positions in `lanes`.
+  for (refill(); !lanes.empty(); refill()) {
+    if (lanes.size() == 1 && queued == members.size()) {
+      // The last scenario has nothing to share a step with.
+      const std::size_t index = lanes.front().index;
+      ScenarioStepper& stepper = *lanes.front().stepper;
+      ScenarioArtifacts artifacts;
+      try {
+        while (!stepper.done()) {
+          const control::PeriodDrive& drive = stepper.begin();
+          stepper.plant().run_period(drive.pwm, drive.load_a);
+          stepper.end();
+        }
+        artifacts = stepper.finish();
+      } catch (...) {
+        artifacts = exception_artifacts(specs[index]);
+      }
+      lanes.clear();
+      finished(index, std::move(artifacts));
+      break;
+    }
+
+    plants.clear();
+    periods.clear();
+    loads.clear();
+    stepping.clear();
+    std::array<bool, analog::kBuckLanes> retired{};
+    const auto retire = [&](std::size_t k, ScenarioArtifacts artifacts) {
+      retired[k] = true;
+      lanes[k].stepper.reset();
+      finished(lanes[k].index, std::move(artifacts));
+    };
+    for (std::size_t k = 0; k < lanes.size(); ++k) {
+      try {
+        const control::PeriodDrive& drive = lanes[k].stepper->begin();
+        plants.push_back(&lanes[k].stepper->plant());
+        periods.push_back(drive.pwm);
+        loads.push_back(drive.load_a);
+        stepping.push_back(k);
+      } catch (...) {
+        retire(k, exception_artifacts(specs[lanes[k].index]));
+      }
+    }
+    if (!plants.empty()) {
+      kernel.run_period(plants, periods, loads);
+    }
+    for (const std::size_t k : stepping) {
+      ScenarioStepper& stepper = *lanes[k].stepper;
+      std::optional<ScenarioArtifacts> row;
+      try {
+        stepper.end();
+        if (stepper.done()) {
+          row = stepper.finish();
+        }
+      } catch (...) {
+        row = exception_artifacts(specs[lanes[k].index]);
+      }
+      if (row) {
+        retire(k, std::move(*row));
+      }
+    }
+    std::size_t kept = 0;
+    for (std::size_t k = 0; k < lanes.size(); ++k) {
+      if (!retired[k]) {
+        if (kept != k) {
+          lanes[kept] = std::move(lanes[k]);
+        }
+        ++kept;
+      }
+    }
+    lanes.resize(kept);
   }
 }
 

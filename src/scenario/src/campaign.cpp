@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <filesystem>
+#include <iterator>
 #include <memory>
 #include <set>
 #include <stdexcept>
@@ -19,7 +20,14 @@ namespace {
 /// 256-die scenarios.  Units as large as a whole planner group ran no
 /// faster, but the sandbox worker's peak memory grew with the group.  A
 /// scenario is never split, so a larger one runs alone.
-constexpr std::size_t kUnitDieBudget = 16384;
+constexpr std::uint64_t kUnitDieBudget = 16384;
+
+/// Closed-loop periods one lane unit may carry.  The regression suite's
+/// two --jobs 2 shards hold ~83-86k periods each, so each gets two lane
+/// units: a kill -9 re-runs at most one unit's worth and a graceful stop
+/// waits for at most one, while each unit still keeps all eight lanes
+/// busy through most of its run.  A scenario is never split.
+constexpr std::uint64_t kUnitPeriodBudget = 48000;
 
 }  // namespace
 
@@ -42,6 +50,12 @@ CampaignJob::CampaignJob(const std::vector<ScenarioSpec>& specs,
   for (const ScenarioSpec& spec : specs) {
     dies_.push_back(spec.mc_dies);
   }
+  lane_periods_.assign(specs.size(), 0);
+  for (const std::size_t index : plan_.scalar) {
+    if (lane_eligible(specs[index], workspace)) {
+      lane_periods_[index] = specs[index].periods;
+    }
+  }
   if (journal_dir.empty()) {
     return;
   }
@@ -53,6 +67,7 @@ CampaignJob::CampaignJob(const std::vector<ScenarioSpec>& specs,
     drop_torn_tail(journal_path(journal_dir));
     drop_torn_tail(health_journal_path(journal_dir));
     JournalState prior = load_journal(journal_dir);
+    drop_orphan_health(journal_dir, prior);
     for (std::size_t i = 0; i < specs.size(); ++i) {
       const auto it = prior.lines.find(specs[i].name);
       if (it == prior.lines.end()) {
@@ -80,32 +95,59 @@ CampaignJob::CampaignJob(const std::vector<ScenarioSpec>& specs,
 CampaignJob::~CampaignJob() = default;
 
 std::vector<std::vector<std::size_t>> CampaignJob::units(
-    const std::function<bool(std::size_t)>& take) const {
+    const std::function<bool(std::size_t)>& take, bool pack_lanes) const {
   const auto admitted = [&](std::size_t index) {
     return !committed_[index] && take(index);
   };
+  const auto lane = [&](std::size_t index) {
+    return pack_lanes && lane_periods_[index] > 0;
+  };
   std::vector<std::vector<std::size_t>> units;
-  for (const BatchGroup& group : plan_.groups) {
+  // Cuts ascending `indices` into units of at most `budget` in `cost`; a
+  // scenario is never split, so a larger one runs alone.
+  const auto pack = [&](const std::vector<std::size_t>& indices,
+                        const std::vector<std::uint64_t>& cost,
+                        std::uint64_t budget) {
     std::vector<std::size_t> unit;
-    std::size_t dies = 0;
-    for (const std::size_t index : group.members) {
-      if (!admitted(index)) {
-        continue;
-      }
-      if (!unit.empty() && dies + dies_[index] > kUnitDieBudget) {
+    std::uint64_t total = 0;
+    for (const std::size_t index : indices) {
+      if (!unit.empty() && total + cost[index] > budget) {
         units.push_back(std::move(unit));
         unit.clear();
-        dies = 0;
+        total = 0;
       }
       unit.push_back(index);
-      dies += dies_[index];
+      total += cost[index];
     }
     if (!unit.empty()) {
       units.push_back(std::move(unit));
     }
+  };
+
+  std::vector<std::size_t> members;
+  for (const BatchGroup& group : plan_.groups) {
+    members.clear();
+    std::copy_if(group.members.begin(), group.members.end(),
+                 std::back_inserter(members), admitted);
+    pack(members, dies_, kUnitDieBudget);
   }
+  // Runs of consecutive lane specs: any other admitted spec ends a run, so
+  // units still start in index order.
+  members.clear();
+  for (std::size_t index = 0; index < committed_.size(); ++index) {
+    if (!admitted(index)) {
+      continue;
+    }
+    if (lane(index)) {
+      members.push_back(index);
+      continue;
+    }
+    pack(members, lane_periods_, kUnitPeriodBudget);
+    members.clear();
+  }
+  pack(members, lane_periods_, kUnitPeriodBudget);
   for (const std::size_t index : plan_.scalar) {
-    if (admitted(index)) {
+    if (admitted(index) && !lane(index)) {
       units.push_back({index});
     }
   }
@@ -192,7 +234,8 @@ CampaignOutcome Campaign::run(const std::vector<ScenarioSpec>& specs) const {
       shard_of[pending[i]] = shard;
     }
     shard_units[shard] = job.units(
-        [&](std::size_t index) { return shard_of[index] == shard; });
+        [&](std::size_t index) { return shard_of[index] == shard; },
+        /*pack_lanes=*/true);
     executors.push_back(
         std::make_unique<ScenarioExecutor>(config_.isolation, &counters));
   }

@@ -145,6 +145,27 @@ void drop_torn_tail(const std::string& path) {
   }
 }
 
+void drop_orphan_health(const std::string& dir, const JournalState& state) {
+  const std::vector<std::string> lines =
+      complete_lines(read_file(health_journal_path(dir)));
+  std::size_t restored = 0;
+  for (const auto& [name, health] : state.health) {
+    restored += health.size();
+  }
+  if (restored == lines.size()) {
+    return;
+  }
+  std::string kept;
+  for (const std::string& line : lines) {
+    const auto fields = analysis::parse_flat_json_line(line);
+    if (fields && state.lines.count(field_or(*fields, "scenario")) != 0) {
+      kept += line;
+      kept += '\n';
+    }
+  }
+  analysis::write_file_atomic(health_journal_path(dir), kept);
+}
+
 JournalState load_journal(const std::string& dir) {
   JournalState state;
   for (const std::string& line : complete_lines(read_file(journal_path(dir)))) {

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <memory>
+#include <optional>
 #include <stdexcept>
 #include <utility>
 
@@ -14,6 +15,7 @@
 #include "ddl/analysis/monte_carlo.h"
 #include "ddl/analysis/parallel.h"
 #include "ddl/cells/technology.h"
+#include "ddl/control/dvfs.h"
 #include "ddl/control/pid.h"
 #include "ddl/core/calibrated_dpwm.h"
 #include "ddl/core/lock_supervisor.h"
@@ -312,10 +314,48 @@ ScenarioArtifacts run_scenario(const ScenarioSpec& spec) {
 
 ScenarioArtifacts run_scenario(const ScenarioSpec& spec,
                                ScenarioWorkspace& workspace) {
-  const cells::Technology& tech = workspace.technology();
+  ScenarioStepper stepper(spec, workspace);
+  while (!stepper.done()) {
+    const control::PeriodDrive& drive = stepper.begin();
+    stepper.plant().run_period(drive.pwm, drive.load_a);
+    stepper.end();
+  }
+  return stepper.finish();
+}
 
+/// Everything one closed-loop run owns between construction and finish().
+/// Heap-held by the stepper, so the loop's borrowed DPWM and the
+/// supervisor hook keep stable addresses.
+struct ScenarioStepper::State {
+  /// A runtime fault instant: inject (engage) or clear.
+  struct FaultEvent {
+    std::uint64_t period = 0;
+    std::size_t index = 0;
+    bool engage = false;
+  };
+
+  const ScenarioSpec* spec = nullptr;
   ScenarioArtifacts artifacts;
-  ScenarioResult& result = artifacts.result;
+  BuiltSystem sys;
+  std::unique_ptr<core::SupervisedSystem> adapter;
+  std::unique_ptr<core::LockSupervisor> supervisor;
+  std::optional<control::DigitallyControlledBuck> loop;
+  control::LoadProfile load;
+  std::vector<FaultEvent> fault_events;
+  std::size_t next_event = 0;
+  std::optional<control::VoltageModeManager> manager;
+  std::size_t next_mode = 0;
+  double initial_vref = 0.0;
+  std::uint64_t period = 0;  ///< Periods begun.
+  control::PeriodDrive drive;
+};
+
+ScenarioStepper::ScenarioStepper(const ScenarioSpec& spec,
+                                 ScenarioWorkspace& workspace)
+    : state_(std::make_unique<State>()) {
+  State& st = *state_;
+  st.spec = &spec;
+  ScenarioResult& result = st.artifacts.result;
   result = make_base_result(spec);
 
   // A malformed spec becomes a structured failure, not an exception from
@@ -331,15 +371,16 @@ ScenarioArtifacts run_scenario(const ScenarioSpec& spec,
     for (std::size_t i = 1; i < problems.size(); ++i) {
       result.failure_detail += "; " + problems[i];
     }
-    return artifacts;
+    return;
   }
 
   if (spec.mc_dies > 0) {
     run_mc_yield(spec, workspace, result);
-    return artifacts;
+    return;
   }
 
-  BuiltSystem sys = build_system(spec, tech, sizing);
+  st.sys = build_system(spec, workspace.technology(), sizing);
+  BuiltSystem& sys = st.sys;
   result.locked = sys.locked;
   result.lock_cycles = sys.lock_cycles;
 
@@ -350,68 +391,63 @@ ScenarioArtifacts run_scenario(const ScenarioSpec& spec,
     if (!result.pass) {
       result.failure_reason = "unexpected_lock";
     }
-    return artifacts;
+    return;
   }
   if (!sys.locked) {
     result.failure_reason = "no_lock";
-    return artifacts;
+    return;
   }
 
   // Supervision: wrap the calibrated system behind the supervisor so the
   // loop regulates *through* it; the watchdog taps the per-period sample.
-  std::unique_ptr<core::SupervisedSystem> adapter;
-  std::unique_ptr<core::LockSupervisor> supervisor;
   if (spec.supervision.enabled) {
     if (sys.proposed_sys) {
-      adapter = core::make_supervised(*sys.proposed_sys);
+      st.adapter = core::make_supervised(*sys.proposed_sys);
     } else if (sys.conventional_sys) {
-      adapter = core::make_supervised(*sys.conventional_sys);
+      st.adapter = core::make_supervised(*sys.conventional_sys);
     } else if (sys.hybrid_sys) {
-      adapter = core::make_supervised(*sys.hybrid_sys);
+      st.adapter = core::make_supervised(*sys.hybrid_sys);
     }
-    supervisor =
-        std::make_unique<core::LockSupervisor>(*adapter, spec.supervision.config);
+    st.supervisor = std::make_unique<core::LockSupervisor>(
+        *st.adapter, spec.supervision.config);
     result.supervised = true;
   }
   dpwm::DpwmModel& modulator =
-      supervisor ? static_cast<dpwm::DpwmModel&>(*supervisor) : *sys.dpwm;
+      st.supervisor ? static_cast<dpwm::DpwmModel&>(*st.supervisor)
+                    : *sys.dpwm;
 
   const std::uint64_t full = (std::uint64_t{1} << sys.dpwm->bits()) - 1;
-  control::DigitallyControlledBuck loop(
+  st.loop.emplace(
       analog::BuckConverter(analog::BuckParams{}),
       analog::WindowAdc(analog::WindowAdcParams{spec.vref_v, 10e-3, 7}),
       control::PidController(pid_for(sys.dpwm->bits()), full, full / 3),
       modulator);
-  if (supervisor) {
-    core::LockSupervisor* hook = supervisor.get();
-    loop.set_sample_observer([hook](const control::LoopSample& sample) {
+  st.loop->reserve_history(spec.periods);
+  st.initial_vref = st.loop->reference_v();
+  if (st.supervisor) {
+    core::LockSupervisor* hook = st.supervisor.get();
+    st.loop->set_sample_observer([hook](const control::LoopSample& sample) {
       hook->observe_error(sample.error_code);
     });
   }
 
   // Runtime fault schedule: inject/clear instants, period-ordered (ties
   // resolve in fault order, clears before re-injections at the same
-  // instant).
-  struct FaultEvent {
-    std::uint64_t period = 0;
-    std::size_t index = 0;
-    bool engage = false;
-  };
-  std::vector<FaultEvent> fault_events;
+  // instant).  An instant at or past the last period never applies.
   for (std::size_t i = 0; i < spec.faults.size(); ++i) {
     const FaultSpec& fault = spec.faults[i];
     if (!fault.active()) {
       continue;
     }
     if (fault.at_period > 0) {
-      fault_events.push_back({fault.at_period, i, true});
+      st.fault_events.push_back({fault.at_period, i, true});
     }
     if (fault.clear_period > 0) {
-      fault_events.push_back({fault.clear_period, i, false});
+      st.fault_events.push_back({fault.clear_period, i, false});
     }
   }
-  std::sort(fault_events.begin(), fault_events.end(),
-            [](const FaultEvent& a, const FaultEvent& b) {
+  std::sort(st.fault_events.begin(), st.fault_events.end(),
+            [](const State::FaultEvent& a, const State::FaultEvent& b) {
               if (a.period != b.period) {
                 return a.period < b.period;
               }
@@ -420,36 +456,66 @@ ScenarioArtifacts run_scenario(const ScenarioSpec& spec,
               }
               return a.index < b.index;
             });
-
-  const control::LoadProfile load = spec.load.make(spec.seed);
-  if (spec.dvfs.empty()) {
-    // Segment the run at each fault instant (the loop keeps its period
-    // counter across run() calls, so segmentation is invisible to the
-    // telemetry).
-    std::uint64_t done = 0;
-    for (const FaultEvent& event : fault_events) {
-      const std::uint64_t until = std::min(event.period, spec.periods);
-      if (until > done) {
-        loop.run(until - done, load);
-        done = until;
-      }
-      apply_fault(sys, spec.faults[event.index], event.engage);
-    }
-    if (spec.periods > done) {
-      loop.run(spec.periods - done, load);
-    }
-  } else {
-    // validate() rejects runtime faults combined with DVFS schedules.
-    control::VoltageModeManager manager(spec.dvfs, spec.settle_band_v);
-    artifacts.transitions = manager.run(loop, spec.periods, load);
+  // validate() rejects runtime faults combined with DVFS schedules, and
+  // DVFS steps that are unsorted or outside the run.
+  if (!spec.dvfs.empty()) {
+    st.manager.emplace(spec.dvfs, spec.settle_band_v);
   }
+  st.load = spec.load.make(spec.seed);
+}
 
-  if (supervisor) {
-    result.lock_losses = supervisor->lock_losses();
-    result.relocks = supervisor->relocks();
-    result.relock_latency_max = supervisor->max_relock_latency_periods();
-    result.degradation_level = static_cast<int>(supervisor->degradation());
-    result.health = supervisor->events();
+ScenarioStepper::~ScenarioStepper() = default;
+
+bool ScenarioStepper::done() const noexcept {
+  return !state_->loop || state_->period >= state_->spec->periods;
+}
+
+const control::PeriodDrive& ScenarioStepper::begin() {
+  State& st = *state_;
+  // Instants due now apply before the period, as a run segmented at each
+  // instant applies them.
+  while (st.next_event < st.fault_events.size() &&
+         st.fault_events[st.next_event].period <= st.period) {
+    const State::FaultEvent& event = st.fault_events[st.next_event++];
+    apply_fault(st.sys, st.spec->faults[event.index], event.engage);
+  }
+  if (st.manager) {
+    st.next_mode = st.manager->apply_due(*st.loop, st.period, st.next_mode);
+  }
+  st.drive = st.loop->begin_period(st.load);
+  return st.drive;
+}
+
+analog::BuckConverter& ScenarioStepper::plant() {
+  return state_->loop->plant();
+}
+
+void ScenarioStepper::end() {
+  state_->loop->end_period(state_->drive);
+  ++state_->period;
+}
+
+ScenarioArtifacts ScenarioStepper::finish() {
+  State& st = *state_;
+  ScenarioArtifacts& artifacts = st.artifacts;
+  if (!st.loop) {
+    return std::move(artifacts);
+  }
+  const ScenarioSpec& spec = *st.spec;
+  const control::DigitallyControlledBuck& loop = *st.loop;
+  ScenarioResult& result = artifacts.result;
+
+  if (st.manager) {
+    artifacts.transitions =
+        st.manager->measure(loop.history(), 0, st.initial_vref, spec.periods);
+  }
+  if (st.supervisor) {
+    const core::LockSupervisor& supervisor = *st.supervisor;
+    result.lock_losses = supervisor.lock_losses();
+    result.relocks = supervisor.relocks();
+    result.relock_latency_max = supervisor.max_relock_latency_periods();
+    result.degradation_level = static_cast<int>(supervisor.degradation());
+    result.health = supervisor.events();
   }
 
   result.metrics = loop.metrics(spec.measure_from, spec.periods);
@@ -496,8 +562,8 @@ ScenarioArtifacts run_scenario(const ScenarioSpec& spec,
     result.pass = true;
   }
 
-  artifacts.history = loop.history();
-  return artifacts;
+  artifacts.history = st.loop->take_history();
+  return std::move(artifacts);
 }
 
 ScenarioResult make_error_result(const ScenarioSpec& spec, ScenarioError error,
@@ -521,17 +587,23 @@ ScenarioArtifacts run_scenario_guarded(const ScenarioSpec& spec,
       throw std::runtime_error("debug_throw test hook");
     }
     return run_scenario(spec, workspace);
+  } catch (...) {
+    return exception_artifacts(spec);
+  }
+}
+
+ScenarioArtifacts exception_artifacts(const ScenarioSpec& spec) {
+  ScenarioArtifacts artifacts;
+  try {
+    throw;
   } catch (const std::exception& e) {
-    ScenarioArtifacts artifacts;
     artifacts.result =
         make_error_result(spec, ScenarioError::kException, e.what());
-    return artifacts;
   } catch (...) {
-    ScenarioArtifacts artifacts;
     artifacts.result = make_error_result(spec, ScenarioError::kException,
                                          "non-standard exception");
-    return artifacts;
   }
+  return artifacts;
 }
 
 analysis::JsonObject to_json(const ScenarioResult& result) {

@@ -192,19 +192,32 @@ void emit_entry(int fd, std::size_t entry, const ScenarioResult& result) {
 }
 
 /// The one unit execution shape, shared by in-process executors and the
-/// sandbox child: one batched dispatch per planner group, `scalar(index)`
-/// for every other spec.  threads=1 keeps a forked child single-threaded
-/// (the analysis pool runs inline at 1).
-template <typename Scalar>
+/// sandbox child: one batched dispatch per planner group, closed-loop
+/// lanes (run_lanes) for the lane-eligible rest, and `scalar(index)` for
+/// every other spec.  Each lane row is kept as soon as its scenario
+/// finishes (its history dropped) and passes through `stamp(index,
+/// result)`.  threads=1 keeps a forked child single-threaded (the analysis
+/// pool runs inline at 1).
+template <typename Scalar, typename Stamp>
 std::vector<ScenarioResult> run_unit_inline(
     const std::vector<ScenarioSpec>& specs, ScenarioWorkspace& workspace,
-    Scalar scalar) {
+    Scalar scalar, Stamp stamp) {
   std::vector<ScenarioResult> results(specs.size());
   const BatchPlan plan = plan_batches(specs, workspace);
   for (const BatchGroup& group : plan.groups) {
     run_batch_group(specs, group, workspace, /*threads=*/1, results);
   }
+  std::vector<std::size_t> lanes;
+  std::vector<std::size_t> alone;
   for (const std::size_t index : plan.scalar) {
+    (lane_eligible(specs[index], workspace) ? lanes : alone).push_back(index);
+  }
+  run_lanes(specs, std::move(lanes), workspace,
+            [&](std::size_t index, ScenarioArtifacts artifacts) {
+              results[index] = std::move(artifacts.result);
+              stamp(index, results[index]);
+            });
+  for (const std::size_t index : alone) {
     results[index] = scalar(index);
   }
   return results;
@@ -236,9 +249,13 @@ void child_run_unit(const std::vector<ScenarioSpec>& specs,
     // attempt stamp even when it is batch-eligible.
     emit_entry(resp_fd, 0, child_run_single(specs[0], attempts[0], workspace));
   } else {
-    const std::vector<ScenarioResult> results =
-        run_unit_inline(specs, workspace, [&](std::size_t index) {
+    const std::vector<ScenarioResult> results = run_unit_inline(
+        specs, workspace,
+        [&](std::size_t index) {
           return child_run_single(specs[index], attempts[index], workspace);
+        },
+        [&](std::size_t index, ScenarioResult& result) {
+          result.attempts = attempts[index] + 1;  // As child_run_single.
         });
     for (std::size_t i = 0; i < count; ++i) {
       emit_entry(resp_fd, i, results[i]);
@@ -795,10 +812,12 @@ std::vector<ExecutedScenario> run_group_process(
 /// no containment.
 std::vector<ExecutedScenario> run_unit_thread(
     ScenarioExecutor::Impl& impl, const std::vector<ScenarioSpec>& specs) {
-  std::vector<ScenarioResult> results =
-      run_unit_inline(specs, impl.workspace, [&](std::size_t index) {
+  std::vector<ScenarioResult> results = run_unit_inline(
+      specs, impl.workspace,
+      [&](std::size_t index) {
         return run_scenario_guarded(specs[index], impl.workspace).result;
-      });
+      },
+      [](std::size_t, ScenarioResult&) {});
   std::vector<ExecutedScenario> out;
   out.reserve(specs.size());
   for (ScenarioResult& result : results) {

@@ -266,6 +266,23 @@ std::vector<std::string> validate(const ScenarioSpec& spec,
     }
   }
 
+  // The closed loop applies each mode before its period, so a step must
+  // fall inside the run and after the one before it.
+  for (std::size_t i = 0; i < spec.dvfs.size(); ++i) {
+    const std::uint64_t at = spec.dvfs[i].at_period;
+    const std::string prefix = "DVFS step " + std::to_string(i) + ": ";
+    if (at >= spec.periods) {
+      error(prefix + "at_period " + std::to_string(at) + " is outside the " +
+            std::to_string(spec.periods) + "-period run");
+    }
+    if (i > 0 && at <= spec.dvfs[i - 1].at_period) {
+      error(prefix + "at_period " + std::to_string(at) +
+            " is not after step " + std::to_string(i - 1) + "'s " +
+            std::to_string(spec.dvfs[i - 1].at_period) +
+            " (the schedule must be strictly increasing)");
+    }
+  }
+
   if (spec.supervision.enabled) {
     if (spec.architecture == Architecture::kCounter) {
       error("supervision: the counter baseline has no lock to supervise");

@@ -24,8 +24,10 @@
 // its jobs with pending scenarios, trimmed to its remaining inflight
 // quota (each scenario spends one slot): one scenario, or MC-yield
 // scenarios sharing kernel constants that the worker runs as packed SoA
-// kernel lanes -- byte-identical rows, several-fold throughput.  Each
-// finished unit is one journal commit.
+// kernel lanes -- byte-identical rows, several-fold throughput.  Closed
+// loops stay one per unit (no closed-loop lanes): stop, cancel and commit
+// keep their per-scenario granularity inside a quota.  Each finished unit
+// is one journal commit.
 //
 // A `cancel` frame tears a job down cooperatively: pending scenarios are
 // never dispatched, queued ones are withdrawn, in-flight ones finish and

@@ -130,7 +130,12 @@ struct Job {
             scenario::ScenarioWorkspace& workspace) {
     campaign = std::make_unique<scenario::CampaignJob>(specs, journal_dir,
                                                        resume, workspace);
-    units = campaign->units([](std::size_t) { return true; });
+    // Closed loops stay one per unit: a unit is trimmed to the owner's
+    // inflight quota (four scenarios by default) and a graceful stop
+    // lets in-flight units finish, so a lane unit would make a quota of
+    // loops stop, cancel and commit all at once.
+    units = campaign->units([](std::size_t) { return true; },
+                            /*pack_lanes=*/false);
     inflight.assign(specs.size(), false);
   }
 };

@@ -176,8 +176,11 @@ TEST(CampaignTest, PacksYieldSiblingsIntoBatchedUnits) {
     EXPECT_EQ(outcome.health_jsonl, ScenarioRunner::health_jsonl(results));
     EXPECT_EQ(outcome.executed, specs.size());
   }
-  // Nothing to pack: every spec is its own unit.
-  EXPECT_EQ(Campaign(CampaignConfig{}).run(quick_batch()).batched_units, 0u);
+  // The four closed loops pack into one closed-loop lane unit (one shard,
+  // so the count does not depend on the host's thread count).
+  CampaignConfig one_job;
+  one_job.jobs = 1;
+  EXPECT_EQ(Campaign(one_job).run(quick_batch()).batched_units, 1u);
 }
 
 TEST(CampaignTest, DieBudgetCutsUnitsBetweenScenariosNeverInside) {
@@ -194,6 +197,61 @@ TEST(CampaignTest, DieBudgetCutsUnitsBetweenScenariosNeverInside) {
   EXPECT_EQ(outcome.batched_units, 0u);
   EXPECT_EQ(outcome.jsonl(),
             ScenarioRunner::jsonl(ScenarioRunner(1).run(specs)));
+}
+
+TEST(CampaignTest, PeriodBudgetCutsLaneUnitsBetweenScenariosNeverInside) {
+  // Six 9000-period loops are 54000 periods: five fill one lane unit under
+  // the 48000-period budget and the sixth runs alone.
+  std::vector<ScenarioSpec> specs;
+  for (int i = 0; i < 6; ++i) {
+    ScenarioSpec spec = quick_spec("long" + std::to_string(i), 40 + i);
+    spec.periods = 9000;
+    spec.measure_from = 8000;
+    specs.push_back(spec);
+  }
+  CampaignConfig config;
+  config.jobs = 1;
+  auto outcome = Campaign(config).run(specs);
+  EXPECT_EQ(outcome.batched_units, 1u);
+  EXPECT_EQ(outcome.jsonl(),
+            ScenarioRunner::jsonl(ScenarioRunner(1).run(specs)));
+
+  // Any other spec ends a run of lane specs: the yield scenario between
+  // them leaves two lane units, so units still start in index order.
+  std::vector<ScenarioSpec> mixed = quick_batch();
+  mixed.insert(mixed.begin() + 2,
+               ScenarioRegistry::builtin().expand("yield").front());
+  outcome = Campaign(config).run(mixed);
+  EXPECT_EQ(outcome.batched_units, 2u);
+  EXPECT_EQ(outcome.jsonl(),
+            ScenarioRunner::jsonl(ScenarioRunner(1).run(mixed)));
+}
+
+TEST(CampaignTest, OrphanHealthLinesAreDroppedOnResume) {
+  // A unit killed between its health append and its result commit leaves
+  // health lines of an uncommitted scenario.  Resume must drop them before
+  // the scenario re-runs, or a later resume restores its events twice.
+  const auto specs = quick_batch();
+  CampaignConfig config;
+  config.journal_dir = fresh_dir("orphan_full");
+  config.jobs = 1;
+  const auto uninterrupted = Campaign(config).run(specs);
+  ASSERT_FALSE(uninterrupted.health_jsonl.empty());
+
+  const std::string crash_dir = fresh_dir("orphan_crashed");
+  spit(crash_dir + "/journal.jsonl", "");
+  spit(crash_dir + "/health_journal.jsonl",
+       slurp(config.journal_dir + "/health_journal.jsonl"));
+  spit(crash_dir + "/manifest.json",
+       slurp(config.journal_dir + "/manifest.json"));
+  CampaignConfig resume = config;
+  resume.journal_dir = crash_dir;
+  resume.resume = true;
+  EXPECT_EQ(Campaign(resume).run(specs).health_jsonl,
+            uninterrupted.health_jsonl);
+  const auto replayed = Campaign(resume).run(specs);
+  EXPECT_EQ(replayed.executed, 0u);
+  EXPECT_EQ(replayed.health_jsonl, uninterrupted.health_jsonl);
 }
 
 TEST(CampaignTest, ResumeAfterTornJournalIsByteIdentical) {

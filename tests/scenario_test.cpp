@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "ddl/control/closed_loop.h"
+#include "ddl/core/hash.h"
 #include "ddl/scenario/batch_plan.h"
 #include "ddl/scenario/registry.h"
 #include "ddl/scenario/runner.h"
@@ -203,6 +204,33 @@ TEST(ScenarioRunnerTest, DeterministicAcrossThreadCounts) {
   }
 }
 
+/// fnv1a64 of one suite's result and health streams from the reference
+/// runner.  The values were computed before the closed loop was split into
+/// per-period halves; every change to the loop, the plant or the lane
+/// kernel must leave them untouched.
+void expect_golden_streams(const std::string& suite, const char* rows,
+                           const char* health) {
+  const auto results =
+      ScenarioRunner(4).run(ScenarioRegistry::builtin().expand(suite));
+  EXPECT_EQ(ddl::core::fnv1a64_hex(ScenarioRunner::jsonl(results)), rows)
+      << suite;
+  EXPECT_EQ(ddl::core::fnv1a64_hex(ScenarioRunner::health_jsonl(results)),
+            health)
+      << suite;
+}
+
+TEST(GoldenStreamTest, RegressionSuite) {
+  expect_golden_streams("regression", "41e55ed328bf6026", "d8a68bea9c3a65e8");
+}
+
+TEST(GoldenStreamTest, SmokeSuite) {
+  expect_golden_streams("smoke", "0ca9d782685c0ff4", "14650fb0739d0383");
+}
+
+TEST(GoldenStreamTest, ChaosSuite) {
+  expect_golden_streams("chaos", "48031f9faa112f75", "14650fb0739d0383");
+}
+
 TEST(ScenarioRunnerTest, ResultsKeepSpecOrder) {
   auto specs = ScenarioRegistry::builtin().expand("smoke");
   const auto results = ScenarioRunner(2).run(specs);
@@ -260,6 +288,26 @@ TEST(SpecValidationTest, FlagsMisorderedFaultSchedules) {
   ASSERT_EQ(errors.size(), 2u);
   EXPECT_NE(errors[0].find("at_period 900"), std::string::npos) << errors[0];
   EXPECT_NE(errors[1].find("clear_period 50"), std::string::npos) << errors[1];
+
+  // A DVFS step at or past the end of the run, and a schedule that is not
+  // strictly increasing, are misordered the same way.
+  spec.faults.clear();
+  spec.dvfs = {{300, 0.9}, {900, 1.0}};
+  auto dvfs_errors = ddl::scenario::validate(spec);
+  ASSERT_EQ(dvfs_errors.size(), 1u);
+  EXPECT_NE(dvfs_errors[0].find("DVFS step 1"), std::string::npos)
+      << dvfs_errors[0];
+  EXPECT_NE(dvfs_errors[0].find("at_period 900"), std::string::npos)
+      << dvfs_errors[0];
+  spec.dvfs = {{600, 0.9}, {300, 1.0}};
+  dvfs_errors = ddl::scenario::validate(spec);
+  ASSERT_EQ(dvfs_errors.size(), 1u);
+  EXPECT_NE(dvfs_errors[0].find("strictly increasing"), std::string::npos)
+      << dvfs_errors[0];
+  spec.dvfs = {{300, 0.9}, {300, 1.0}};
+  EXPECT_EQ(ddl::scenario::validate(spec).size(), 1u);
+  spec.dvfs = {{0, 0.9}, {899, 1.0}};
+  EXPECT_TRUE(ddl::scenario::validate(spec).empty());
 }
 
 TEST(SpecValidationTest, RecoveryExpectationsRequireSupervision) {
@@ -356,6 +404,21 @@ TEST(RunScenarioTest, InvalidSpecFailsStructurallyInsteadOfThrowing) {
   EXPECT_NE(artifacts.result.failure_detail.find("victim_cell"),
             std::string::npos)
       << artifacts.result.failure_detail;
+
+  // DVFS schedules the per-period stepper cannot honour: a step past the
+  // run (which would otherwise extend it) and an unsorted schedule (which
+  // would otherwise throw from the mode manager after a good lock).
+  for (const std::vector<ddl::control::VoltageMode>& schedule :
+       {std::vector<ddl::control::VoltageMode>{{300, 0.9}, {1200, 1.0}},
+        std::vector<ddl::control::VoltageMode>{{600, 0.9}, {300, 1.0}}}) {
+    auto dvfs = quick_spec();
+    dvfs.dvfs = schedule;
+    const auto run = ddl::scenario::run_scenario(dvfs);
+    EXPECT_EQ(run.result.failure_reason, "invalid_spec")
+        << run.result.failure_detail;
+    EXPECT_EQ(run.result.error, ddl::scenario::ScenarioError::kNone);
+    EXPECT_TRUE(run.history.empty());
+  }
 }
 
 // ---- Recovery suite -------------------------------------------------------
