@@ -257,6 +257,11 @@ std::vector<std::string> validate(const ScenarioSpec& spec,
 /// carry (a spec at the cap renders to about 78 KB).
 inline constexpr std::size_t kMaxSpecEntries = 256;
 
+/// The crash kinds `debug_crash` may name: validate() rejects any other
+/// non-empty value, and the tools' --inject-crash flag reads this list.
+inline const std::vector<std::string> kCrashKinds = {"segv", "abort", "oom",
+                                                     "spin"};
+
 /// Serializes a spec as a flat JsonObject (lists flatten to `<list>.count`
 /// plus `<list>.<i>.<field>`).  A persisted contract:
 /// content_fingerprint_of hashes these bytes into job ids and crash rows.

@@ -1,8 +1,133 @@
 #include "ddl/scenario/cli.h"
 
+#include <algorithm>
+#include <iostream>
 #include <limits>
+#include <sstream>
+
+#include "ddl/scenario/spec.h"
 
 namespace ddl::scenario {
+
+namespace {
+
+/// Help text starts in this column; usage() wraps lines at kUsageWidth.
+constexpr std::size_t kHelpColumn = 24;
+constexpr std::size_t kUsageWidth = 79;
+
+std::string joined(const std::vector<std::string>& words) {
+  std::string text;
+  for (const std::string& word : words) {
+    text += (text.empty() ? "" : "|") + word;
+  }
+  return text;
+}
+
+/// "" when `value` is one of `choices`, else the reason choice rows report.
+std::string check_choice(const std::string& value,
+                         const std::vector<std::string>& choices) {
+  if (std::find(choices.begin(), choices.end(), value) != choices.end()) {
+    return "";
+  }
+  return "'" + value + "' is not one of " + joined(choices);
+}
+
+FlagTable runner_flags(RunnerOptions& o) {
+  // --journal and --resume must name one directory; --journal alone may
+  // repeat (the last one wins).
+  const auto journal = [&o](bool resume) {
+    return [&o, resume](const std::string& dir) -> std::string {
+      const bool chosen = resume ? !o.journal_dir.empty() : o.resume;
+      if (chosen && o.journal_dir != dir) {
+        return "'" + dir + "' differs from the journal directory '" +
+               o.journal_dir + "'";
+      }
+      o.journal_dir = dir;
+      o.resume = o.resume || resume;
+      return "";
+    };
+  };
+  return FlagTable({
+      help_flag(o.help),
+      text_flag("--suite", "NAME", "suite to run (default: smoke)", o.suite),
+      text_flag("--filter", "SUBSTR",
+                "keep only scenarios whose name contains SUBSTR", o.filter),
+      number_flag("--jobs", "N",
+                  "worker threads (default: DDL_THREADS or hardware)", o.jobs),
+      text_flag("--out", "FILE",
+                "write the JSONL stream to FILE instead of stdout",
+                o.out_path),
+      text_flag("--health-out", "FILE",
+                "write supervisor health events (one JSONL record per "
+                "event, spec order) to FILE",
+                o.health_out_path),
+      custom_flag("--journal", "DIR",
+                  "journal every completed scenario to DIR (crash-safe: "
+                  "append-only JSONL + checkpoint manifest)",
+                  journal(false)),
+      custom_flag("--resume", "DIR",
+                  "resume a killed campaign from DIR's journal; completed "
+                  "scenarios are skipped and the final streams stay "
+                  "byte-identical to an unbroken run",
+                  journal(true)),
+      sandbox_only(number_flag("--timeout-ms", "MS",
+                               "sandbox deadline per scenario attempt "
+                               "(default: 10 s + 20 ms per switching period)",
+                               o.timeout_ms, 1)),
+      sandbox_only(number_flag("--retries", "N",
+                               "extra attempts for a timed-out or lost "
+                               "scenario (default: 1; exponential backoff "
+                               "between tries)",
+                               o.retries)),
+      sandbox_only(number_flag("--backoff-ms", "MS",
+                               "first retry backoff, doubling per retry "
+                               "(default: 50)",
+                               o.backoff_ms)),
+      number_flag("--chaos", "N",
+                  "replace the suite with N seeded random fault storms over "
+                  "its first scenario",
+                  o.chaos_storms, 1),
+      number_flag("--chaos-seed", "S", "storm generator seed (default: 2026)",
+                  o.chaos_seed),
+      number_flag("--chaos-max-faults", "N",
+                  "faults per storm are 1..N (default: 3)", o.chaos_max_faults,
+                  1),
+      switch_flag("--shrink",
+                  "on failure, shrink each failing fault plan to a 1-minimal "
+                  "replay bundle (replay_<name>.json)",
+                  o.shrink),
+      text_flag("--replay", "FILE",
+                "re-run a replay bundle; exit 0 iff the recorded verdict "
+                "reproduces",
+                o.replay_path),
+      sandbox_only(number_flag("--inject-hang", "MS",
+                               "test hook: hang the first scenario's "
+                               "attempts for MS to exercise the sandbox "
+                               "deadline",
+                               o.inject_hang_ms, 1)),
+      choice_flag("--isolation", "MODE",
+                  "where scenarios run: 'process' (default; fork()ed sandbox "
+                  "workers with deadlines, retries and crash containment) or "
+                  "'thread' (in process, with none of those: every "
+                  "[sandbox-only] flag is rejected)",
+                  {"thread", "process"},
+                  [&o](const std::string& mode) { o.isolation = mode; }),
+      sandbox_only(number_flag("--mem-limit-mb", "N",
+                               "RLIMIT_AS cap per sandbox worker, in MiB "
+                               "(default: unlimited)",
+                               o.mem_limit_mb, 1)),
+      sandbox_only(number_flag("--cpu-limit-s", "N",
+                               "RLIMIT_CPU cap per sandbox worker, in seconds "
+                               "(default: unlimited)",
+                               o.cpu_limit_s, 1)),
+      sandbox_only(inject_crash_flag(o.inject_crash_kind,
+                                     o.inject_crash_match)),
+      switch_flag("--list", "list suites and their scenarios, then exit",
+                  o.list),
+  });
+}
+
+}  // namespace
 
 bool parse_u64(const std::string& text, std::uint64_t& out) {
   if (text.empty()) {
@@ -33,233 +158,195 @@ bool parse_count(const std::string& text, int& out) {
   return true;
 }
 
-std::string runner_usage() {
-  return
-      "usage: ddl_scenario_runner [--suite NAME] [--filter SUBSTR]\n"
-      "                           [--jobs N] [--out FILE] [--health-out FILE]\n"
-      "                           [--journal DIR] [--resume DIR]\n"
-      "                           [--timeout-ms MS] [--retries N]\n"
-      "                           [--backoff-ms MS]\n"
-      "                           [--chaos N] [--chaos-seed S]\n"
-      "                           [--chaos-max-faults N] [--shrink]\n"
-      "                           [--replay FILE] [--list]\n"
-      "\n"
-      "  --suite NAME      suite to run (default: smoke)\n"
-      "  --filter SUBSTR   keep only scenarios whose name contains SUBSTR\n"
-      "  --jobs N          worker threads (default: DDL_THREADS or hardware)\n"
-      "  --out FILE        write the JSONL stream to FILE instead of stdout\n"
-      "  --health-out FILE write supervisor health events (one JSONL record\n"
-      "                    per event, spec order) to FILE\n"
-      "  --journal DIR     journal every completed scenario to DIR (crash-\n"
-      "                    safe: append-only JSONL + checkpoint manifest)\n"
-      "  --resume DIR      resume a killed campaign from DIR's journal;\n"
-      "                    completed scenarios are skipped and the final\n"
-      "                    streams stay byte-identical to an unbroken run\n"
-      "  --timeout-ms MS   sandbox deadline per scenario attempt\n"
-      "                    (default: 10 s + 20 ms per switching period)\n"
-      "  --retries N       extra attempts for a timed-out or lost scenario\n"
-      "                    (default: 1; exponential backoff between tries)\n"
-      "  --backoff-ms MS   first retry backoff, doubling per retry\n"
-      "                    (default: 50)\n"
-      "  --chaos N         replace the suite with N seeded random fault\n"
-      "                    storms over its first scenario\n"
-      "  --chaos-seed S    storm generator seed (default: 2026)\n"
-      "  --chaos-max-faults N  faults per storm are 1..N (default: 3)\n"
-      "  --shrink          on failure, shrink each failing fault plan to a\n"
-      "                    1-minimal replay bundle (replay_<name>.json)\n"
-      "  --replay FILE     re-run a replay bundle; exit 0 iff the recorded\n"
-      "                    verdict reproduces\n"
-      "  --inject-hang MS  test hook: hang the first scenario's attempts\n"
-      "                    for MS to exercise the sandbox deadline\n"
-      "  --isolation MODE  where scenarios run: 'process' (default; fork()ed\n"
-      "                    sandbox workers with deadlines, retries and\n"
-      "                    crash containment) or 'thread' (in process, with\n"
-      "                    none of those: --timeout-ms, --retries,\n"
-      "                    --backoff-ms, --inject-hang, --inject-crash and\n"
-      "                    both limits are rejected)\n"
-      "  --mem-limit-mb N  RLIMIT_AS cap per sandbox worker, in MiB\n"
-      "                    (default: unlimited)\n"
-      "  --cpu-limit-s N   RLIMIT_CPU cap per sandbox worker, in seconds\n"
-      "                    (default: unlimited)\n"
-      "  --inject-crash KIND[@SUBSTR]\n"
-      "                    test hook: crash scenarios inside the sandbox\n"
-      "                    worker.  KIND is segv|abort|oom|spin; @SUBSTR\n"
-      "                    selects every scenario whose name contains\n"
-      "                    SUBSTR (default: just the first scenario)\n"
-      "  --list            list suites and their scenarios, then exit\n";
+std::string read_number(const std::string& text, std::uint64_t min,
+                        std::uint64_t max, std::uint64_t& out) {
+  std::uint64_t value = 0;
+  if (!parse_u64(text, value)) {
+    return "'" + text + "' is not a non-negative integer";
+  }
+  if (value < min) {
+    return text + " is below the minimum " + std::to_string(min);
+  }
+  if (value > max) {
+    return text + " exceeds the maximum " + std::to_string(max);
+  }
+  out = value;
+  return "";
+}
+
+Flag custom_flag(std::string name, std::string value_name, std::string help,
+                 std::function<std::string(const std::string&)> read) {
+  return {std::move(name), "", std::move(value_name), std::move(help), false,
+          std::move(read)};
+}
+
+Flag text_flag(std::string name, std::string value_name, std::string help,
+               std::string& out) {
+  return custom_flag(std::move(name), std::move(value_name), std::move(help),
+                     [&out](const std::string& value) {
+                       out = value;
+                       return std::string();
+                     });
+}
+
+Flag switch_flag(std::string name, std::string help, bool& out) {
+  return custom_flag(std::move(name), "", std::move(help),
+                     [&out](const std::string&) {
+                       out = true;
+                       return std::string();
+                     });
+}
+
+Flag help_flag(bool& out) {
+  Flag flag = switch_flag("--help", "print this text and exit", out);
+  flag.alias = "-h";
+  return flag;
+}
+
+Flag choice_flag(std::string name, std::string value_name, std::string help,
+                 std::vector<std::string> choices,
+                 std::function<void(const std::string&)> set) {
+  return custom_flag(std::move(name), std::move(value_name), std::move(help),
+                     [choices = std::move(choices),
+                      set = std::move(set)](const std::string& value) {
+                       std::string problem = check_choice(value, choices);
+                       if (problem.empty()) {
+                         set(value);
+                       }
+                       return problem;
+                     });
+}
+
+Flag port_flag(std::string name, std::string help, int& out) {
+  return number_flag(std::move(name), "N", std::move(help), out, 0, 65535);
+}
+
+Flag sandbox_only(Flag flag) {
+  flag.sandbox_only = true;
+  return flag;
+}
+
+Flag inject_crash_flag(std::string& kind, std::string& match) {
+  return custom_flag(
+      "--inject-crash", "KIND[@SUBSTR]",
+      "test hook: crash the selected scenarios inside their sandbox worker.  "
+      "KIND is " + joined(kCrashKinds) +
+          "; @SUBSTR selects every scenario whose name contains SUBSTR "
+          "(default: just the first scenario)",
+      [&kind, &match](const std::string& value) {
+        const std::size_t at = value.find('@');
+        kind = value.substr(0, at);
+        match = at == std::string::npos ? "" : value.substr(at + 1);
+        return check_choice(kind, kCrashKinds);
+      });
+}
+
+void mark_crash_targets(std::vector<ScenarioSpec>& specs,
+                        const std::string& kind, const std::string& match) {
+  for (std::size_t i = 0; i < specs.size() && !kind.empty(); ++i) {
+    if (match.empty() ? i == 0
+                      : specs[i].name.find(match) != std::string::npos) {
+      specs[i].debug_crash = kind;
+    }
+  }
+}
+
+int usage_exit(const std::string& error, const std::string& usage) {
+  if (error.empty()) {
+    std::cout << usage;
+    return 0;
+  }
+  std::cerr << "error: " << error << "\n" << usage;
+  return 64;
+}
+
+std::string FlagTable::parse(const std::vector<std::string>& args) {
+  for (std::size_t i = 0; i < args.size(); ++i) {
+    const auto flag =
+        std::find_if(flags_.begin(), flags_.end(), [&](const Flag& row) {
+          return args[i] == row.name ||
+                 (!row.alias.empty() && args[i] == row.alias);
+        });
+    if (flag == flags_.end()) {
+      return "unknown flag '" + args[i] + "'";
+    }
+    if (flag->sandbox_only && sandbox_flag_.empty()) {
+      sandbox_flag_ = flag->name;
+    }
+    const bool takes_value = !flag->value_name.empty();
+    if (takes_value && i + 1 == args.size()) {
+      return flag->name + " needs a value (" + flag->value_name + ")";
+    }
+    const std::string problem = flag->read(takes_value ? args[++i] : "");
+    if (!problem.empty()) {
+      return flag->name + ": " + problem;
+    }
+  }
+  return "";
+}
+
+std::string FlagTable::thread_isolation_error() const {
+  if (sandbox_flag_.empty()) {
+    return "";
+  }
+  return sandbox_flag_ + " requires --isolation process (thread mode runs "
+                         "scenarios in process, with no deadline, retry, "
+                         "rlimit or crash containment)";
+}
+
+std::string FlagTable::usage(const std::string& synopsis) const {
+  std::string text = synopsis + "\n\n";
+  for (const Flag& flag : flags_) {
+    std::string line = "  " + flag.name +
+                       (flag.alias.empty() ? "" : ", " + flag.alias) +
+                       (flag.value_name.empty() ? "" : " " + flag.value_name);
+    if (line.size() + 2 > kHelpColumn) {  // Too wide: the help goes below.
+      text += line + "\n";
+      line.clear();
+    }
+    std::istringstream words(flag.help +
+                             (flag.sandbox_only ? " [sandbox-only]" : ""));
+    for (std::string word; words >> word;) {
+      if (line.size() > kHelpColumn &&
+          line.size() + 1 + word.size() > kUsageWidth) {
+        text += line + "\n";
+        line.clear();
+      }
+      // Pad to the help column, or separate from the previous word.
+      line.resize(std::max(line.size() + 1, kHelpColumn), ' ');
+      line += word;
+    }
+    text += line + "\n";
+  }
+  return text;
 }
 
 ParsedArgs parse_runner_args(const std::vector<std::string>& args) {
   ParsedArgs parsed;
   RunnerOptions& options = parsed.options;
-  // The first flag only a sandbox supervisor can honour (deadline, retry,
-  // rlimit, crash injection); --isolation thread rejects it.
-  std::string sandbox_flag;
-
-  for (std::size_t i = 0; i < args.size(); ++i) {
-    const std::string& arg = args[i];
-    if (sandbox_flag.empty() &&
-        (arg == "--timeout-ms" || arg == "--retries" ||
-         arg == "--backoff-ms" || arg == "--inject-hang" ||
-         arg == "--inject-crash" || arg == "--mem-limit-mb" ||
-         arg == "--cpu-limit-s")) {
-      sandbox_flag = arg;
-    }
-    // One lookahead for flags that take a value; sets `error` when the
-    // value is missing so every flag below can bail uniformly.
-    const auto value = [&]() -> const std::string* {
-      if (i + 1 >= args.size()) {
-        parsed.error = arg + " needs a value";
-        return nullptr;
-      }
-      return &args[++i];
-    };
-    const auto number = [&](std::uint64_t& out) {
-      const std::string* text = value();
-      if (text == nullptr) {
-        return;
-      }
-      if (!parse_u64(*text, out)) {
-        parsed.error = arg + ": '" + *text + "' is not a non-negative integer";
-      }
-    };
-
-    if (arg == "--suite") {
-      if (const std::string* v = value()) {
-        options.suite = *v;
-      }
-    } else if (arg == "--filter") {
-      if (const std::string* v = value()) {
-        options.filter = *v;
-      }
-    } else if (arg == "--jobs") {
-      std::uint64_t jobs = 0;
-      number(jobs);
-      options.jobs = static_cast<std::size_t>(jobs);
-    } else if (arg == "--out") {
-      if (const std::string* v = value()) {
-        options.out_path = *v;
-      }
-    } else if (arg == "--health-out") {
-      if (const std::string* v = value()) {
-        options.health_out_path = *v;
-      }
-    } else if (arg == "--journal") {
-      if (const std::string* v = value()) {
-        if (options.resume && options.journal_dir != *v) {
-          parsed.error = "--resume and --journal name different directories";
-        } else {
-          options.journal_dir = *v;
-        }
-      }
-    } else if (arg == "--resume") {
-      if (const std::string* v = value()) {
-        if (!options.journal_dir.empty() && options.journal_dir != *v) {
-          parsed.error = "--resume and --journal name different directories";
-        } else {
-          options.journal_dir = *v;
-          options.resume = true;
-        }
-      }
-    } else if (arg == "--timeout-ms") {
-      number(options.timeout_ms);
-      if (parsed.error.empty() && options.timeout_ms == 0) {
-        parsed.error = "--timeout-ms must be positive";
-      }
-    } else if (arg == "--retries") {
-      if (const std::string* v = value()) {
-        if (!parse_count(*v, options.retries)) {
-          parsed.error = arg + ": '" + *v + "' is not a non-negative integer";
-        }
-      }
-    } else if (arg == "--backoff-ms") {
-      number(options.backoff_ms);
-    } else if (arg == "--chaos") {
-      std::uint64_t storms = 0;
-      number(storms);
-      if (parsed.error.empty() && storms == 0) {
-        parsed.error = "--chaos needs at least one storm";
-      }
-      options.chaos_storms = static_cast<std::size_t>(storms);
-    } else if (arg == "--chaos-seed") {
-      number(options.chaos_seed);
-    } else if (arg == "--chaos-max-faults") {
-      std::uint64_t max_faults = 0;
-      number(max_faults);
-      if (parsed.error.empty() && max_faults == 0) {
-        parsed.error = "--chaos-max-faults must be positive";
-      }
-      options.chaos_max_faults = static_cast<std::size_t>(max_faults);
-    } else if (arg == "--shrink") {
-      options.shrink = true;
-    } else if (arg == "--replay") {
-      if (const std::string* v = value()) {
-        options.replay_path = *v;
-      }
-    } else if (arg == "--inject-hang") {
-      number(options.inject_hang_ms);
-      if (parsed.error.empty() && options.inject_hang_ms == 0) {
-        parsed.error = "--inject-hang must be positive";
-      }
-    } else if (arg == "--isolation") {
-      if (const std::string* v = value()) {
-        if (*v != "thread" && *v != "process") {
-          parsed.error = "--isolation: '" + *v +
-                         "' is not one of thread|process";
-        } else {
-          options.isolation = *v;
-        }
-      }
-    } else if (arg == "--mem-limit-mb") {
-      number(options.mem_limit_mb);
-      if (parsed.error.empty() && options.mem_limit_mb == 0) {
-        parsed.error = "--mem-limit-mb must be positive";
-      }
-    } else if (arg == "--cpu-limit-s") {
-      number(options.cpu_limit_s);
-      if (parsed.error.empty() && options.cpu_limit_s == 0) {
-        parsed.error = "--cpu-limit-s must be positive";
-      }
-    } else if (arg == "--inject-crash") {
-      if (const std::string* v = value()) {
-        const std::size_t at = v->find('@');
-        options.inject_crash_kind = v->substr(0, at);
-        options.inject_crash_match =
-            at == std::string::npos ? "" : v->substr(at + 1);
-        if (options.inject_crash_kind != "segv" &&
-            options.inject_crash_kind != "abort" &&
-            options.inject_crash_kind != "oom" &&
-            options.inject_crash_kind != "spin") {
-          parsed.error = "--inject-crash: '" + options.inject_crash_kind +
-                         "' is not one of segv|abort|oom|spin";
-        }
-      }
-    } else if (arg == "--list") {
-      options.list = true;
-    } else if (arg == "--help" || arg == "-h") {
-      options.help = true;
-    } else {
-      parsed.error = "unknown option '" + arg + "'";
-    }
-    if (!parsed.error.empty()) {
-      return parsed;
-    }
+  FlagTable flags = runner_flags(options);
+  parsed.error = flags.parse(args);
+  if (!parsed.ok() || options.help) {
+    return parsed;
   }
-
   if (options.resume && options.journal_dir.empty()) {
     parsed.error = "--resume needs a journal directory";
+  } else if (options.isolation == "thread") {
+    parsed.error = flags.thread_isolation_error();
   }
-  if (options.isolation == "thread" && !sandbox_flag.empty()) {
-    parsed.error = sandbox_flag + " requires --isolation process (thread "
-                   "mode runs scenarios in process, with no deadline, "
-                   "retry, rlimit or crash containment)";
-  }
-  if (!options.replay_path.empty() &&
+  if (parsed.ok() && !options.replay_path.empty() &&
       (options.chaos_storms > 0 || options.resume || options.list)) {
     parsed.error = "--replay runs one bundle and cannot combine with "
                    "--chaos/--resume/--list";
   }
   return parsed;
+}
+
+std::string runner_usage() {
+  RunnerOptions defaults;
+  return runner_flags(defaults).usage(
+      "usage: ddl_scenario_runner [--suite NAME | --replay FILE | --list] "
+      "[options]");
 }
 
 }  // namespace ddl::scenario

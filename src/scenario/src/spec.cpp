@@ -1,5 +1,6 @@
 #include "ddl/scenario/spec.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "ddl/cells/technology.h"
@@ -194,11 +195,14 @@ std::vector<std::string> validate(const ScenarioSpec& spec,
     errors.push_back(spec.name + ": " + message);
   };
 
-  if (!spec.debug_crash.empty() && spec.debug_crash != "segv" &&
-      spec.debug_crash != "abort" && spec.debug_crash != "oom" &&
-      spec.debug_crash != "spin") {
-    error("debug_crash '" + spec.debug_crash +
-          "' is not one of segv|abort|oom|spin");
+  if (!spec.debug_crash.empty() &&
+      std::find(kCrashKinds.begin(), kCrashKinds.end(), spec.debug_crash) ==
+          kCrashKinds.end()) {
+    std::string kinds;
+    for (const std::string& kind : kCrashKinds) {
+      kinds += (kinds.empty() ? "" : "|") + kind;
+    }
+    error("debug_crash '" + spec.debug_crash + "' is not one of " + kinds);
   }
 
   if (spec.faults.size() > kMaxSpecEntries ||

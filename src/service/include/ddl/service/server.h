@@ -98,12 +98,11 @@ struct ServiceConfig {
   /// frames accumulate is disconnected (its job continues as an orphan)
   /// instead of growing the buffer without bound.  0 means 32 MiB.
   std::size_t max_outbox_bytes = 0;
-  /// Per-poll-pass fairness budgets for one session: at most this many
-  /// frames handled (0 means 256) and bytes read (0 means 256 KiB) per
-  /// pass.  Over-budget sessions simply yield to the next pass -- a
-  /// flooding client cannot starve the rest of the event loop.
+  /// Per-poll-pass fairness budget for one session: at most this many
+  /// frames handled (0 means 256) and 256 KiB read per pass.  Over-budget
+  /// sessions simply yield to the next pass -- a flooding client cannot
+  /// starve the rest of the event loop.
   std::size_t max_frames_per_tick = 0;
-  std::size_t max_rx_bytes_per_tick = 0;
   /// Isolation mode and sandbox policy for every worker (shared with the
   /// CLI).
   scenario::IsolationConfig isolation;

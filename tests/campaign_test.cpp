@@ -786,6 +786,56 @@ TEST(CliTest, StrictNumericHelpers) {
   EXPECT_FALSE(ddl::scenario::parse_count("2147483648", n));
 }
 
+TEST(FlagTableTest, RowsRangeCheckAndNameTheFlagInEveryError) {
+  using namespace ddl::scenario;
+  std::uint32_t permille = 0;
+  int retries = 0;
+  int port = 0;
+  std::string mode;
+  bool help = false;
+  FlagTable flags({
+      help_flag(help),
+      number_flag("--permille", "N", "a rate", permille, 0, 1000),
+      sandbox_only(number_flag("--retries", "N", "a count", retries)),
+      sandbox_only(port_flag("--port", "a port", port)),
+      choice_flag("--mode", "M", "a mode", {"a", "b"},
+                  [&](const std::string& value) { mode = value; }),
+  });
+  EXPECT_EQ(flags.parse({"-h", "--permille", "1000", "--mode", "b"}), "");
+  EXPECT_TRUE(help);
+  EXPECT_EQ(permille, 1000u);
+  EXPECT_EQ(mode, "b");
+  EXPECT_EQ(flags.thread_isolation_error(), "");
+
+  // A destination narrower than 64 bits caps the maximum: nothing wraps.
+  // Each case parses a copy, so the sandbox-only memory starts empty.
+  for (const std::vector<std::string>& args :
+       {std::vector<std::string>{"--permille", "1001"},
+        {"--retries", "2147483648"},
+        {"--retries", "4294967297"},
+        {"--port", "65536"},
+        {"--port", "-1"},
+        {"--mode", "c"},
+        {"--port"}}) {
+    const std::string error = FlagTable(flags).parse(args);
+    EXPECT_EQ(error.substr(0, args[0].size()), args[0]) << error;
+  }
+  EXPECT_EQ(flags.parse({"--frobnicate"}), "unknown flag '--frobnicate'");
+
+  FlagTable sandboxed(flags);
+  ASSERT_EQ(sandboxed.parse({"--port", "65535", "--retries", "3"}), "");
+  EXPECT_EQ(port, 65535);
+  EXPECT_EQ(retries, 3);
+  EXPECT_EQ(sandboxed.thread_isolation_error().rfind(
+                "--port requires --isolation process", 0),
+            0u);
+  const std::string usage = sandboxed.usage("usage: tool");
+  EXPECT_EQ(usage.rfind("usage: tool\n", 0), 0u);
+  EXPECT_NE(usage.find("  --help, -h"), std::string::npos) << usage;
+  EXPECT_NE(usage.find("a port [sandbox-only]"), std::string::npos) << usage;
+  EXPECT_EQ(usage.find("a rate [sandbox-only]"), std::string::npos) << usage;
+}
+
 // ---- Golden content fingerprints -------------------------------------------
 //
 // content_fingerprint_of hashes the spec codec's bytes into server job ids

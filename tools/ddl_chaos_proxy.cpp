@@ -13,6 +13,7 @@
 // fault accounting.  Exit status: 0 on clean shutdown, 64 usage error,
 // 71 startup failure.
 #include <csignal>
+#include <cstdint>
 #include <iostream>
 #include <string>
 #include <vector>
@@ -31,32 +32,8 @@ struct ProxyOptions {
   bool ok() const { return error.empty(); }
 };
 
-std::string usage() {
-  return
-      "usage: ddl_chaos_proxy [options]\n"
-      "  --listen-port N     loopback listen port (default 0 = ephemeral)\n"
-      "  --upstream-port N   the real server's port (required)\n"
-      "  --upstream-host A   the real server's address (default 127.0.0.1)\n"
-      "  --seed N            fault-schedule seed (default 1)\n"
-      "  --profile NAME      fault mix: clean (forward only), light,\n"
-      "                      default, heavy (roughly 2x default rates)\n"
-      "  --reset N           per-chunk connection-reset permille\n"
-      "  --truncate N        per-chunk mid-frame truncation permille\n"
-      "  --fuzz N            per-chunk byte-fuzzing permille\n"
-      "  --duplicate N       per-chunk duplicated-write permille\n"
-      "  --trickle N         per-chunk slowloris-trickle permille\n"
-      "  --stall N           per-chunk stall permille\n"
-      "  --stall-ms N        stall duration (default 120)\n"
-      "  --chunk-bytes N     relay read size (default 2048); smaller\n"
-      "                      chunks mean more fault decision points\n"
-      "  --help              this text\n";
-}
-
 void apply_profile(service::ChaosProxyConfig& config,
-                   const std::string& name, std::string& error) {
-  if (name == "default") {
-    return;
-  }
+                   const std::string& name) {
   if (name == "clean") {
     config.p_reset_permille = 0;
     config.p_truncate_permille = 0;
@@ -65,104 +42,78 @@ void apply_profile(service::ChaosProxyConfig& config,
     config.p_trickle_permille = 0;
     config.p_stall_permille = 0;
     config.p_split_permille = 0;
-    return;
-  }
-  if (name == "light") {
+  } else if (name == "light") {
     config.p_reset_permille = 3;
     config.p_truncate_permille = 5;
     config.p_fuzz_permille = 6;
     config.p_duplicate_permille = 4;
     config.p_trickle_permille = 4;
     config.p_stall_permille = 4;
-    return;
-  }
-  if (name == "heavy") {
+  } else if (name == "heavy") {
     config.p_reset_permille = 16;
     config.p_truncate_permille = 24;
     config.p_fuzz_permille = 30;
     config.p_duplicate_permille = 20;
     config.p_trickle_permille = 20;
     config.p_stall_permille = 20;
-    return;
-  }
-  error = "--profile: unknown profile '" + name + "'";
+  }  // "default" keeps the config's own rates.
+}
+
+scenario::FlagTable proxy_flags(ProxyOptions& o) {
+  using namespace scenario;
+  service::ChaosProxyConfig& c = o.config;
+  const auto permille = [](const char* name, const char* help,
+                           std::uint32_t& out) {
+    return number_flag(name, "N", help, out, 0, 1000);
+  };
+  return FlagTable({
+      help_flag(o.help),
+      port_flag("--listen-port", "loopback listen port (default 0 = ephemeral)",
+                c.listen_port),
+      port_flag("--upstream-port", "the real server's port (required)",
+                c.upstream_port),
+      text_flag("--upstream-host", "A",
+                "the real server's address (default 127.0.0.1)",
+                c.upstream_host),
+      number_flag("--seed", "N", "fault-schedule seed (default 1)", c.seed),
+      choice_flag("--profile", "NAME",
+                  "fault mix: clean (forward only), light, default, heavy "
+                  "(roughly 2x default rates); a later rate flag overrides "
+                  "its rate",
+                  {"clean", "light", "default", "heavy"},
+                  [&c](const std::string& name) { apply_profile(c, name); }),
+      permille("--reset", "per-chunk connection-reset permille",
+               c.p_reset_permille),
+      permille("--truncate", "per-chunk mid-frame truncation permille",
+               c.p_truncate_permille),
+      permille("--fuzz", "per-chunk byte-fuzzing permille", c.p_fuzz_permille),
+      permille("--duplicate", "per-chunk duplicated-write permille",
+               c.p_duplicate_permille),
+      permille("--trickle", "per-chunk slowloris-trickle permille",
+               c.p_trickle_permille),
+      permille("--stall", "per-chunk stall permille", c.p_stall_permille),
+      number_flag("--stall-ms", "N", "stall duration (default 120)",
+                  c.stall_ms),
+      number_flag("--chunk-bytes", "N",
+                  "relay read size (default 2048); smaller chunks mean more "
+                  "fault decision points",
+                  c.chunk_bytes, 1),
+  });
 }
 
 ProxyOptions parse_args(const std::vector<std::string>& args) {
   ProxyOptions options;
-  auto value_of = [&](std::size_t& i, const char* flag) -> const std::string* {
-    if (i + 1 >= args.size()) {
-      options.error = std::string(flag) + " needs a value";
-      return nullptr;
-    }
-    return &args[++i];
-  };
-  auto u64_of = [&](std::size_t& i, const char* flag, std::uint64_t& out) {
-    const std::string* text = value_of(i, flag);
-    if (text != nullptr && !scenario::parse_u64(*text, out)) {
-      options.error = std::string(flag) + ": '" + *text +
-                      "' is not an unsigned integer";
-    }
-  };
-  auto permille_of = [&](std::size_t& i, const char* flag,
-                         std::uint32_t& out) {
-    std::uint64_t number = 0;
-    u64_of(i, flag, number);
-    if (options.ok() && number > 1000) {
-      options.error = std::string(flag) + ": " + std::to_string(number) +
-                      " exceeds 1000 permille";
-    }
-    out = static_cast<std::uint32_t>(number);
-  };
-  for (std::size_t i = 0; i < args.size() && options.ok(); ++i) {
-    const std::string& arg = args[i];
-    std::uint64_t number = 0;
-    if (arg == "--help" || arg == "-h") {
-      options.help = true;
-    } else if (arg == "--listen-port") {
-      u64_of(i, "--listen-port", number);
-      options.config.listen_port = static_cast<int>(number);
-    } else if (arg == "--upstream-port") {
-      u64_of(i, "--upstream-port", number);
-      options.config.upstream_port = static_cast<int>(number);
-    } else if (arg == "--upstream-host") {
-      if (const std::string* text = value_of(i, "--upstream-host")) {
-        options.config.upstream_host = *text;
-      }
-    } else if (arg == "--seed") {
-      u64_of(i, "--seed", options.config.seed);
-    } else if (arg == "--profile") {
-      if (const std::string* text = value_of(i, "--profile")) {
-        apply_profile(options.config, *text, options.error);
-      }
-    } else if (arg == "--reset") {
-      permille_of(i, "--reset", options.config.p_reset_permille);
-    } else if (arg == "--truncate") {
-      permille_of(i, "--truncate", options.config.p_truncate_permille);
-    } else if (arg == "--fuzz") {
-      permille_of(i, "--fuzz", options.config.p_fuzz_permille);
-    } else if (arg == "--duplicate") {
-      permille_of(i, "--duplicate", options.config.p_duplicate_permille);
-    } else if (arg == "--trickle") {
-      permille_of(i, "--trickle", options.config.p_trickle_permille);
-    } else if (arg == "--stall") {
-      permille_of(i, "--stall", options.config.p_stall_permille);
-    } else if (arg == "--stall-ms") {
-      u64_of(i, "--stall-ms", options.config.stall_ms);
-    } else if (arg == "--chunk-bytes") {
-      u64_of(i, "--chunk-bytes", number);
-      if (options.ok() && number == 0) {
-        options.error = "--chunk-bytes: must be positive";
-      }
-      options.config.chunk_bytes = static_cast<std::size_t>(number);
-    } else {
-      options.error = "unknown flag '" + arg + "'";
-    }
-  }
-  if (options.ok() && options.config.upstream_port == 0) {
+  options.error = proxy_flags(options).parse(args);
+  if (options.ok() && !options.help && options.config.upstream_port == 0) {
     options.error = "--upstream-port is required";
   }
   return options;
+}
+
+std::string usage() {
+  ProxyOptions defaults;
+  return proxy_flags(defaults).usage(
+      "usage: ddl_chaos_proxy --upstream-port N [options]");
 }
 
 volatile std::sig_atomic_t g_stop = 0;
@@ -173,13 +124,8 @@ void on_signal(int) { g_stop = 1; }
 
 int main(int argc, char** argv) {
   const ProxyOptions options = parse_args({argv + 1, argv + argc});
-  if (!options.ok()) {
-    std::cerr << "error: " << options.error << "\n" << usage();
-    return 64;
-  }
-  if (options.help) {
-    std::cout << usage();
-    return 0;
+  if (!options.ok() || options.help) {
+    return scenario::usage_exit(options.error, usage());
   }
 
   service::ChaosProxy proxy(options.config);

@@ -20,6 +20,8 @@
 // at 125), 64 usage error, 66 file error, 69 service unavailable
 // (attempts exhausted), 70 job cancelled, and for --replay 0 when the
 // expected verdict reproduced / 1 when it did not.
+#include <algorithm>
+#include <cstdint>
 #include <iostream>
 #include <string>
 #include <vector>
@@ -51,39 +53,52 @@ struct ClientOptions {
   bool ok() const { return error.empty(); }
 };
 
-std::string usage() {
-  return
-      "usage: ddl_scenario_client [options]\n"
-      "  --port N          server TCP port (loopback)\n"
-      "  --host ADDR       server address (default 127.0.0.1)\n"
-      "  --unix PATH       connect over a Unix-domain socket instead\n"
-      "  --name NAME       client identity (default 'client'; part of the\n"
-      "                    job id, so reconnects resume the same job)\n"
-      "  --job TAG         job tag (default 'job')\n"
-      "  --suite NAME      registry suite to run (default 'smoke')\n"
-      "  --filter SUBSTR   keep only scenarios whose name contains this\n"
-      "  --replay FILE     run a chaos replay bundle instead of a suite;\n"
-      "                    exit 0 iff the expected verdict reproduces\n"
-      "  --cancel          cancel the job tagged --job instead of running\n"
-      "  --out FILE        write the result JSONL here (default stdout)\n"
-      "  --health-out FILE write the health-event JSONL here\n"
-      "  --heartbeat-ms N  ping cadence while waiting (default 1000;\n"
-      "                    keep well under the server's\n"
-      "                    --dead-peer-timeout-ms; 0 disables)\n"
-      "  --recv-timeout-ms N\n"
-      "                    give up after N ms of total server silence\n"
-      "                    (default 30000, 0 waits forever)\n"
-      "  --retry-ms N      initial reconnect backoff, doubling per failure\n"
-      "                    (default 25, capped at 1000)\n"
-      "  --attempts N      transport failures tolerated before exit 69\n"
-      "                    (default 150)\n"
-      "  --inject-crash KIND[@SUBSTR]\n"
-      "                    test hook: submit the suite with the selected\n"
-      "                    scenarios marked to crash inside the server's\n"
-      "                    sandbox worker.  KIND is segv|abort|oom|spin;\n"
-      "                    @SUBSTR selects every scenario whose name\n"
-      "                    contains SUBSTR (default: the first scenario)\n"
-      "  --help            this text\n";
+scenario::FlagTable client_flags(ClientOptions& o) {
+  using namespace scenario;
+  service::ClientConfig& base = o.config.base;
+  return FlagTable({
+      help_flag(o.help),
+      port_flag("--port", "server TCP port (loopback)", base.tcp_port),
+      text_flag("--host", "ADDR", "server address (default 127.0.0.1)",
+                base.host),
+      text_flag("--unix", "PATH", "connect over a Unix-domain socket instead",
+                base.unix_path),
+      text_flag("--name", "NAME",
+                "client identity (default 'client'; part of the job id, so "
+                "reconnects resume the same job)",
+                base.name),
+      text_flag("--job", "TAG", "job tag (default 'job')", o.job_tag),
+      text_flag("--suite", "NAME", "registry suite to run (default 'smoke')",
+                o.suite),
+      text_flag("--filter", "SUBSTR",
+                "keep only scenarios whose name contains this", o.filter),
+      text_flag("--replay", "FILE",
+                "run a chaos replay bundle instead of a suite; exit 0 iff the "
+                "expected verdict reproduces",
+                o.replay_path),
+      switch_flag("--cancel", "cancel the job tagged --job instead of running",
+                  o.cancel),
+      text_flag("--out", "FILE", "write the result JSONL here (default stdout)",
+                o.out_path),
+      text_flag("--health-out", "FILE", "write the health-event JSONL here",
+                o.health_out_path),
+      number_flag("--heartbeat-ms", "N",
+                  "ping cadence while waiting (default 1000; keep well under "
+                  "the server's --dead-peer-timeout-ms; 0 disables)",
+                  base.heartbeat_ms),
+      number_flag("--recv-timeout-ms", "N",
+                  "give up after N ms of total server silence (default "
+                  "30000, 0 waits forever)",
+                  base.recv_timeout_ms),
+      number_flag("--retry-ms", "N",
+                  "initial reconnect backoff, doubling per failure (default "
+                  "25, capped at 1000; 0 means 1)",
+                  o.config.initial_backoff_ms),
+      number_flag("--attempts", "N",
+                  "transport failures tolerated before exit 69 (default 150)",
+                  o.config.max_attempts, 1),
+      inject_crash_flag(o.inject_crash_kind, o.inject_crash_match),
+  });
 }
 
 ClientOptions parse_args(const std::vector<std::string>& args) {
@@ -93,109 +108,25 @@ ClientOptions parse_args(const std::vector<std::string>& args) {
   options.config.base.heartbeat_ms = 1000;
   options.config.base.recv_timeout_ms = 30'000;
   options.config.max_attempts = 150;
-  auto value_of = [&](std::size_t& i, const char* flag) -> const std::string* {
-    if (i + 1 >= args.size()) {
-      options.error = std::string(flag) + " needs a value";
-      return nullptr;
-    }
-    return &args[++i];
-  };
-  auto u64_of = [&](std::size_t& i, const char* flag, std::uint64_t& out) {
-    const std::string* text = value_of(i, flag);
-    if (text != nullptr && !scenario::parse_u64(*text, out)) {
-      options.error = std::string(flag) + ": bad value '" + *text + "'";
-    }
-  };
-  for (std::size_t i = 0; i < args.size() && options.ok(); ++i) {
-    const std::string& arg = args[i];
-    std::uint64_t number = 0;
-    if (arg == "--help" || arg == "-h") {
-      options.help = true;
-    } else if (arg == "--port") {
-      u64_of(i, "--port", number);
-      if (options.ok() && number > 65535) {
-        options.error = "--port: " + std::to_string(number) + " out of range";
-      }
-      options.config.base.tcp_port = static_cast<int>(number);
-    } else if (arg == "--host") {
-      if (const std::string* text = value_of(i, "--host")) {
-        options.config.base.host = *text;
-      }
-    } else if (arg == "--unix") {
-      if (const std::string* text = value_of(i, "--unix")) {
-        options.config.base.unix_path = *text;
-      }
-    } else if (arg == "--name") {
-      if (const std::string* text = value_of(i, "--name")) {
-        options.config.base.name = *text;
-      }
-    } else if (arg == "--job") {
-      if (const std::string* text = value_of(i, "--job")) {
-        options.job_tag = *text;
-      }
-    } else if (arg == "--suite") {
-      if (const std::string* text = value_of(i, "--suite")) {
-        options.suite = *text;
-      }
-    } else if (arg == "--filter") {
-      if (const std::string* text = value_of(i, "--filter")) {
-        options.filter = *text;
-      }
-    } else if (arg == "--replay") {
-      if (const std::string* text = value_of(i, "--replay")) {
-        options.replay_path = *text;
-      }
-    } else if (arg == "--inject-crash") {
-      if (const std::string* text = value_of(i, "--inject-crash")) {
-        const std::size_t at = text->find('@');
-        options.inject_crash_kind = text->substr(0, at);
-        options.inject_crash_match =
-            at == std::string::npos ? "" : text->substr(at + 1);
-        if (options.inject_crash_kind != "segv" &&
-            options.inject_crash_kind != "abort" &&
-            options.inject_crash_kind != "oom" &&
-            options.inject_crash_kind != "spin") {
-          options.error = "--inject-crash: '" + options.inject_crash_kind +
-                          "' is not one of segv|abort|oom|spin";
-        }
-      }
-    } else if (arg == "--cancel") {
-      options.cancel = true;
-    } else if (arg == "--out") {
-      if (const std::string* text = value_of(i, "--out")) {
-        options.out_path = *text;
-      }
-    } else if (arg == "--health-out") {
-      if (const std::string* text = value_of(i, "--health-out")) {
-        options.health_out_path = *text;
-      }
-    } else if (arg == "--heartbeat-ms") {
-      u64_of(i, "--heartbeat-ms", options.config.base.heartbeat_ms);
-    } else if (arg == "--recv-timeout-ms") {
-      u64_of(i, "--recv-timeout-ms", options.config.base.recv_timeout_ms);
-    } else if (arg == "--retry-ms") {
-      u64_of(i, "--retry-ms", options.config.initial_backoff_ms);
-      if (options.ok() && options.config.initial_backoff_ms == 0) {
-        options.config.initial_backoff_ms = 1;
-      }
-    } else if (arg == "--attempts") {
-      u64_of(i, "--attempts", number);
-      if (options.ok() && number == 0) {
-        options.error = "--attempts: must be positive";
-      }
-      options.config.max_attempts = static_cast<std::size_t>(number);
-    } else {
-      options.error = "unknown flag '" + arg + "'";
-    }
+  options.error = client_flags(options).parse(args);
+  if (!options.ok() || options.help) {
+    return options;
   }
-  if (options.ok() && options.config.base.unix_path.empty() &&
+  options.config.initial_backoff_ms =
+      std::max<std::uint64_t>(options.config.initial_backoff_ms, 1);
+  if (options.config.base.unix_path.empty() &&
       options.config.base.tcp_port == 0) {
     options.error = "need --port or --unix to reach a server";
-  }
-  if (options.ok() && options.cancel && !options.replay_path.empty()) {
+  } else if (options.cancel && !options.replay_path.empty()) {
     options.error = "--cancel and --replay are mutually exclusive";
   }
   return options;
+}
+
+std::string usage() {
+  ClientOptions defaults;
+  return client_flags(defaults).usage(
+      "usage: ddl_scenario_client (--port N | --unix PATH) [options]");
 }
 
 /// --cancel: connect, request the teardown, wait for the terminal frame.
@@ -248,13 +179,8 @@ int run_cancel(const ClientOptions& options) {
 
 int main(int argc, char** argv) {
   const ClientOptions options = parse_args({argv + 1, argv + argc});
-  if (!options.ok()) {
-    std::cerr << "error: " << options.error << "\n" << usage();
-    return 64;
-  }
-  if (options.help) {
-    std::cout << usage();
-    return 0;
+  if (!options.ok() || options.help) {
+    return scenario::usage_exit(options.error, usage());
   }
   if (options.cancel) {
     return run_cancel(options);
@@ -290,15 +216,8 @@ int main(int argc, char** argv) {
                 << "' expands to no scenarios\n";
       return 64;
     }
-    if (options.inject_crash_match.empty()) {
-      specs.front().debug_crash = options.inject_crash_kind;
-    } else {
-      for (auto& spec : specs) {
-        if (spec.name.find(options.inject_crash_match) != std::string::npos) {
-          spec.debug_crash = options.inject_crash_kind;
-        }
-      }
-    }
+    scenario::mark_crash_targets(specs, options.inject_crash_kind,
+                                 options.inject_crash_match);
     outcome = client.run_specs(options.job_tag, specs);
   } else {
     outcome = client.run_suite(options.job_tag, options.suite, options.filter);

@@ -146,15 +146,9 @@ std::vector<std::string> shrink_failures(
 int main(int argc, char** argv) {
   const scenario::ParsedArgs parsed =
       scenario::parse_runner_args({argv + 1, argv + argc});
-  if (!parsed.ok()) {
-    std::cerr << "error: " << parsed.error << "\n";
-    std::cerr << scenario::runner_usage();
-    return 64;
-  }
   const scenario::RunnerOptions& options = parsed.options;
-  if (options.help) {
-    std::cout << scenario::runner_usage();
-    return 0;
+  if (!parsed.ok() || options.help) {
+    return scenario::usage_exit(parsed.error, scenario::runner_usage());
   }
   if (options.list) {
     list_suites(std::cout);
@@ -198,20 +192,11 @@ int main(int argc, char** argv) {
     specs.front().debug_hang_ms = options.inject_hang_ms;
     specs.front().debug_hang_attempts = INT_MAX;
   }
-  if (!options.inject_crash_kind.empty()) {
-    // Test hook: crash the selected scenarios inside their sandbox worker.
-    // The supervisor classifies the death (kCrash / kResourceLimit),
-    // respawns the worker and the rest of the batch completes normally.
-    if (options.inject_crash_match.empty()) {
-      specs.front().debug_crash = options.inject_crash_kind;
-    } else {
-      for (auto& spec : specs) {
-        if (spec.name.find(options.inject_crash_match) != std::string::npos) {
-          spec.debug_crash = options.inject_crash_kind;
-        }
-      }
-    }
-  }
+  // Test hook: crash the selected scenarios inside their sandbox worker.
+  // The supervisor classifies the death (kCrash / kResourceLimit), respawns
+  // the worker and the rest of the batch completes normally.
+  scenario::mark_crash_targets(specs, options.inject_crash_kind,
+                               options.inject_crash_match);
 
   scenario::CampaignConfig config;
   config.journal_dir = options.journal_dir;

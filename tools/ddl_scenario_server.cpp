@@ -14,7 +14,9 @@
 // flush, sessions close; queued work stays pending for the next start.
 // Exit status: 0 on clean shutdown, 64 usage error, 71 startup failure.
 #include <csignal>
+#include <cstdint>
 #include <iostream>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -32,39 +34,82 @@ struct ServerOptions {
   bool ok() const { return error.empty(); }
 };
 
-std::string usage() {
-  return
-      "usage: ddl_scenario_server [options]\n"
-      "  --port N           loopback TCP port (default 0 = ephemeral)\n"
-      "  --no-tcp           disable the TCP listener\n"
-      "  --unix PATH        also listen on a Unix-domain socket\n"
-      "  --state-dir DIR    journal every job under DIR (resume on restart)\n"
-      "  --workers N        scenario worker threads (default 2)\n"
-      "  --max-inflight N   per-client in-flight scenario quota (default 4)\n"
-      "  --max-jobs N       per-client pending-job quota (default 4)\n"
-      "  --heartbeat-ms N   idle heartbeat interval (default 1000)\n"
-      "  --dead-peer-timeout-ms N\n"
-      "                     close a session silent for N ms (default 30000,\n"
-      "                     0 disables).  Must exceed the client's\n"
-      "                     --heartbeat-ms ping cadence by a healthy margin\n"
-      "  --partial-frame-timeout-ms N\n"
-      "                     close a session stuck mid-frame for N ms -- the\n"
-      "                     slowloris defense (default 10000, 0 disables)\n"
-      "  --max-outbox-mb N  per-session outbox cap before disconnect\n"
-      "                     (default 32; the job continues as an orphan)\n"
-      "  --timeout-ms N     sandbox deadline per attempt (0 = per-spec)\n"
-      "  --retries N        extra attempts for timed-out or lost scenarios\n"
-      "  --isolation MODE   where scenarios run: 'process' (default; fork()ed\n"
-      "                     sandbox workers -- a crashing scenario becomes\n"
-      "                     a structured error row and the daemon survives)\n"
-      "                     or 'thread' (in process, with no deadline, retry\n"
-      "                     or containment: rejects --timeout-ms, --retries\n"
-      "                     and both limits)\n"
-      "  --mem-limit-mb N   RLIMIT_AS cap per sandbox worker, in MiB\n"
-      "                     (0 = unlimited)\n"
-      "  --cpu-limit-s N    RLIMIT_CPU cap per sandbox worker, in seconds\n"
-      "                     (0 = unlimited)\n"
-      "  --help             this text\n";
+scenario::FlagTable server_flags(ServerOptions& o) {
+  using namespace scenario;
+  service::ServiceConfig& c = o.config;
+  IsolationConfig& sandbox = c.isolation;
+  return FlagTable({
+      help_flag(o.help),
+      port_flag("--port", "loopback TCP port (default 0 = ephemeral)",
+                c.tcp_port),
+      custom_flag("--no-tcp", "", "disable the TCP listener",
+                  [&c](const std::string&) {
+                    c.enable_tcp = false;
+                    return std::string();
+                  }),
+      text_flag("--unix", "PATH", "also listen on a Unix-domain socket",
+                c.unix_path),
+      text_flag("--state-dir", "DIR",
+                "journal every job under DIR (resume on restart)",
+                c.state_dir),
+      number_flag("--workers", "N", "scenario worker threads (default 2)",
+                  c.workers),
+      number_flag("--max-inflight", "N",
+                  "per-client in-flight scenario quota (default 4)",
+                  c.max_inflight_per_client),
+      number_flag("--max-jobs", "N", "per-client pending-job quota (default 4)",
+                  c.max_pending_jobs_per_client),
+      number_flag("--heartbeat-ms", "N",
+                  "idle heartbeat interval (default 1000)", c.heartbeat_ms),
+      number_flag("--dead-peer-timeout-ms", "N",
+                  "close a session silent for N ms (default 30000, 0 "
+                  "disables).  Must exceed the client's --heartbeat-ms ping "
+                  "cadence by a healthy margin",
+                  c.dead_peer_timeout_ms),
+      number_flag("--partial-frame-timeout-ms", "N",
+                  "close a session stuck mid-frame for N ms -- the slowloris "
+                  "defense (default 10000, 0 disables)",
+                  c.partial_frame_timeout_ms),
+      custom_flag("--max-outbox-mb", "N",
+                  "per-session outbox cap before disconnect (default 32; the "
+                  "job continues as an orphan)",
+                  [&c](const std::string& text) {
+                    // N MiB must fit a size_t, or the cap wraps.
+                    std::uint64_t mb = 0;
+                    std::string problem = read_number(
+                        text, 0, std::numeric_limits<std::size_t>::max() >> 20,
+                        mb);
+                    if (problem.empty()) {
+                      c.max_outbox_bytes = static_cast<std::size_t>(mb) << 20;
+                    }
+                    return problem;
+                  }),
+      sandbox_only(number_flag("--timeout-ms", "N",
+                               "sandbox deadline per attempt (0 = per-spec)",
+                               sandbox.timeout_ms)),
+      sandbox_only(number_flag("--retries", "N",
+                               "extra attempts for timed-out or lost scenarios",
+                               sandbox.max_retries)),
+      choice_flag("--isolation", "MODE",
+                  "where scenarios run: 'process' (default; fork()ed sandbox "
+                  "workers -- a crashing scenario becomes a structured error "
+                  "row and the daemon survives) or 'thread' (in process, with "
+                  "no deadline, retry or containment: every [sandbox-only] "
+                  "flag is rejected)",
+                  {"thread", "process"},
+                  [&sandbox](const std::string& mode) {
+                    sandbox.mode = mode == "thread" ? IsolationMode::kThread
+                                                    : IsolationMode::kProcess;
+                  }),
+      sandbox_only(number_flag(
+          "--mem-limit-mb", "N",
+          "RLIMIT_AS cap per sandbox worker, in MiB (0 = unlimited)",
+          sandbox.limits.mem_limit_mb)),
+      sandbox_only(number_flag(
+          "--cpu-limit-s", "N",
+          "RLIMIT_CPU cap per sandbox worker, in seconds (0 = unlimited)",
+          sandbox.limits.cpu_limit_s)),
+  });
 }
 
 ServerOptions parse_args(const std::vector<std::string>& args) {
@@ -74,108 +119,24 @@ ServerOptions parse_args(const std::vector<std::string>& args) {
   // a long-running daemon wants dead-peer and slowloris defenses on.
   options.config.dead_peer_timeout_ms = 30'000;
   options.config.partial_frame_timeout_ms = 10'000;
-  auto value_of = [&](std::size_t& i, const char* flag) -> const std::string* {
-    if (i + 1 >= args.size()) {
-      options.error = std::string(flag) + " needs a value";
-      return nullptr;
-    }
-    return &args[++i];
-  };
-  auto u64_of = [&](std::size_t& i, const char* flag, std::uint64_t& out) {
-    const std::string* text = value_of(i, flag);
-    if (text != nullptr && !scenario::parse_u64(*text, out)) {
-      options.error = std::string(flag) + ": '" + *text +
-                      "' is not an unsigned integer";
-    }
-  };
-  // The first flag only a sandbox supervisor can honour; --isolation
-  // thread rejects it.
-  std::string sandbox_flag;
-  for (std::size_t i = 0; i < args.size() && options.ok(); ++i) {
-    const std::string& arg = args[i];
-    std::uint64_t number = 0;
-    if (sandbox_flag.empty() &&
-        (arg == "--timeout-ms" || arg == "--retries" ||
-         arg == "--mem-limit-mb" || arg == "--cpu-limit-s")) {
-      sandbox_flag = arg;
-    }
-    if (arg == "--help" || arg == "-h") {
-      options.help = true;
-    } else if (arg == "--port") {
-      u64_of(i, "--port", number);
-      if (options.ok() && number > 65535) {
-        options.error = "--port: " + std::to_string(number) + " out of range";
-      }
-      options.config.tcp_port = static_cast<int>(number);
-    } else if (arg == "--no-tcp") {
-      options.config.enable_tcp = false;
-    } else if (arg == "--unix") {
-      if (const std::string* text = value_of(i, "--unix")) {
-        options.config.unix_path = *text;
-      }
-    } else if (arg == "--state-dir") {
-      if (const std::string* text = value_of(i, "--state-dir")) {
-        options.config.state_dir = *text;
-      }
-    } else if (arg == "--workers") {
-      u64_of(i, "--workers", number);
-      options.config.workers = static_cast<std::size_t>(number);
-    } else if (arg == "--max-inflight") {
-      u64_of(i, "--max-inflight", number);
-      options.config.max_inflight_per_client =
-          static_cast<std::size_t>(number);
-    } else if (arg == "--max-jobs") {
-      u64_of(i, "--max-jobs", number);
-      options.config.max_pending_jobs_per_client =
-          static_cast<std::size_t>(number);
-    } else if (arg == "--heartbeat-ms") {
-      u64_of(i, "--heartbeat-ms", options.config.heartbeat_ms);
-    } else if (arg == "--dead-peer-timeout-ms") {
-      u64_of(i, "--dead-peer-timeout-ms",
-             options.config.dead_peer_timeout_ms);
-    } else if (arg == "--partial-frame-timeout-ms") {
-      u64_of(i, "--partial-frame-timeout-ms",
-             options.config.partial_frame_timeout_ms);
-    } else if (arg == "--max-outbox-mb") {
-      u64_of(i, "--max-outbox-mb", number);
-      options.config.max_outbox_bytes =
-          static_cast<std::size_t>(number) << 20;
-    } else if (arg == "--timeout-ms") {
-      u64_of(i, "--timeout-ms", options.config.isolation.timeout_ms);
-    } else if (arg == "--retries") {
-      u64_of(i, "--retries", number);
-      options.config.isolation.max_retries = static_cast<int>(number);
-    } else if (arg == "--isolation") {
-      if (const std::string* text = value_of(i, "--isolation")) {
-        if (*text == "thread") {
-          options.config.isolation.mode = scenario::IsolationMode::kThread;
-        } else if (*text == "process") {
-          options.config.isolation.mode = scenario::IsolationMode::kProcess;
-        } else {
-          options.error =
-              "--isolation: '" + *text + "' is not one of thread|process";
-        }
-      }
-    } else if (arg == "--mem-limit-mb") {
-      u64_of(i, "--mem-limit-mb", options.config.isolation.limits.mem_limit_mb);
-    } else if (arg == "--cpu-limit-s") {
-      u64_of(i, "--cpu-limit-s", options.config.isolation.limits.cpu_limit_s);
-    } else {
-      options.error = "unknown flag '" + arg + "'";
-    }
+  scenario::FlagTable flags = server_flags(options);
+  options.error = flags.parse(args);
+  if (!options.ok() || options.help) {
+    return options;
   }
-  if (options.ok() && !options.config.enable_tcp &&
-      options.config.unix_path.empty()) {
+  if (!options.config.enable_tcp && options.config.unix_path.empty()) {
     options.error = "--no-tcp without --unix leaves nothing to listen on";
-  }
-  if (options.ok() &&
-      options.config.isolation.mode == scenario::IsolationMode::kThread &&
-      !sandbox_flag.empty()) {
-    options.error = sandbox_flag + " requires --isolation process (thread "
-                    "mode runs scenarios in process, with no deadline, "
-                    "retry, rlimit or crash containment)";
+  } else if (options.config.isolation.mode ==
+             scenario::IsolationMode::kThread) {
+    options.error = flags.thread_isolation_error();
   }
   return options;
+}
+
+std::string usage() {
+  ServerOptions defaults;
+  return server_flags(defaults).usage(
+      "usage: ddl_scenario_server [--port N] [--unix PATH] [options]");
 }
 
 // The signal handler may only touch async-signal-safe state;
@@ -192,13 +153,8 @@ void on_signal(int) {
 
 int main(int argc, char** argv) {
   const ServerOptions options = parse_args({argv + 1, argv + argc});
-  if (!options.ok()) {
-    std::cerr << "error: " << options.error << "\n" << usage();
-    return 64;
-  }
-  if (options.help) {
-    std::cout << usage();
-    return 0;
+  if (!options.ok() || options.help) {
+    return scenario::usage_exit(options.error, usage());
   }
 
   service::ScenarioServer server(options.config);
