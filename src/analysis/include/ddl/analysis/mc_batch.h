@@ -6,9 +6,10 @@
 // at once: per-cell mismatch is sampled with the counter-based generator
 // (cells/batch_mismatch.h) into structure-of-arrays delay lanes (die =
 // lane, cell-major layout), tap delays come from SIMD-friendly vectorized
-// prefix sums over the lanes, and the controller's lock walk plus the
-// Eq-18 mapper's INL evaluation are replayed in closed form per lane --
-// one schedule amortized across the batch.
+// prefix sums over the lanes, the controller's lock walk is replayed in
+// closed form per lane, and the Eq-18 mapper's INL is scanned once per
+// distinct lock tap with the lanes side by side -- one schedule amortized
+// across the batch.
 //
 // Determinism and equivalence contract (tested die-by-die):
 //   * every die's result is a pure function of (base_seed, die index) --

@@ -138,7 +138,7 @@ double die_inl_scalar_impl(const McBatchSpec& spec, std::uint64_t die_seed,
   }
   const core::DutyMapper mapper(n);
   // Endpoint-fit INL over all duty codes, the same explicit-fma arithmetic
-  // the batch kernel's run scan evaluates at run endpoints.
+  // the batch kernel's per-lock-tap scan evaluates for its lanes.
   const double cfront = line.tap_delay_ps(mapper.map(0, tap_sel), spec.op);
   const double clast = line.tap_delay_ps(mapper.map(n - 1, tap_sel), spec.op);
   const double lsb = (clast - cfront) / static_cast<double>(n - 1);

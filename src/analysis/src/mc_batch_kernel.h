@@ -1,14 +1,17 @@
 // Internal interface between the batched Monte-Carlo driver (mc_batch.cpp)
-// and the block kernels (mc_batch_kernel_base.cpp / mc_batch_kernel_avx2.cpp).
+// and the block kernels: one body (mc_batch_kernel_body.inc) compiled by
+// three TUs -- mc_batch_kernel_base.cpp, mc_batch_kernel_avx2.cpp and
+// mc_batch_kernel_avx512.cpp.
 //
 // The kernels live in their own translation units for two reasons:
-//   * the AVX2 variant is compiled with -mavx2 -mfma and must not leak
-//     those ISA requirements into code that runs before dispatch;
+//   * the AVX2 and AVX-512 variants are compiled with ISA flags (-mavx2
+//     -mfma; -mavx512f -mavx512dq -mavx512vl) that must not leak into
+//     code that runs before dispatch;
 //   * GCC only auto-vectorizes the inverse-CDF loop when the kernel is
 //     isolated from the (branchy) driver code -- in a mixed TU the IPA
 //     pass reports "control flow in loop" and falls back to scalar.
-// Both TUs are compiled with -ffp-contract=off and evaluate the exact
-// fma-based arithmetic of cells/batch_mismatch.h, so base, AVX2 and the
+// All three TUs are compiled with -ffp-contract=off and evaluate the exact
+// fma-based arithmetic of cells/batch_mismatch.h, so every variant and the
 // scalar reference path produce bit-identical doubles.
 #pragma once
 
@@ -56,13 +59,15 @@ struct BatchWorkspace {
   std::vector<double> unit;        ///< Uniform draws.
   std::vector<double> cell;        ///< Per-cell typical delays, ps.
   std::vector<double> prefix;      ///< Per-tap cumulative delays, ps.
-  std::vector<std::int32_t> tails; ///< Compacted tail-draw element indices.
+  std::vector<std::uint8_t> tail;  ///< 1 where the draw is a tail draw.
+  std::vector<std::int32_t> tails; ///< Tail-draw element indices, ascending.
 
   void resize(std::size_t num_cells) {
     const std::size_t total = num_cells * kBatchLanes;
     unit.resize(total);
     cell.resize(total);
     prefix.resize(total);
+    tail.resize(total);
     tails.resize(total);
   }
 };

@@ -10,10 +10,14 @@
 // (DDL_MC_EQUIV_ARTIFACT below).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
+#include <functional>
+#include <optional>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -85,6 +89,110 @@ void expect_matches_scalar(const McBatchSpec& spec, std::size_t trials,
         << base_seed << ", threads " << threads << "): batched " << batched[i]
         << " scalar " << scalar;
   }
+}
+
+/// Runs `body` once per kernel variant the build compiled and the CPU
+/// supports: DDL_MC_BATCH_KERNEL capped to "base", then to "avx2", then
+/// unset (the dispatched variant).  A cap the build or CPU cannot honour
+/// selects a variant that already ran and is skipped.  The caller's
+/// DDL_MC_BATCH_KERNEL is restored after.
+void for_each_kernel(const std::function<void()>& body) {
+  const char* prior = std::getenv("DDL_MC_BATCH_KERNEL");
+  const std::string saved = prior != nullptr ? prior : "";
+  std::vector<std::string> ran;
+  for (const char* cap : {"base", "avx2", ""}) {
+    if (*cap != '\0') {
+      ASSERT_EQ(setenv("DDL_MC_BATCH_KERNEL", cap, 1), 0);
+    } else {
+      ASSERT_EQ(unsetenv("DDL_MC_BATCH_KERNEL"), 0);
+    }
+    const std::string name = mc_batch_kernel_name();
+    if (std::find(ran.begin(), ran.end(), name) != ran.end()) {
+      continue;
+    }
+    ran.push_back(name);
+    SCOPED_TRACE("kernel " + name);
+    body();
+  }
+  if (prior != nullptr) {
+    ASSERT_EQ(setenv("DDL_MC_BATCH_KERNEL", saved.c_str(), 1), 0);
+  } else {
+    ASSERT_EQ(unsetenv("DDL_MC_BATCH_KERNEL"), 0);
+  }
+  EXPECT_EQ(ran.front(), "base");
+}
+
+/// Die `trial`'s lock tap through the real line and controller, faults
+/// injected as the scalar reference injects them; nullopt when the
+/// controller reports kAtLimit.
+std::optional<std::size_t> scalar_lock_tap(const McBatchSpec& spec,
+                                           std::size_t trial,
+                                           std::uint64_t seed) {
+  const std::size_t n = spec.line.num_cells;
+  std::vector<double> cell_ps(n);
+  cells::batch_sample_cell_delays(seed, n, spec.line.nominal_cell_ps,
+                                  spec.line.sigma_cell, cell_ps.data());
+  core::ProposedDelayLine line({n, spec.line.buffers_per_cell},
+                               std::move(cell_ps), spec.line.nominal_cell_ps);
+  for (const BatchFault& fault : spec.faults) {
+    if (fault.trial == trial) {
+      line.inject_cell_fault(fault.cell, fault.severity);
+    }
+  }
+  core::ProposedController controller(line, spec.clock_period_ps);
+  if (!controller.run_to_lock(spec.op).has_value()) {
+    return std::nullopt;
+  }
+  return controller.tap_sel();
+}
+
+/// A wide-mismatch fig50 line (sigma_cell 0.15, ~10x the technology's)
+/// whose first block mixes every kind of lane: three distinct lock taps,
+/// a kAtLimit lane (die 1: cell 0 alone crosses T/2), a tap-0 lane (die 2:
+/// cell 1 crosses) and a scalar-fallback lane (die 3: the crossing tap
+/// wraps past the period).
+McBatchSpec mixed_tap_spec() {
+  auto spec = fig50_spec();
+  spec.line.sigma_cell = 0.15;
+  spec.faults.push_back({/*trial=*/1, /*cell=*/0, /*severity=*/45.0});
+  spec.faults.push_back({/*trial=*/2, /*cell=*/1, /*severity=*/45.0});
+  spec.faults.push_back({/*trial=*/3, /*cell=*/5, /*severity=*/70.0});
+  return spec;
+}
+
+/// A 4-cell line: a block's 32 tail flags fill half a 64-bit mask word.
+/// The period puts T/2 near tap 2, so dies lock at tap 1 or 2.
+McBatchSpec short_line_spec() {
+  McBatchSpec spec;
+  spec.line = BatchLineSpec::from_technology(tech(), {4, 2});
+  spec.line.sigma_cell = 0.15;
+  spec.clock_period_ps =
+      5.0 * spec.line.nominal_cell_ps * cells::delay_derating(spec.op);
+  return spec;
+}
+
+/// Pass fraction of a batched yield run against the per-die scalar twin.
+void expect_yield_matches_scalar(const BatchYieldSpec& spec,
+                                 std::size_t trials, std::uint64_t base_seed,
+                                 std::size_t threads) {
+  const double batched =
+      monte_carlo_yield_batched(spec, trials, base_seed, threads);
+  std::size_t passes = 0;
+  for (std::size_t i = 0; i < trials; ++i) {
+    passes +=
+        batch_die_covers_period_scalar(spec, die_seed(base_seed, i)) ? 1 : 0;
+  }
+  EXPECT_DOUBLE_EQ(batched, static_cast<double>(passes) /
+                                static_cast<double>(trials));
+}
+
+/// 128 cells at 100 MHz sits on the yield knee (~50 %), so both branches
+/// of the pass predicate are exercised.
+BatchYieldSpec yield_knee_spec() {
+  BatchYieldSpec spec;
+  spec.line = BatchLineSpec::from_technology(tech(), {128, 2});
+  spec.clock_period_ps = 10'000.0;
+  return spec;
 }
 
 // ---- Bit-identity with the scalar reference -------------------------------
@@ -257,37 +365,72 @@ TEST(McBatchDies, EmptyAndInvalidInputs) {
                std::invalid_argument);
 }
 
-// ---- Kernel dispatch ------------------------------------------------------
+// ---- Kernel variants ------------------------------------------------------
 
-TEST(McBatch, BaseKernelBitIdenticalToDispatchedKernel) {
-  const auto spec = fig50_spec();
-  const auto dispatched = monte_carlo_batched_samples(spec, 64, 2024, 1);
-  const std::string default_name = mc_batch_kernel_name();
-  ASSERT_EQ(setenv("DDL_MC_BATCH_KERNEL", "base", 1), 0);
-  EXPECT_STREQ(mc_batch_kernel_name(), "base");
-  const auto base = monte_carlo_batched_samples(spec, 64, 2024, 1);
-  ASSERT_EQ(unsetenv("DDL_MC_BATCH_KERNEL"), 0);
-  EXPECT_EQ(mc_batch_kernel_name(), default_name);
-  EXPECT_EQ(base, dispatched)
-      << "base and " << default_name << " kernels diverged";
+TEST(McBatch, EveryKernelVariantMatchesScalar) {
+  for_each_kernel([] {
+    expect_matches_scalar(fig50_spec(), 64, 2024, 1);
+    expect_matches_scalar(fig50_spec(), 13, 99, 3);
+    expect_yield_matches_scalar(yield_knee_spec(), 333, 77, 1);
+  });
+}
+
+TEST(McBatch, MixedLockTapBlockMatchesScalarOnEveryKernel) {
+  const auto spec = mixed_tap_spec();
+  const std::uint64_t base_seed = 2024;
+  std::set<std::size_t> taps;
+  std::size_t at_limit = 0;
+  std::size_t tap_zero = 0;
+  for (std::size_t i = 0; i < kBatchLanes; ++i) {
+    if (i == 3) {
+      continue;  // The fallback lane: the controller's fmod path.
+    }
+    const auto tap = scalar_lock_tap(spec, i, die_seed(base_seed, i));
+    if (!tap.has_value()) {
+      ++at_limit;
+    } else if (*tap == 0) {
+      ++tap_zero;
+    } else {
+      taps.insert(*tap);
+    }
+  }
+  EXPECT_GE(taps.size(), 3u) << "the first block should lock at >= 3 taps";
+  EXPECT_EQ(at_limit, 1u);
+  EXPECT_EQ(tap_zero, 1u);
+  McBatchStats stats;
+  monte_carlo_batched_samples(spec, kBatchLanes, base_seed, 1, &stats);
+  EXPECT_EQ(stats.scalar_fallbacks, 1u);
+
+  for_each_kernel([&] {
+    expect_matches_scalar(spec, 37, base_seed, 1);
+    expect_matches_scalar(spec, 37, base_seed, 3);
+  });
+}
+
+TEST(McBatch, ShortLineMatchesScalarOnEveryKernel) {
+  const auto spec = short_line_spec();
+  std::set<std::size_t> taps;
+  for (std::size_t i = 0; i < 64; ++i) {
+    const auto tap = scalar_lock_tap(spec, i, die_seed(2024, i));
+    if (tap.has_value()) {
+      taps.insert(*tap);
+    }
+  }
+  EXPECT_TRUE(taps.count(1) == 1 && taps.count(2) == 1)
+      << "dies should lock at tap 1 and at tap 2";
+  for_each_kernel([&] {
+    expect_matches_scalar(spec, 64, 2024, 1);
+    expect_matches_scalar(spec, 21, 5, 2);
+  });
 }
 
 // ---- Yield ----------------------------------------------------------------
 
 TEST(McBatchYield, MatchesScalarTwinAndThreadCount) {
-  BatchYieldSpec spec;
-  // 128 cells at 100 MHz sits on the yield knee (~50 %), so both branches
-  // of the pass predicate are exercised.
-  spec.line = BatchLineSpec::from_technology(tech(), {128, 2});
-  spec.clock_period_ps = 10'000.0;
+  const auto spec = yield_knee_spec();
   const std::size_t trials = 333;
+  expect_yield_matches_scalar(spec, trials, 77, 1);
   const double batched = monte_carlo_yield_batched(spec, trials, 77, 1);
-  std::size_t passes = 0;
-  for (std::size_t i = 0; i < trials; ++i) {
-    passes += batch_die_covers_period_scalar(spec, die_seed(77, i)) ? 1 : 0;
-  }
-  EXPECT_DOUBLE_EQ(batched, static_cast<double>(passes) /
-                                static_cast<double>(trials));
   EXPECT_GT(batched, 0.2);
   EXPECT_LT(batched, 0.8);
   EXPECT_DOUBLE_EQ(batched, monte_carlo_yield_batched(spec, trials, 77, 3));
