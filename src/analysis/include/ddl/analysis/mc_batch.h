@@ -12,12 +12,16 @@
 // across the batch.
 //
 // Determinism and equivalence contract (tested die-by-die):
-//   * every die's result is a pure function of (base_seed, die index) --
+//   * every die's result is a pure function of its seed and faults (of
+//     (base_seed, die index) for the trial-indexed entry points) --
 //     batching, lane position, SIMD variant and thread count are all
 //     invisible in the output;
-//   * the batched entry points are layered on parallel_for_reduce with
-//     contiguous shards merged in order, so Summaries are bit-identical
-//     for any thread count, exactly like the scalar engine;
+//   * one driver runs every die: the trial-indexed entry points
+//     (monte_carlo_batched[_samples]) expand their trials into the
+//     explicit die list monte_carlo_batched_dies takes, and that driver
+//     shards blocks over parallel_for_reduce with contiguous shards merged
+//     in order, so Summaries are bit-identical for any thread count,
+//     exactly like the scalar engine;
 //   * a die the closed form cannot represent (a delay wrapping past the
 //     clock period, e.g. after a severe cell fault) is split out of the
 //     batch and re-run on the scalar path (`batch_die_inl_scalar`), which
@@ -30,7 +34,6 @@
 #include <vector>
 
 #include "ddl/analysis/monte_carlo.h"
-#include "ddl/analysis/sweep.h"
 #include "ddl/cells/operating_point.h"
 #include "ddl/cells/technology.h"
 #include "ddl/core/proposed_line.h"
@@ -89,6 +92,8 @@ struct McBatchStats {
 /// Per-die max-INL samples in die-index order -- element i is exactly
 /// `batch_die_inl_scalar(spec, i, die_seed(base_seed, i))`.  The raw form
 /// the equivalence tests and the CI mc-equivalence job cross-validate.
+/// Runs monte_carlo_batched_dies on dies 0..trials-1, die i carrying seed
+/// die_seed(base_seed, i) and the spec.faults of trial i in spec order.
 std::vector<double> monte_carlo_batched_samples(const McBatchSpec& spec,
                                                 std::size_t trials,
                                                 std::uint64_t base_seed,
@@ -103,15 +108,15 @@ struct BatchDie {
   std::vector<BatchFault> faults;
 };
 
-/// Explicit-die variant of monte_carlo_batched_samples for callers that
-/// assemble their own lanes -- the scenario batch planner packs dies from
-/// *different* scenarios that share line parameters into one block.  Each
-/// lane's result is a pure function of (spec line/period/op, die.seed,
-/// die.faults): identical to running that die through
-/// monte_carlo_batched_samples of its home scenario, so cross-scenario
-/// packing is invisible in the output.  spec.faults is ignored (dies carry
-/// their own).  Results are in dies order, bit-identical for any thread
-/// count (0 = default pool).
+/// The one batched INL driver, for callers that assemble their own dies --
+/// the scenario layer builds a yield scenario's dies, and the batch planner
+/// packs dies from *different* scenarios that share line parameters into
+/// one block.  Each lane's result is a pure function of (spec
+/// line/period/op, die.seed, die.faults): identical to running that die
+/// alone, so cross-scenario packing is invisible in the output.
+/// spec.faults is validated but not applied (dies carry their own).
+/// Results are in dies order, bit-identical for any thread count (0 =
+/// default pool).
 std::vector<double> monte_carlo_batched_dies(const McBatchSpec& spec,
                                              const std::vector<BatchDie>& dies,
                                              std::size_t threads = 0,
@@ -155,14 +160,6 @@ double monte_carlo_yield_batched(const BatchYieldSpec& spec,
 /// Scalar reference for one die of the batched yield predicate.
 bool batch_die_covers_period_scalar(const BatchYieldSpec& spec,
                                     std::uint64_t die_seed);
-
-/// Batched counterpart of sweep(): measures the *same* dies (same seeds)
-/// at every corner, batch-propagated, summaries merged in die order.
-/// `spec.op` is ignored -- each corner of `corners` takes its place.
-std::vector<CornerSweepResult> sweep_batched(
-    const std::vector<cells::OperatingPoint>& corners, std::size_t dies,
-    std::uint64_t base_seed, const McBatchSpec& spec,
-    std::size_t threads = 0);
 
 /// Which kernel variant dispatch selected ("avx512", "avx2" or "base").
 /// The environment cap DDL_MC_BATCH_KERNEL (="base" or "avx2") forces a

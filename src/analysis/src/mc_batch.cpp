@@ -15,7 +15,6 @@
 #include <cstdlib>
 #include <stdexcept>
 #include <string_view>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -75,19 +74,24 @@ void validate_line(const BatchLineSpec& line) {
   }
 }
 
-void validate_spec(const McBatchSpec& spec) {
-  validate_line(spec.line);
-  if (!(spec.clock_period_ps > 0.0)) {
-    throw std::invalid_argument("mc_batch: clock period must be positive");
-  }
-  for (const BatchFault& fault : spec.faults) {
-    if (fault.cell >= spec.line.num_cells) {
+void validate_faults(const BatchLineSpec& line,
+                     const std::vector<BatchFault>& faults) {
+  for (const BatchFault& fault : faults) {
+    if (fault.cell >= line.num_cells) {
       throw std::out_of_range("mc_batch: fault cell out of range");
     }
     if (!(fault.severity > 0.0)) {
       throw std::invalid_argument("mc_batch: fault severity must be positive");
     }
   }
+}
+
+void validate_spec(const McBatchSpec& spec) {
+  validate_line(spec.line);
+  if (!(spec.clock_period_ps > 0.0)) {
+    throw std::invalid_argument("mc_batch: clock period must be positive");
+  }
+  validate_faults(spec.line, spec.faults);
 }
 
 void validate_yield_spec(const BatchYieldSpec& spec) {
@@ -154,71 +158,12 @@ double die_inl_scalar_impl(const McBatchSpec& spec, std::uint64_t die_seed,
   return max_dev / (lsb < 0.0 ? -lsb : lsb);
 }
 
-/// spec.faults grouped by trial (spec order preserved within a trial).
-using FaultIndex = std::unordered_map<std::size_t, std::vector<BatchFault>>;
-
-FaultIndex index_faults(const McBatchSpec& spec) {
-  FaultIndex index;
-  for (const BatchFault& fault : spec.faults) {
-    index[fault.trial].push_back(fault);
-  }
-  return index;
-}
-
-/// Runs dies [begin, end) (end - begin <= kBatchLanes) through the block
-/// kernel, re-running divergent or multi-fault dies on the scalar path.
-/// Writes end - begin samples to `out`.
-void run_inl_block(const McBatchSpec& spec, const detail::BatchKernelParams& kp,
-                   detail::InlBlockFn kernel, const FaultIndex& faults,
-                   std::uint64_t base_seed, std::size_t begin, std::size_t end,
-                   detail::BatchWorkspace& ws, double* out,
-                   std::uint64_t& scalar_fallbacks) {
-  std::uint64_t seeds[kBatchLanes];
-  std::size_t fault_cell[kBatchLanes];
-  double fault_severity[kBatchLanes];
-  bool multi_fault[kBatchLanes];
-  for (std::size_t l = 0; l < kBatchLanes; ++l) {
-    // Lanes past the last trial re-run the final die; their outputs are
-    // discarded below, they just keep the block shape uniform.
-    const std::size_t trial = begin + l < end ? begin + l : end - 1;
-    seeds[l] = die_seed(base_seed, trial);
-    fault_cell[l] = detail::kNoFault;
-    fault_severity[l] = 1.0;
-    multi_fault[l] = false;
-    if (!faults.empty()) {
-      const auto it = faults.find(trial);
-      if (it != faults.end()) {
-        if (it->second.size() == 1) {
-          fault_cell[l] = it->second.front().cell;
-          fault_severity[l] = it->second.front().severity;
-        } else {
-          // Compound faults are rare enough that the scalar line, which
-          // composes them multiplicatively in injection order, is the
-          // simpler source of truth.
-          multi_fault[l] = true;
-        }
-      }
-    }
-  }
-
-  double inl[kBatchLanes];
-  bool needs_fallback[kBatchLanes];
-  kernel(kp, seeds, fault_cell, fault_severity, ws, inl, needs_fallback);
-
-  for (std::size_t l = 0; begin + l < end; ++l) {
-    if (multi_fault[l] || needs_fallback[l]) {
-      inl[l] = batch_die_inl_scalar(spec, begin + l, seeds[l]);
-      ++scalar_fallbacks;
-    }
-    out[l] = inl[l];
-  }
-}
-
-/// Runs explicit dies [begin, end) (end - begin <= kBatchLanes) through the
-/// block kernel, re-running divergent or multi-fault dies on the scalar
-/// path.  Writes end - begin samples to `out`.  The lane inputs are each
-/// die's own (seed, faults) -- never a cross-die derivation -- which is
-/// what makes packing dies from different scenarios byte-invisible.
+/// The one block driver: runs explicit dies [begin, end) (end - begin <=
+/// kBatchLanes) through the block kernel, re-running divergent or
+/// multi-fault dies on the scalar path.  Writes end - begin samples to
+/// `out`.  The lane inputs are each die's own (seed, faults) -- never a
+/// cross-die derivation -- which is what makes packing dies from different
+/// scenarios byte-invisible.
 void run_dies_block(const McBatchSpec& spec,
                     const detail::BatchKernelParams& kp,
                     detail::InlBlockFn kernel, const std::vector<BatchDie>& dies,
@@ -242,6 +187,9 @@ void run_dies_block(const McBatchSpec& spec,
       fault_cell[l] = faults.front().cell;
       fault_severity[l] = faults.front().severity;
     } else if (faults.size() > 1) {
+      // Compound faults are rare enough that the scalar line, which
+      // composes them multiplicatively in injection order, is the simpler
+      // source of truth.
       multi_fault[l] = true;
     }
   }
@@ -266,44 +214,6 @@ struct InlAcc {
   std::uint64_t scalar_fallbacks = 0;
   detail::BatchWorkspace ws;
 };
-
-std::vector<double> run_batched_samples(ThreadPool& pool,
-                                        const McBatchSpec& spec,
-                                        std::size_t trials,
-                                        std::uint64_t base_seed,
-                                        McBatchStats* stats) {
-  const detail::BatchKernelParams kp = make_params(spec, spec.op);
-  const detail::KernelVariant kernel = detail::select_kernel();
-  const FaultIndex faults = index_faults(spec);
-  const std::size_t blocks = (trials + kBatchLanes - 1) / kBatchLanes;
-
-  InlAcc total = parallel_for_reduce<InlAcc>(
-      pool, blocks,
-      [&] {
-        InlAcc acc;
-        acc.samples.reserve((blocks / pool.thread_count() + 1) * kBatchLanes);
-        acc.ws.resize(spec.line.num_cells);
-        return acc;
-      },
-      [&](std::size_t block, InlAcc& acc) {
-        const std::size_t begin = block * kBatchLanes;
-        const std::size_t end = std::min(trials, begin + kBatchLanes);
-        double out[kBatchLanes];
-        run_inl_block(spec, kp, kernel.inl, faults, base_seed, begin, end,
-                      acc.ws, out, acc.scalar_fallbacks);
-        acc.samples.insert(acc.samples.end(), out, out + (end - begin));
-      },
-      [](InlAcc& into, InlAcc&& shard) {
-        into.samples.insert(into.samples.end(), shard.samples.begin(),
-                            shard.samples.end());
-        into.scalar_fallbacks += shard.scalar_fallbacks;
-      });
-
-  if (stats != nullptr) {
-    stats->scalar_fallbacks = total.scalar_fallbacks;
-  }
-  return std::move(total.samples);
-}
 
 std::vector<double> run_batched_dies(ThreadPool& pool, const McBatchSpec& spec,
                                      const std::vector<BatchDie>& dies,
@@ -364,19 +274,18 @@ std::vector<double> monte_carlo_batched_samples(const McBatchSpec& spec,
                                                 std::uint64_t base_seed,
                                                 std::size_t threads,
                                                 McBatchStats* stats) {
-  validate_spec(spec);
-  if (stats != nullptr) {
-    *stats = McBatchStats{};
+  // Die i is trial i: its seed, and the faults frozen into it in spec order
+  // (a fault past the last trial belongs to no die).
+  std::vector<BatchDie> dies(trials);
+  for (std::size_t i = 0; i < trials; ++i) {
+    dies[i].seed = die_seed(base_seed, i);
   }
-  if (trials == 0) {
-    return {};
+  for (const BatchFault& fault : spec.faults) {
+    if (fault.trial < trials) {
+      dies[fault.trial].faults.push_back(fault);
+    }
   }
-  if (threads == 0) {
-    return run_batched_samples(ThreadPool::global(), spec, trials, base_seed,
-                               stats);
-  }
-  ThreadPool pool(threads);
-  return run_batched_samples(pool, spec, trials, base_seed, stats);
+  return monte_carlo_batched_dies(spec, dies, threads, stats);
 }
 
 std::vector<double> monte_carlo_batched_dies(const McBatchSpec& spec,
@@ -385,15 +294,7 @@ std::vector<double> monte_carlo_batched_dies(const McBatchSpec& spec,
                                              McBatchStats* stats) {
   validate_spec(spec);
   for (const BatchDie& die : dies) {
-    for (const BatchFault& fault : die.faults) {
-      if (fault.cell >= spec.line.num_cells) {
-        throw std::out_of_range("mc_batch: die fault cell out of range");
-      }
-      if (!(fault.severity > 0.0)) {
-        throw std::invalid_argument(
-            "mc_batch: die fault severity must be positive");
-      }
-    }
+    validate_faults(spec.line, die.faults);
   }
   if (stats != nullptr) {
     *stats = McBatchStats{};
@@ -502,81 +403,6 @@ bool batch_die_covers_period_scalar(const BatchYieldSpec& spec,
       die_seed, n, spec.factor_mean, spec.factor_sigma, spec.factor_min,
       spec.factor_max);
   return line_ps * factor >= spec.clock_period_ps;
-}
-
-std::vector<CornerSweepResult> sweep_batched(
-    const std::vector<cells::OperatingPoint>& corners, std::size_t dies,
-    std::uint64_t base_seed, const McBatchSpec& spec, std::size_t threads) {
-  validate_spec(spec);
-  if (corners.empty()) {
-    return {};
-  }
-
-  // One effective spec + kernel-parameter set per corner; the *same* dies
-  // (same seeds) are measured at every corner, like sweep().
-  std::vector<McBatchSpec> corner_specs(corners.size(), spec);
-  std::vector<detail::BatchKernelParams> corner_params;
-  corner_params.reserve(corners.size());
-  for (std::size_t c = 0; c < corners.size(); ++c) {
-    corner_specs[c].op = corners[c];
-    corner_params.push_back(make_params(spec, corners[c]));
-  }
-  const detail::KernelVariant kernel = detail::select_kernel();
-  const FaultIndex faults = index_faults(spec);
-  const std::size_t blocks = (dies + kBatchLanes - 1) / kBatchLanes;
-  const std::size_t grid = corners.size() * blocks;
-
-  struct SweepAcc {
-    std::vector<std::vector<double>> per_corner;
-    std::uint64_t scalar_fallbacks = 0;
-    detail::BatchWorkspace ws;
-  };
-  auto run = [&](ThreadPool& pool) {
-    return parallel_for_reduce<SweepAcc>(
-        pool, grid,
-        [&] {
-          SweepAcc acc;
-          acc.per_corner.resize(corners.size());
-          acc.ws.resize(spec.line.num_cells);
-          return acc;
-        },
-        [&](std::size_t i, SweepAcc& acc) {
-          const std::size_t corner = i / blocks;
-          const std::size_t block = i % blocks;
-          const std::size_t begin = block * kBatchLanes;
-          const std::size_t end = std::min(dies, begin + kBatchLanes);
-          double out[kBatchLanes];
-          run_inl_block(corner_specs[corner], corner_params[corner],
-                        kernel.inl, faults, base_seed, begin, end, acc.ws, out,
-                        acc.scalar_fallbacks);
-          acc.per_corner[corner].insert(acc.per_corner[corner].end(), out,
-                                        out + (end - begin));
-        },
-        [](SweepAcc& into, SweepAcc&& shard) {
-          for (std::size_t c = 0; c < into.per_corner.size(); ++c) {
-            into.per_corner[c].insert(into.per_corner[c].end(),
-                                      shard.per_corner[c].begin(),
-                                      shard.per_corner[c].end());
-          }
-          into.scalar_fallbacks += shard.scalar_fallbacks;
-        });
-  };
-
-  SweepAcc total;
-  if (threads == 0) {
-    total = run(ThreadPool::global());
-  } else {
-    ThreadPool pool(threads);
-    total = run(pool);
-  }
-
-  std::vector<CornerSweepResult> results;
-  results.reserve(corners.size());
-  for (std::size_t c = 0; c < corners.size(); ++c) {
-    results.push_back(
-        {corners[c], summarize(std::move(total.per_corner[c]))});
-  }
-  return results;
 }
 
 const char* mc_batch_kernel_name() { return detail::select_kernel().name; }

@@ -37,11 +37,18 @@ namespace ddl::scenario {
 bool batch_eligible(const ScenarioSpec& spec, ScenarioWorkspace& workspace);
 
 /// The batched-kernel experiment for one MC-yield scenario, *without*
-/// faults: the trial-indexed path expands spec faults per trial, the
-/// planner attaches them per die.  `sizing` must be feasible (it is for
-/// every batch-eligible spec).
+/// faults: they ride on the dies append_mc_yield_dies builds.  `sizing`
+/// must be feasible (it is for every batch-eligible spec).
 analysis::McBatchSpec mc_yield_kernel_spec(
     const ScenarioSpec& spec, const ScenarioWorkspace::Sizing& sizing);
+
+/// Appends one MC-yield scenario's spec.mc_dies dies to `dies`: die i is
+/// seeded die_seed(spec.seed, i) and carries every power-on delay-cell
+/// fault of the spec, in spec order.  The one die builder of the
+/// per-scenario path and the planner, so a lone scenario and a packed
+/// group reach monte_carlo_batched_dies with the same lanes.
+void append_mc_yield_dies(const ScenarioSpec& spec,
+                          std::vector<analysis::BatchDie>& dies);
 
 /// Turns one scenario's per-die max-|INL| samples (exactly spec.mc_dies of
 /// them, die order) into its yield verdict fields on `result` -- the

@@ -19,7 +19,8 @@
 //   durability  every completed unit is appended to an on-disk JSONL
 //               journal in one commit (write-ahead: health events first,
 //               then the result lines as the commit records) next to a
-//               checkpoint manifest written via atomic tmp-file+rename.  A
+//               manifest (spec fingerprint and count) written once, via
+//               atomic tmp-file+rename, when the journal opens.  A
 //               killed campaign resumes with `CampaignConfig::resume`:
 //               committed scenarios are skipped and their journaled lines
 //               reused *byte-exactly*, so the final stream is identical to
@@ -137,8 +138,8 @@ class CampaignJob {
 };
 
 struct CampaignConfig {
-  /// Journal + checkpoint-manifest directory; empty disables durability
-  /// (isolation still applies).  Created on demand.
+  /// Journal + manifest directory; empty disables durability (isolation
+  /// still applies).  Created on demand.
   std::string journal_dir;
   /// Resume from an existing journal in `journal_dir`: the manifest must
   /// fingerprint-match the spec list, completed scenarios are skipped.

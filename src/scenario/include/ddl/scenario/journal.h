@@ -9,17 +9,21 @@
 //   health_journal.jsonl  health-event lines, appended *before* the result
 //                         lines of their unit (WAL ordering: an event line
 //                         without its commit record is discarded on load)
-//   manifest.json         checkpoint: spec fingerprint, total, completed
-//                         (atomic tmp+rename after every record)
+//   manifest.json         spec fingerprint, total, and the completed count
+//                         at open (written once by tmp+rename when the
+//                         journal opens; a resume checks only the
+//                         fingerprint and total).  `completed` is not a
+//                         progress counter: it is never rewritten, so for
+//                         a fresh run it reads 0; journal.jsonl is the
+//                         record of what committed
 //
 // One record() commits one dispatch unit -- a packed batch-plan unit, or
-// a single scenario -- under one lock, two flushes and one manifest
-// rewrite.  A kill inside a unit's commit leaves a prefix of its result
-// lines; the rest of the unit simply runs again on resume.  A torn
-// tail (the chunk after the last '\n' of a killed append) is dropped on
-// load and truncated before appends resume.  Journaled lines are
-// byte-reused on resume, so a resumed stream is byte-identical to an
-// uninterrupted run.
+// a single scenario -- under one lock and two flushes.  A kill inside a
+// unit's commit leaves a prefix of its result lines; the rest of the unit
+// simply runs again on resume.  A torn tail (the chunk after the last '\n'
+// of a killed append) is dropped on load and truncated before appends
+// resume.  Journaled lines are byte-reused on resume, so a resumed stream
+// is byte-identical to an uninterrupted run.
 #pragma once
 
 #include <cstdint>
@@ -120,15 +124,16 @@ struct JournalLines : std::span<const std::string> {
 };
 
 /// Append-side of the journal: per dispatch unit, health events first,
-/// then the result lines as the commit records, then the checkpoint
-/// manifest (atomic rename).  Thread-safe (record() is internally locked).
+/// then the result lines as the commit records.  Thread-safe (record() is
+/// internally locked).
 class JournalWriter {
  public:
   /// Opens (append=true) or truncates the journal files and writes the
-  /// initial manifest.  Throws std::runtime_error when the directory is
-  /// not writable.
-  JournalWriter(std::string dir, std::string fingerprint, std::size_t total,
-                std::size_t completed, bool append);
+  /// manifest, `completed` being the count already journaled (recorded
+  /// once, never advanced by record()).  Throws std::runtime_error when
+  /// the directory is not writable.
+  JournalWriter(const std::string& dir, const std::string& fingerprint,
+                std::size_t total, std::size_t completed, bool append);
 
   /// Commits one dispatch unit: `lines` are its result rows (one per
   /// scenario) and `health_lines` every member's health events, in unit
@@ -138,12 +143,6 @@ class JournalWriter {
   void record(JournalLines lines, JournalLines health_lines);
 
  private:
-  void write_manifest();
-
-  std::string dir_;
-  std::string fingerprint_;
-  std::size_t total_ = 0;
-  std::size_t completed_ = 0;
   std::mutex mutex_;
   std::ofstream journal_;
   std::ofstream health_;

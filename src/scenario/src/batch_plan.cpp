@@ -11,7 +11,6 @@
 #include <utility>
 
 #include "ddl/analog/buck.h"
-#include "ddl/analysis/monte_carlo.h"
 
 namespace ddl::scenario {
 namespace {
@@ -90,17 +89,7 @@ void run_batch_group(const std::vector<ScenarioSpec>& specs,
   }
   dies.reserve(total);
   for (const std::size_t index : group.members) {
-    const ScenarioSpec& spec = specs[index];
-    // Power-on delay-cell faults apply to every die of the scenario (same
-    // expansion run_mc_yield performs, expressed per die).
-    std::vector<analysis::BatchFault> faults;
-    faults.reserve(spec.faults.size());
-    for (const FaultSpec& fault : spec.faults) {
-      faults.push_back({0, fault.victim_cell, fault.severity});
-    }
-    for (std::size_t die = 0; die < spec.mc_dies; ++die) {
-      dies.push_back({analysis::die_seed(spec.seed, die), faults});
-    }
+    append_mc_yield_dies(specs[index], dies);
   }
 
   try {

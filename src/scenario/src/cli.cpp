@@ -63,7 +63,7 @@ FlagTable runner_flags(RunnerOptions& o) {
                 o.health_out_path),
       custom_flag("--journal", "DIR",
                   "journal every completed scenario to DIR (crash-safe: "
-                  "append-only JSONL + checkpoint manifest)",
+                  "append-only JSONL + manifest)",
                   journal(false)),
       custom_flag("--resume", "DIR",
                   "resume a killed campaign from DIR's journal; completed "

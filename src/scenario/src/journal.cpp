@@ -6,7 +6,6 @@
 #include <cstring>
 #include <sstream>
 #include <stdexcept>
-#include <utility>
 
 #include "ddl/analysis/bench_json.h"
 #include "ddl/core/hash.h"
@@ -214,21 +213,25 @@ void check_resumable(const std::string& dir, const std::string& fingerprint,
   }
 }
 
-JournalWriter::JournalWriter(std::string dir, std::string fingerprint,
-                             std::size_t total, std::size_t completed,
-                             bool append)
-    : dir_(std::move(dir)),
-      fingerprint_(std::move(fingerprint)),
-      total_(total),
-      completed_(completed) {
+JournalWriter::JournalWriter(const std::string& dir,
+                             const std::string& fingerprint, std::size_t total,
+                             std::size_t completed, bool append) {
   const auto mode =
       std::ios::binary | (append ? std::ios::app : std::ios::trunc);
-  journal_.open(journal_path(dir_), mode);
-  health_.open(health_journal_path(dir_), mode);
+  journal_.open(journal_path(dir), mode);
+  health_.open(health_journal_path(dir), mode);
   if (!journal_ || !health_) {
-    throw std::runtime_error("campaign: cannot open journal files in " + dir_);
+    throw std::runtime_error("campaign: cannot open journal files in " + dir);
   }
-  write_manifest();
+  // Written once: a resume reads only spec_hash and scenarios, and the
+  // journal lines themselves say which scenarios completed.
+  analysis::JsonObject manifest;
+  manifest.set("schema_version", analysis::kBenchJsonSchemaVersion);
+  manifest.set("campaign", "scenario_campaign");
+  manifest.set("scenarios", static_cast<std::uint64_t>(total));
+  manifest.set("spec_hash", fingerprint);
+  manifest.set("completed", static_cast<std::uint64_t>(completed));
+  analysis::write_file_atomic(manifest_path(dir), manifest.to_json());
 }
 
 void JournalWriter::record(JournalLines lines, JournalLines health_lines) {
@@ -246,18 +249,6 @@ void JournalWriter::record(JournalLines lines, JournalLines health_lines) {
   }
   journal_.flush();
   check_stream(journal_, "journal");
-  completed_ += lines.size();
-  write_manifest();
-}
-
-void JournalWriter::write_manifest() {
-  analysis::JsonObject manifest;
-  manifest.set("schema_version", analysis::kBenchJsonSchemaVersion);
-  manifest.set("campaign", "scenario_campaign");
-  manifest.set("scenarios", static_cast<std::uint64_t>(total_));
-  manifest.set("spec_hash", fingerprint_);
-  manifest.set("completed", static_cast<std::uint64_t>(completed_));
-  analysis::write_file_atomic(manifest_path(dir_), manifest.to_json());
 }
 
 }  // namespace ddl::scenario

@@ -222,35 +222,31 @@ control::PidParams pid_for(int duty_bits) {
 /// test hook walks the per-die reference path instead; both paths are
 /// bit-identical sample-by-sample (the mc_batch equivalence contract), so
 /// the rendered row does not depend on the engine choice.  The kernel-spec
-/// builder and the verdict finisher are shared with the cross-scenario
-/// batch planner (batch_plan.h), which is what keeps the planned path's
-/// rows byte-identical to this one.
+/// builder, the die builder and the verdict finisher are shared with the
+/// cross-scenario batch planner (batch_plan.h), which is what keeps the
+/// planned path's rows byte-identical to this one.
 void run_mc_yield(const ScenarioSpec& spec, ScenarioWorkspace& workspace,
                   ScenarioResult& result) {
   const ScenarioWorkspace::Sizing& sizing = workspace.sizing_for(spec);
   throw_if_infeasible(sizing);
   analysis::McBatchSpec mc = mc_yield_kernel_spec(spec, sizing);
-  // Power-on delay-cell faults apply to *every* die (a frozen design
-  // defect, not a per-die mismatch draw).  A severe fault pushes dies off
-  // the closed form; the engine's per-die scalar fallback covers them.
-  for (const FaultSpec& fault : spec.faults) {
-    for (std::size_t die = 0; die < spec.mc_dies; ++die) {
-      mc.faults.push_back({die, fault.victim_cell, fault.severity});
-    }
-  }
+  std::vector<analysis::BatchDie> dies;
+  dies.reserve(spec.mc_dies);
+  append_mc_yield_dies(spec, dies);
 
   // Sequential inside the scenario: the batch is one work item of an
   // already-parallel suite, so a nested pool would only oversubscribe.
   std::vector<double> samples;
   if (spec.mc_force_scalar) {
-    samples.reserve(spec.mc_dies);
-    for (std::size_t die = 0; die < spec.mc_dies; ++die) {
-      samples.push_back(analysis::batch_die_inl_scalar(
-          mc, die, analysis::die_seed(spec.seed, die)));
+    samples.reserve(dies.size());
+    for (const analysis::BatchDie& die : dies) {
+      // The reference applies spec.faults by trial: hand it this die's
+      // faults as trial 0's.
+      mc.faults = die.faults;
+      samples.push_back(analysis::batch_die_inl_scalar(mc, 0, die.seed));
     }
   } else {
-    samples = analysis::monte_carlo_batched_samples(mc, spec.mc_dies,
-                                                    spec.seed, /*threads=*/1);
+    samples = analysis::monte_carlo_batched_dies(mc, dies, /*threads=*/1);
   }
   finish_mc_yield(spec, std::move(samples), result);
 }
@@ -264,6 +260,21 @@ analysis::McBatchSpec mc_yield_kernel_spec(
   mc.clock_period_ps = 1e6 / spec.clock_mhz;
   mc.op = spec.corner;
   return mc;
+}
+
+void append_mc_yield_dies(const ScenarioSpec& spec,
+                          std::vector<analysis::BatchDie>& dies) {
+  // Power-on delay-cell faults apply to *every* die (a frozen design
+  // defect, not a per-die mismatch draw).  A severe fault pushes dies off
+  // the closed form; the engine's per-die scalar fallback covers them.
+  std::vector<analysis::BatchFault> faults;
+  faults.reserve(spec.faults.size());
+  for (const FaultSpec& fault : spec.faults) {
+    faults.push_back({0, fault.victim_cell, fault.severity});
+  }
+  for (std::size_t die = 0; die < spec.mc_dies; ++die) {
+    dies.push_back({analysis::die_seed(spec.seed, die), faults});
+  }
 }
 
 void finish_mc_yield(const ScenarioSpec& spec, std::vector<double> samples,

@@ -53,7 +53,7 @@
 // self-pipe.  `request_stop()` is
 // async-signal-safe (atomic store + pipe write), so a SIGTERM handler can
 // trigger the graceful shutdown: stop dispatching, let in-flight
-// scenarios finish and journal, flush checkpoint manifests, close.
+// scenarios finish and journal, close.
 #pragma once
 
 #include <cstdint>
@@ -156,7 +156,7 @@ class ScenarioServer {
   bool start(std::string* error = nullptr);
 
   /// Graceful shutdown: stop dispatching, finish and journal in-flight
-  /// scenarios, flush manifests, close every session, join all threads.
+  /// scenarios, close every session, join all threads.
   /// Idempotent; also run by the destructor.
   void stop();
 

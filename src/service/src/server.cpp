@@ -425,17 +425,6 @@ struct ScenarioServer::Impl {
     send_frame(session, frame);
   }
 
-  /// True when a completed replay job reproduced its expected verdict:
-  /// the single scenario's failure_reason matches the bundle's
-  /// expectation (or, with an empty expectation, the scenario passed) --
-  /// mirrors scenario::replay().
-  bool replay_reproduced(const Job& job) const {
-    const scenario::ScenarioResult& result = job.campaign->row(0).result;
-    return job.expected_failure_reason.empty()
-               ? result.pass
-               : result.failure_reason == job.expected_failure_reason;
-  }
-
   void send_job_done(Session& session, const Job& job) {
     const scenario::CampaignJob& campaign = *job.campaign;
     std::size_t passed = 0;
@@ -454,7 +443,9 @@ struct ScenarioServer::Impl {
     frame.set("resumed", static_cast<std::uint64_t>(campaign.resumed()));
     if (job.is_replay) {
       frame.set("replay", true);
-      frame.set("reproduced", replay_reproduced(job));
+      frame.set("reproduced",
+                scenario::replay_reproduced(campaign.row(0).result,
+                                            job.expected_failure_reason));
     }
     send_frame(session, frame);
   }
@@ -1462,8 +1453,7 @@ struct ScenarioServer::Impl {
   /// Graceful drain: queued-but-unstarted units return to pending (they
   /// have no journal entry, so a restart resumes them -- exactly the
   /// campaign engine's stop-flag semantics), in-flight units finish on
-  /// their workers and commit (each commit rewrites the checkpoint
-  /// manifest), then every session closes.
+  /// their workers and commit, then every session closes.
   void shutdown_gracefully() {
     draining = true;
     {

@@ -9,7 +9,8 @@ SIGKILL as soon as its journal holds 5 result lines (polled every 10 ms),
 with no chance to flush or clean up; a --resume at --jobs 4 re-cuts the
 remaining work into its own dispatch units and must reproduce the
 reference result and health streams byte for byte, restoring at least 5
-scenarios and executing at least one.  A closed-loop lane unit commits
+scenarios and executing at least one, and its aggregate must count every
+line of the resumed health stream.  A closed-loop lane unit commits
 many rows at once, so the executed floor is what proves the kill landed
 mid-suite.  Registered with ctest under the `e2e` label.
 """
@@ -79,6 +80,12 @@ def main(runner, work):
     assert report["executed"] >= 1, report["executed"]
     assert report["resumed"] + report["executed"] == report["scenarios"], \
         report
+    # Resumed rows are rebuilt from their journal lines, so the aggregate
+    # must count the health stream itself.
+    health_lines = read(resumed_health).count(b"\n")
+    assert health_lines > 0, "the regression suite emits health events"
+    assert report["health_events"] == health_lines, \
+        (report["health_events"], health_lines)
     print("killed with %d journaled rows; resumed %d, executed %d: "
           "byte-identical" % (killed_at, report["resumed"],
                               report["executed"]))

@@ -288,7 +288,7 @@ TEST(McBatch, MultipleFaultsOnOneDieUseScalarPath) {
   }
 }
 
-// ---- Explicit-die batching (the scenario planner's entry point) -----------
+// ---- Explicit-die batching (the driver every INL entry point reaches) ----
 
 TEST(McBatchDies, MatchesTrialIndexedRunDieByDie) {
   auto spec = fig50_spec();
@@ -434,27 +434,6 @@ TEST(McBatchYield, MatchesScalarTwinAndThreadCount) {
   EXPECT_GT(batched, 0.2);
   EXPECT_LT(batched, 0.8);
   EXPECT_DOUBLE_EQ(batched, monte_carlo_yield_batched(spec, trials, 77, 3));
-}
-
-// ---- Corner sweep ---------------------------------------------------------
-
-TEST(McBatchSweep, EachCornerEqualsStandaloneBatchedRun) {
-  auto spec = fig50_spec();
-  const std::vector<cells::OperatingPoint> corners = {
-      cells::OperatingPoint::typical(),
-      cells::OperatingPoint::slow_process_only(),
-      cells::OperatingPoint::fast_process_only()};
-  const auto swept = sweep_batched(corners, 19, 2024, spec, 3);
-  ASSERT_EQ(swept.size(), corners.size());
-  for (std::size_t c = 0; c < corners.size(); ++c) {
-    spec.op = corners[c];
-    const auto standalone = monte_carlo_batched(spec, 19, 2024, 1);
-    EXPECT_EQ(bits_of(swept[c].summary.mean), bits_of(standalone.mean))
-        << "corner " << c;
-    EXPECT_EQ(bits_of(swept[c].summary.min), bits_of(standalone.min));
-    EXPECT_EQ(bits_of(swept[c].summary.max), bits_of(standalone.max));
-    EXPECT_EQ(swept[c].summary.count, standalone.count);
-  }
 }
 
 // ---- Statistical sanity ---------------------------------------------------

@@ -3,8 +3,11 @@
 // ScenarioError rows), worker respawn, thread-vs-process byte-identity,
 // pinned timeout rows, journaled crash rows replaying byte-identically on
 // resume, cancel interrupts, workers forked before the campaign's threads,
-// and the journal writer's fail-closed disk-fault handling.
+// and the journal writer's fail-closed disk-fault handling and its one
+// manifest write.
 #include <gtest/gtest.h>
+
+#include <unistd.h>
 
 #include <atomic>
 #include <cerrno>
@@ -359,6 +362,24 @@ TEST(SandboxTest, HealthJournalFaultsFailBeforeTheCommitRecord) {
   // record must not exist -- no torn half-scenario on a later resume.
   EXPECT_TRUE(
       ddl::scenario::read_file(ddl::scenario::journal_path(dir)).empty());
+}
+
+TEST(SandboxTest, RecordCommitsWithoutTouchingTheManifest) {
+  const std::string dir = fresh_dir("manifest_blocked");
+  JournalWriter writer(dir, "fingerprint", 2, 0, /*append=*/false);
+  // A directory where the manifest's tmp-file+rename would write: any
+  // rewrite of the manifest after open now fails.
+  std::error_code ec;
+  fs::create_directory(ddl::scenario::manifest_path(dir) + ".tmp." +
+                           std::to_string(::getpid()),
+                       ec);
+  ASSERT_FALSE(ec) << ec.message();
+
+  const std::string line = "{\"name\": \"x\"}";
+  EXPECT_NO_THROW(writer.record(line, {}));
+  EXPECT_EQ(ddl::scenario::read_file(ddl::scenario::journal_path(dir)),
+            line + "\n");
+  EXPECT_NO_THROW(ddl::scenario::check_resumable(dir, "fingerprint", 2));
 }
 
 }  // namespace

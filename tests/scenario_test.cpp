@@ -495,13 +495,42 @@ TEST(SummarizeTest, CountsFailuresByReasonAndFamily) {
   EXPECT_EQ(summary.by_family.at("b").second, 1u);
 }
 
+/// A yield scenario whose 70x power-on fault at cell 60 pushes the
+/// typical-corner line's half-period crossing tap past the whole clock
+/// period: every die leaves the batched kernel's closed form and re-runs
+/// on its scalar fallback.  The dies still meet a 50-LSB limit, so the
+/// row passes.
+ScenarioSpec fallback_yield_spec() {
+  ScenarioSpec spec = ScenarioRegistry::builtin().expand("yield").back();
+  spec.name = "yield/proposed/typical/cell60x70-32die";
+  spec.mc_dies = 32;
+  spec.mc_inl_limit_lsb = 50.0;
+  spec.faults = {FaultSpec::delay_cell(60, 70.0)};
+  return spec;
+}
+
 TEST(McYieldTest, BatchedAndForcedScalarPathsEmitIdenticalJsonl) {
   // The satellite contract of the batched-engine adoption: pointing the
   // yield scenarios at mc_batch must be invisible in the JSONL stream --
-  // every row byte-identical to the per-die scalar reference path.
+  // every row byte-identical to the per-die scalar reference path, for
+  // kernel dies and scalar-fallback dies alike.
   auto batched =
       ddl::scenario::ScenarioRegistry::builtin().expand("yield");
   ASSERT_FALSE(batched.empty());
+  batched.push_back(fallback_yield_spec());
+  {
+    const ScenarioSpec& severe = batched.back();
+    ddl::scenario::ScenarioWorkspace workspace;
+    std::vector<ddl::analysis::BatchDie> dies;
+    ddl::scenario::append_mc_yield_dies(severe, dies);
+    ddl::analysis::McBatchStats stats;
+    ddl::analysis::monte_carlo_batched_dies(
+        ddl::scenario::mc_yield_kernel_spec(severe,
+                                            workspace.sizing_for(severe)),
+        dies, 1, &stats);
+    EXPECT_EQ(stats.scalar_fallbacks, severe.mc_dies)
+        << "every die of the severe-fault spec should leave the kernel";
+  }
   std::vector<ddl::scenario::ScenarioSpec> scalar = batched;
   for (ddl::scenario::ScenarioSpec& spec : scalar) {
     spec.mc_force_scalar = true;
@@ -587,10 +616,12 @@ TEST(BatchPlanTest, ClassifiesEligibilityAndGroupsByKernelConstants) {
 
 TEST(BatchPlanTest, PlannedRunMatchesPerScenarioRowsAtEveryJobCount) {
   // The whole byte-identity contract in one sweep: a mixed list -- MC
-  // yield (planned into packed kernel lanes) plus the smoke suite (scalar
-  // shards) -- must emit exactly the rows of one-scenario-at-a-time
-  // run_scenario calls, at every thread count.
+  // yield (planned into packed kernel lanes, scalar-fallback dies
+  // included) plus the smoke suite (scalar shards) -- must emit exactly
+  // the rows of one-scenario-at-a-time run_scenario calls, at every
+  // thread count.
   std::vector<ScenarioSpec> specs = ScenarioRegistry::builtin().expand("yield");
+  specs.push_back(fallback_yield_spec());
   for (ScenarioSpec& spec : ScenarioRegistry::builtin().expand("smoke")) {
     specs.push_back(std::move(spec));
   }

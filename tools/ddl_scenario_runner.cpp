@@ -18,6 +18,7 @@
 // 125 to stay clear of shell codes); 64 = usage error, 66 = file error,
 // 130 = interrupted (SIGTERM/SIGINT: in-flight scenarios finish and
 // journal, the rest stays pending -- rerun with --resume to pick them up).
+#include <algorithm>
 #include <atomic>
 #include <climits>
 #include <csignal>
@@ -270,11 +271,12 @@ int main(int argc, char** argv) {
   report.set("failed",
              static_cast<std::uint64_t>(summary.total - summary.passed));
   report.set("locked", static_cast<std::uint64_t>(summary.locked));
-  std::size_t health_events = 0;
-  for (const auto& result : outcome.results) {
-    health_events += result.health.size();
-  }
-  report.set("health_events", static_cast<std::uint64_t>(health_events));
+  // Counted on the stream, not on results: a row rebuilt from its line (a
+  // sandboxed or resumed scenario) carries no health vector.
+  report.set("health_events",
+             static_cast<std::uint64_t>(std::count(
+                 outcome.health_jsonl.begin(), outcome.health_jsonl.end(),
+                 '\n')));
   // Campaign accounting: how the batch executed, not how it verdicted.
   report.set("executed", static_cast<std::uint64_t>(outcome.executed));
   report.set("resumed", static_cast<std::uint64_t>(outcome.resumed));
