@@ -74,8 +74,9 @@ struct BatchFault {
 
 /// The batched Figure-50/51 experiment: per die, lock the line at `op`,
 /// map every duty word through the Eq-18 mapper and measure the transfer
-/// curve's max |INL|.  Dies that cannot lock report 0.0 (the scalar
-/// bench's convention).
+/// curve's max |INL|.  Dies that cannot lock (kAtLimit, or a lock at
+/// tap 0 that maps every duty word to one tap) report +infinity, so they
+/// fail any finite INL limit.
 struct McBatchSpec {
   BatchLineSpec line;
   double clock_period_ps = 10'000.0;  ///< 100 MHz.

@@ -13,6 +13,7 @@
 #include <bit>
 #include <cmath>
 #include <cstdlib>
+#include <limits>
 #include <stdexcept>
 #include <string_view>
 #include <utility>
@@ -133,13 +134,14 @@ double die_inl_scalar_impl(const McBatchSpec& spec, std::uint64_t die_seed,
     line.inject_cell_fault(faults[f].cell, faults[f].severity);
   }
   core::ProposedController controller(line, spec.clock_period_ps);
-  if (!controller.run_to_lock(spec.op).has_value()) {
-    return 0.0;  // kAtLimit: no lock at this corner/period.
+  // A die that cannot lock -- kAtLimit, or a degenerate lock at tap 0 that
+  // maps every duty word to tap 0 -- has no transfer curve: +inf fails any
+  // INL limit.
+  if (!controller.run_to_lock(spec.op).has_value() ||
+      controller.tap_sel() == 0) {
+    return std::numeric_limits<double>::infinity();
   }
   const std::size_t tap_sel = controller.tap_sel();
-  if (tap_sel == 0) {
-    return 0.0;  // Degenerate lock: every duty word maps to tap 0.
-  }
   const core::DutyMapper mapper(n);
   // Endpoint-fit INL over all duty codes, the same explicit-fma arithmetic
   // the batch kernel's per-lock-tap scan evaluates for its lanes.

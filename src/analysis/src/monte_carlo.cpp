@@ -67,7 +67,9 @@ Summary summarize(std::vector<double> samples) {
     const std::size_t lo = static_cast<std::size_t>(pos);
     const std::size_t hi = std::min(lo + 1, samples.size() - 1);
     const double frac = pos - static_cast<double>(lo);
-    return samples[lo] * (1.0 - frac) + samples[hi] * frac;
+    // No zero-weight term: inf * 0 would turn an exact rank into NaN.
+    return frac == 0.0 ? samples[lo]
+                       : samples[lo] * (1.0 - frac) + samples[hi] * frac;
   };
   s.p05 = percentile(0.05);
   s.p50 = percentile(0.50);

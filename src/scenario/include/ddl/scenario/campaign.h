@@ -11,10 +11,10 @@
 // (one closed-loop lane unit, CLI only), or any other spec alone, and
 // units come in order of their first member.
 //
-// Campaign::run drives a CampaignJob: each job (thread) takes the units of
-// its contiguous shard of the uncommitted specs.  On top of that it adds
-// three things a long-running batch service needs that the plain
-// ScenarioRunner does not provide:
+// Campaign::run drives a CampaignJob: it cuts the uncommitted specs into
+// one unit list, and its executors (one per job thread) pull the units in
+// order.  On top of that it adds three things a long-running batch service
+// needs that the plain ScenarioRunner does not provide:
 //
 //   durability  every completed unit is appended to an on-disk JSONL
 //               journal in one commit (write-ahead: health events first,
@@ -28,7 +28,7 @@
 //               uncommitted members.  The journal files close when the
 //               last scenario commits.
 //
-//   isolation   each shard runs its units through one ScenarioExecutor
+//   isolation   each job thread runs its units through one ScenarioExecutor
 //               (ddl/scenario/sandbox.h).  By default that is a fork()ed
 //               sandbox worker with a per-spec deadline
 //               (`isolation.timeout_ms`, or derived from the spec's period
@@ -50,7 +50,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -97,17 +96,16 @@ class CampaignJob {
   std::size_t resumed() const noexcept { return resumed_; }
   bool done() const noexcept { return completed_ == rows_.size(); }
 
-  /// Dispatch units over the uncommitted specs `take` admits, ordered by
-  /// first member: each planner group's admitted members in runs of at
-  /// most 16384 dies -- one batched kernel dispatch per unit -- with
-  /// `pack_lanes`, each run of consecutive admitted lane-eligible closed
-  /// loops (lane_eligible) in pieces of at most 48000 periods -- one
-  /// closed-loop lane unit each -- and every other spec alone, so it keeps
-  /// the sandbox's deadline, retry and hook path.  A scenario is never
-  /// split; a unit of one takes the single-spec path.  Campaign::run packs
-  /// lanes; the daemon does not (see ddl/service/server.h).
-  std::vector<std::vector<std::size_t>> units(
-      const std::function<bool(std::size_t)>& take, bool pack_lanes) const;
+  /// Dispatch units over the uncommitted specs, ordered by first member:
+  /// each planner group's uncommitted members in runs of at most 16384
+  /// dies -- one batched kernel dispatch per unit -- with `pack_lanes`,
+  /// each run of consecutive uncommitted lane-eligible closed loops
+  /// (lane_eligible) in pieces of at most 48000 periods -- one closed-loop
+  /// lane unit each -- and every other spec alone.  A scenario is never
+  /// split.  The list depends on the specs and the committed rows alone.
+  /// Campaign::run packs lanes; the daemon does not (see
+  /// ddl/service/server.h).
+  std::vector<std::vector<std::size_t>> units(bool pack_lanes) const;
 
   /// Commits one executed unit: `runs[k]` is the row of spec `unit[k]`.
   /// One journal record per unit; the journal closes after the last row.
@@ -144,7 +142,8 @@ struct CampaignConfig {
   /// Resume from an existing journal in `journal_dir`: the manifest must
   /// fingerprint-match the spec list, completed scenarios are skipped.
   bool resume = false;
-  /// Worker threads (one executor each); 0 resolves DDL_THREADS /
+  /// Worker threads, each with one executor pulling units from the one
+  /// unit list; never more than there are units.  0 resolves DDL_THREADS /
   /// hardware concurrency.
   std::size_t jobs = 0;
   /// Optional graceful-stop flag (SIGTERM/SIGINT): when it reads true, the
@@ -159,8 +158,9 @@ struct CampaignConfig {
 
 /// Everything a campaign run produces.  `result_lines` (spec order, no
 /// trailing newline) is the canonical byte-stable stream; `results` backs
-/// summarize() -- entries for resumed scenarios are reconstructed from
-/// their journal lines (verdict fields only, metrics left zero).
+/// summarize() -- entries rebuilt from a row line (every resumed scenario,
+/// and under process isolation every executed one too) carry the verdict
+/// fields only, metrics left zero.
 struct CampaignOutcome {
   std::vector<ScenarioResult> results;
   std::vector<std::string> result_lines;

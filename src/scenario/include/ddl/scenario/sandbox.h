@@ -33,11 +33,14 @@
 // or address), so a journaled crash row replays byte-identically on
 // resume.
 //
-// Packed dispatch units survive: a multi-spec unit ships whole into one
-// worker (one batched kernel dispatch, threads=1, or one closed-loop lane
-// unit stepping up to eight plants together).  If the worker dies
-// mid-unit the partial rows are discarded and every member degrades to a
-// per-scenario guarded retry -- never a lost or duplicated row.
+// Every unit, a lone spec included, runs through one supervision loop in
+// the parent and one unit routine in the worker: one batched kernel
+// dispatch per planner group (threads=1), one closed-loop lane run for
+// the lane-eligible loops, and the guarded per-scenario path, debug hooks
+// included, for the rest.  A lone spec gets the retry policy; a packed
+// unit gets one attempt, and if its worker dies mid-unit the partial rows
+// are discarded and every member runs as its own lone unit -- never a
+// lost or duplicated row.
 #pragma once
 
 #include <atomic>
@@ -139,11 +142,13 @@ class ScenarioExecutor {
   ScenarioExecutor(const ScenarioExecutor&) = delete;
   ScenarioExecutor& operator=(const ScenarioExecutor&) = delete;
 
-  /// Runs one dispatch unit in spec order.  In process mode a single-spec
-  /// unit follows the full deadline/retry policy; a multi-spec unit is a
-  /// packed unit (one worker; one batched dispatch per planner group,
-  /// closed-loop lanes for its lane-eligible members) whose members
-  /// degrade to per-scenario retries if the unit's worker dies.
+  /// Runs one dispatch unit in spec order: one batched dispatch per
+  /// planner group, closed-loop lanes for the lane-eligible loops and the
+  /// guarded per-scenario path for the rest, whatever the unit's size.  In
+  /// process mode the unit runs in the worker under the sum of its
+  /// members' deadlines; a one-spec unit is retried under the full
+  /// deadline/retry policy, while the members of a packed unit whose
+  /// worker dies run again one by one as one-spec units.
   /// Never throws: every failure mode (crash, limit, timeout, lost worker)
   /// comes back as an error row.  Returns one entry per spec, in order --
   /// or an empty vector when interrupt() withdrew the unit (check

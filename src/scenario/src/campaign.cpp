@@ -23,10 +23,10 @@ namespace {
 constexpr std::uint64_t kUnitDieBudget = 16384;
 
 /// Closed-loop periods one lane unit may carry.  The regression suite's
-/// two --jobs 2 shards hold ~83-86k periods each, so each gets two lane
-/// units: a kill -9 re-runs at most one unit's worth and a graceful stop
-/// waits for at most one, while each unit still keeps all eight lanes
-/// busy through most of its run.  A scenario is never split.
+/// ~174k periods cut into four lane units: a kill -9 re-runs at most one
+/// unit's worth per executor and a graceful stop waits for at most one,
+/// while each unit still keeps all eight lanes busy through most of its
+/// run.  A scenario is never split.
 constexpr std::uint64_t kUnitPeriodBudget = 48000;
 
 }  // namespace
@@ -95,10 +95,8 @@ CampaignJob::CampaignJob(const std::vector<ScenarioSpec>& specs,
 CampaignJob::~CampaignJob() = default;
 
 std::vector<std::vector<std::size_t>> CampaignJob::units(
-    const std::function<bool(std::size_t)>& take, bool pack_lanes) const {
-  const auto admitted = [&](std::size_t index) {
-    return !committed_[index] && take(index);
-  };
+    bool pack_lanes) const {
+  const auto pending = [&](std::size_t index) { return !committed_[index]; };
   const auto lane = [&](std::size_t index) {
     return pack_lanes && lane_periods_[index] > 0;
   };
@@ -128,14 +126,14 @@ std::vector<std::vector<std::size_t>> CampaignJob::units(
   for (const BatchGroup& group : plan_.groups) {
     members.clear();
     std::copy_if(group.members.begin(), group.members.end(),
-                 std::back_inserter(members), admitted);
+                 std::back_inserter(members), pending);
     pack(members, dies_, kUnitDieBudget);
   }
-  // Runs of consecutive lane specs: any other admitted spec ends a run, so
+  // Runs of consecutive lane specs: any other pending spec ends a run, so
   // units still start in index order.
   members.clear();
   for (std::size_t index = 0; index < committed_.size(); ++index) {
-    if (!admitted(index)) {
+    if (!pending(index)) {
       continue;
     }
     if (lane(index)) {
@@ -147,7 +145,7 @@ std::vector<std::vector<std::size_t>> CampaignJob::units(
   }
   pack(members, lane_periods_, kUnitPeriodBudget);
   for (const std::size_t index : plan_.scalar) {
-    if (admitted(index) && !lane(index)) {
+    if (pending(index) && !lane(index)) {
       units.push_back({index});
     }
   }
@@ -207,49 +205,34 @@ std::string CampaignOutcome::jsonl() const {
 CampaignOutcome Campaign::run(const std::vector<ScenarioSpec>& specs) const {
   ScenarioWorkspace workspace;
   CampaignJob job(specs, config_.journal_dir, config_.resume, workspace);
-  std::vector<std::size_t> pending;
-  pending.reserve(specs.size());
-  for (std::size_t i = 0; i < specs.size(); ++i) {
-    if (!job.committed(i)) {
-      pending.push_back(i);
-    }
-  }
-
-  // One contiguous shard of `pending` per job, cut into the job's dispatch
-  // units before the pool starts (units() must not run beside a commit).
-  // Every shard's executor -- in process isolation, its sandbox worker --
-  // is built before the pool starts a thread, so workers fork from a
-  // single-threaded process (see ScenarioExecutor's constructor).
+  // The one unit list, cut before the pool starts (units() must not run
+  // beside a commit).  Every executor -- in process isolation, its sandbox
+  // worker -- is built before the pool starts a thread, so workers fork
+  // from a single-threaded process (see ScenarioExecutor's constructor).
+  const std::vector<std::vector<std::size_t>> units =
+      job.units(/*pack_lanes=*/true);
   SandboxCounters counters;
   const std::size_t jobs =
       config_.jobs ? config_.jobs : analysis::default_thread_count();
-  const std::size_t shards = std::min(jobs, pending.size());
-  std::vector<std::size_t> shard_of(specs.size(), shards);
-  std::vector<std::vector<std::vector<std::size_t>>> shard_units(shards);
   std::vector<std::unique_ptr<ScenarioExecutor>> executors;
-  for (std::size_t shard = 0; shard < shards; ++shard) {
-    const auto [begin, end] =
-        analysis::shard_range(pending.size(), shards, shard);
-    for (std::size_t i = begin; i < end; ++i) {
-      shard_of[pending[i]] = shard;
-    }
-    shard_units[shard] = job.units(
-        [&](std::size_t index) { return shard_of[index] == shard; },
-        /*pack_lanes=*/true);
+  for (std::size_t i = 0; i < std::min(jobs, units.size()); ++i) {
     executors.push_back(
         std::make_unique<ScenarioExecutor>(config_.isolation, &counters));
   }
+  std::atomic<std::size_t> next_unit{0};
   std::atomic<std::size_t> batched_units{0};
-  analysis::ThreadPool pool(shards);
-  pool.run_shards(shards, [&](std::size_t shard) {
-    for (const std::vector<std::size_t>& unit : shard_units[shard]) {
-      // A graceful stop gates *starting* units: a running unit finishes
-      // and journals normally, so the journal stays resumable and
-      // non-torn.
+  analysis::ThreadPool pool(executors.size());
+  pool.run_shards(executors.size(), [&](std::size_t worker) {
+    // Executors pull units in order.  A graceful stop gates *starting*
+    // units: a running unit finishes and journals normally, so the journal
+    // stays resumable and non-torn.
+    for (std::size_t next = next_unit.fetch_add(1); next < units.size();
+         next = next_unit.fetch_add(1)) {
       if (config_.stop != nullptr &&
           config_.stop->load(std::memory_order_relaxed)) {
         return;
       }
+      const std::vector<std::size_t>& unit = units[next];
       std::vector<ScenarioSpec> unit_specs;
       unit_specs.reserve(unit.size());
       for (const std::size_t index : unit) {
@@ -258,29 +241,31 @@ CampaignOutcome Campaign::run(const std::vector<ScenarioSpec>& specs) const {
       if (unit.size() > 1) {
         batched_units.fetch_add(1, std::memory_order_relaxed);
       }
-      job.commit(unit, executors[shard]->run_unit(unit_specs));
+      job.commit(unit, executors[worker]->run_unit(unit_specs));
     }
   });
 
   CampaignOutcome outcome;
   outcome.resumed = job.resumed();
-  for (const std::size_t index : pending) {
-    if (!job.committed(index)) {
-      ++outcome.skipped;
-      continue;
+  for (const std::vector<std::size_t>& unit : units) {
+    for (const std::size_t index : unit) {
+      if (!job.committed(index)) {
+        ++outcome.skipped;
+        continue;
+      }
+      const ScenarioResult& result = job.row(index).result;
+      if (result.error == ScenarioError::kTimeout) {
+        ++outcome.timeouts;
+      } else if (result.error == ScenarioError::kException) {
+        ++outcome.exceptions;
+      }
+      // kCrash / kResourceLimit / kWorkerLost rows are accounted via the
+      // shared SandboxCounters below (the executor classifies them).
+      if (result.attempts > 1) {
+        ++outcome.retried;
+      }
+      ++outcome.executed;
     }
-    const ScenarioResult& result = job.row(index).result;
-    if (result.error == ScenarioError::kTimeout) {
-      ++outcome.timeouts;
-    } else if (result.error == ScenarioError::kException) {
-      ++outcome.exceptions;
-    }
-    // kCrash / kResourceLimit / kWorkerLost rows are accounted via the
-    // shared SandboxCounters below (the executor classifies them).
-    if (result.attempts > 1) {
-      ++outcome.retried;
-    }
-    ++outcome.executed;
   }
   std::vector<ExecutedScenario> rows = std::move(job).take_rows();
   outcome.results.reserve(rows.size());

@@ -20,6 +20,7 @@
 #include <map>
 #include <mutex>
 #include <new>
+#include <optional>
 #include <string>
 #include <thread>
 #include <utility>
@@ -194,14 +195,15 @@ void emit_entry(int fd, std::size_t entry, const ScenarioResult& result) {
 /// The one unit execution shape, shared by in-process executors and the
 /// sandbox child: one batched dispatch per planner group, closed-loop
 /// lanes (run_lanes) for the lane-eligible rest, and `scalar(index)` for
-/// every other spec.  Each lane row is kept as soon as its scenario
-/// finishes (its history dropped) and passes through `stamp(index,
-/// result)`.  threads=1 keeps a forked child single-threaded (the analysis
-/// pool runs inline at 1).
-template <typename Scalar, typename Stamp>
+/// every other spec.  A lone spec takes the same shape: a one-member group
+/// or a one-member run_lanes, whose rows are byte-identical to
+/// run_scenario_guarded's.  Each lane row is kept as soon as its scenario
+/// finishes (its history dropped).  threads=1 keeps a forked child
+/// single-threaded (the analysis pool runs inline at 1).
+template <typename Scalar>
 std::vector<ScenarioResult> run_unit_inline(
     const std::vector<ScenarioSpec>& specs, ScenarioWorkspace& workspace,
-    Scalar scalar, Stamp stamp) {
+    Scalar scalar) {
   std::vector<ScenarioResult> results(specs.size());
   const BatchPlan plan = plan_batches(specs, workspace);
   for (const BatchGroup& group : plan.groups) {
@@ -215,7 +217,6 @@ std::vector<ScenarioResult> run_unit_inline(
   run_lanes(specs, std::move(lanes), workspace,
             [&](std::size_t index, ScenarioArtifacts artifacts) {
               results[index] = std::move(artifacts.result);
-              stamp(index, results[index]);
             });
   for (const std::size_t index : alone) {
     results[index] = scalar(index);
@@ -223,6 +224,8 @@ std::vector<ScenarioResult> run_unit_inline(
   return results;
 }
 
+/// A spec that neither path takes (hooked, forced-scalar, invalid,
+/// infeasible): the debug hooks run here, inside the worker.
 ScenarioResult child_run_single(const ScenarioSpec& spec, int attempt,
                                 ScenarioWorkspace& workspace) {
   if (spec.debug_hang_ms > 0 && attempt < spec.debug_hang_attempts) {
@@ -233,36 +236,24 @@ ScenarioResult child_run_single(const ScenarioSpec& spec, int attempt,
   if (!spec.debug_crash.empty()) {
     inject_crash(spec.debug_crash);
   }
-  ScenarioResult result = run_scenario_guarded(spec, workspace).result;
-  // Stamp the supervisor's attempt number (a retried-then-succeeded row
-  // reports every attempt it consumed).
-  result.attempts = attempt + 1;
-  return result;
+  return run_scenario_guarded(spec, workspace).result;
 }
 
 void child_run_unit(const std::vector<ScenarioSpec>& specs,
                     const std::vector<int>& attempts,
                     ScenarioWorkspace& workspace, int resp_fd) {
-  const std::size_t count = specs.size();
-  if (count == 1) {
-    // Never planned: a lone spec may be a retry, and keeps its hooks and
-    // attempt stamp even when it is batch-eligible.
-    emit_entry(resp_fd, 0, child_run_single(specs[0], attempts[0], workspace));
-  } else {
-    const std::vector<ScenarioResult> results = run_unit_inline(
-        specs, workspace,
-        [&](std::size_t index) {
-          return child_run_single(specs[index], attempts[index], workspace);
-        },
-        [&](std::size_t index, ScenarioResult& result) {
-          result.attempts = attempts[index] + 1;  // As child_run_single.
-        });
-    for (std::size_t i = 0; i < count; ++i) {
-      emit_entry(resp_fd, i, results[i]);
-    }
+  std::vector<ScenarioResult> results =
+      run_unit_inline(specs, workspace, [&](std::size_t index) {
+        return child_run_single(specs[index], attempts[index], workspace);
+      });
+  for (std::size_t i = 0; i < results.size(); ++i) {
+    // The supervisor's attempt number: a retried-then-succeeded row
+    // reports every attempt it consumed.
+    results[i].attempts = attempts[i] + 1;
+    emit_entry(resp_fd, i, results[i]);
   }
   analysis::JsonObject done = service::make_frame("unit_done");
-  done.set("entries", static_cast<std::uint64_t>(count));
+  done.set("entries", static_cast<std::uint64_t>(results.size()));
   emit_frame(resp_fd, done);
 }
 
@@ -625,50 +616,61 @@ UnitWait wait_unit(ScenarioExecutor::Impl& impl, std::size_t entries,
   }
 }
 
-std::string spec_fingerprint(const ScenarioSpec& spec) {
-  return content_fingerprint_of(std::vector<ScenarioSpec>{spec});
-}
-
-ExecutedScenario crash_row(ScenarioExecutor::Impl& impl,
-                           const ScenarioSpec& spec, int attempt, int sig) {
-  // Deterministic by construction: the signal and the spec's content
-  // fingerprint -- never a pid or address -- so the row is a pure function
-  // of (spec, config) and replays byte-identically from the journal.
-  ScenarioResult result = make_error_result(
-      spec, ScenarioError::kCrash,
-      "sandbox worker killed by " + describe_signal(sig) + " (spec " +
-          spec_fingerprint(spec) + ")");
-  result.attempts = attempt + 1;
-  return render_result(std::move(result), impl.counters);
-}
-
-ExecutedScenario limit_row(ScenarioExecutor::Impl& impl,
-                           const ScenarioSpec& spec, int attempt, bool cpu) {
-  std::string detail;
-  if (cpu) {
-    detail = "sandbox worker exceeded RLIMIT_CPU";
-    if (impl.config.limits.cpu_limit_s > 0) {
-      detail += " (" + std::to_string(impl.config.limits.cpu_limit_s) + " s)";
-    }
-    detail += ": SIGXCPU";
-  } else {
-    detail = "sandbox worker exceeded RLIMIT_AS";
-    if (impl.config.limits.mem_limit_mb > 0) {
-      detail +=
-          " (" + std::to_string(impl.config.limits.mem_limit_mb) + " MiB)";
-    }
-    detail += ": allocation failed";
+/// The error row of a lone spec whose worker died by `status`, or nullopt
+/// when the death is not the spec's own doing (a lost worker, retried).
+std::optional<ScenarioResult> death_error(const ScenarioExecutor::Impl& impl,
+                                          const ScenarioSpec& spec,
+                                          int status) {
+  const bool signaled = WIFSIGNALED(status);
+  if (signaled && crash_signal(WTERMSIG(status))) {
+    // Deterministic by construction: the signal and the spec's content
+    // fingerprint -- never a pid or address -- so the row is a pure
+    // function of (spec, config) and replays byte-identically from the
+    // journal.
+    return make_error_result(
+        spec, ScenarioError::kCrash,
+        "sandbox worker killed by " + describe_signal(WTERMSIG(status)) +
+            " (spec " + content_fingerprint_of({spec}) + ")");
   }
-  ScenarioResult result =
-      make_error_result(spec, ScenarioError::kResourceLimit, detail);
-  result.attempts = attempt + 1;
-  return render_result(std::move(result), impl.counters);
+  const SandboxLimits& limits = impl.config.limits;
+  if (signaled && WTERMSIG(status) == SIGXCPU) {
+    std::string detail = "sandbox worker exceeded RLIMIT_CPU";
+    if (limits.cpu_limit_s > 0) {
+      detail += " (" + std::to_string(limits.cpu_limit_s) + " s)";
+    }
+    return make_error_result(spec, ScenarioError::kResourceLimit,
+                             detail + ": SIGXCPU");
+  }
+  if (WIFEXITED(status) && WEXITSTATUS(status) == kExitOom) {
+    std::string detail = "sandbox worker exceeded RLIMIT_AS";
+    if (limits.mem_limit_mb > 0) {
+      detail += " (" + std::to_string(limits.mem_limit_mb) + " MiB)";
+    }
+    return make_error_result(spec, ScenarioError::kResourceLimit,
+                             detail + ": allocation failed");
+  }
+  // SIGKILL we did not send (the kernel OOM killer), a stray exit, an
+  // unknown signal: transient, retried like a timeout.
+  return std::nullopt;
 }
 
-ExecutedScenario run_one_process(ScenarioExecutor::Impl& impl,
-                                 const ScenarioSpec& spec, bool& withdrawn) {
-  const std::uint64_t timeout_ms = impl.timeout_of(spec);
-  const int attempts_allowed = 1 + std::max(0, impl.config.max_retries);
+/// The one supervision loop, for a unit of any size: dispatch, wait under
+/// the summed member deadline, kill and reap, withdraw on interrupt.  A
+/// lone spec gets the full retry policy and its worker's death is
+/// classified; a packed unit gets one attempt, and if its worker dies the
+/// partial rows are discarded and every member runs as its own lone unit
+/// -- byte-identical rows by the batch and lane contracts.  Returns one
+/// row per spec, or none when interrupt() withdrew the unit.
+std::vector<ExecutedScenario> run_unit_process(
+    ScenarioExecutor::Impl& impl, const std::vector<ScenarioSpec>& specs) {
+  const bool lone = specs.size() == 1;
+  const int attempts_allowed =
+      lone ? 1 + std::max(0, impl.config.max_retries) : 1;
+  std::uint64_t timeout_ms = 0;
+  for (const ScenarioSpec& spec : specs) {
+    timeout_ms += impl.timeout_of(spec);
+  }
+  std::vector<ExecutedScenario> out;
   bool last_was_timeout = true;
   std::string last_lost_detail;
   for (int attempt = 0; attempt < attempts_allowed; ++attempt) {
@@ -678,133 +680,72 @@ ExecutedScenario run_one_process(ScenarioExecutor::Impl& impl,
           std::chrono::milliseconds(impl.config.backoff_base_ms << shift));
     }
     if (impl.interrupted.load(std::memory_order_relaxed)) {
-      withdrawn = true;
       return {};
     }
-    if (!dispatch_unit(impl, {spec}, {attempt})) {
+    if (!dispatch_unit(impl, specs, std::vector<int>(specs.size(), attempt))) {
       last_was_timeout = false;
       last_lost_detail = "sandbox worker could not be spawned";
       continue;
     }
     UnitCollect collect;
-    const UnitWait wait =
-        wait_unit(impl, 1, Clock::now() + std::chrono::milliseconds(timeout_ms),
-                  collect);
-    if (wait == UnitWait::kDone) {
-      if (collect.rows[0].empty()) {
-        kill_worker(impl);
-        reap_worker(impl);
-        last_was_timeout = false;
-        last_lost_detail = "sandbox worker completed without a result row";
-        continue;
+    const UnitWait wait = wait_unit(
+        impl, specs.size(),
+        Clock::now() + std::chrono::milliseconds(timeout_ms), collect);
+    const bool complete =
+        std::none_of(collect.rows.begin(), collect.rows.end(),
+                     [](const std::string& row) { return row.empty(); });
+    if (wait == UnitWait::kDone && complete) {
+      for (std::size_t i = 0; i < specs.size(); ++i) {
+        out.push_back(from_child_row(std::move(collect.rows[i]),
+                                     std::move(collect.health[i]),
+                                     impl.counters));
       }
-      return from_child_row(std::move(collect.rows[0]),
-                            std::move(collect.health[0]), impl.counters);
+      return out;
     }
-    if (wait == UnitWait::kDeadline) {
-      kill_worker(impl);
-      reap_worker(impl);
-      if (impl.interrupted.load(std::memory_order_relaxed)) {
-        withdrawn = true;
-        return {};
-      }
-      last_was_timeout = true;
-      continue;
+    if (wait != UnitWait::kDead) {
+      kill_worker(impl);  // Past its deadline, or done without every row.
     }
-    // Worker died mid-attempt: classify its exit status.
     const int status = reap_worker(impl);
     if (impl.interrupted.load(std::memory_order_relaxed)) {
-      withdrawn = true;
       return {};
     }
-    if (WIFSIGNALED(status)) {
-      const int sig = WTERMSIG(status);
-      if (sig == SIGXCPU) {
-        return limit_row(impl, spec, attempt, /*cpu=*/true);
+    last_was_timeout = wait == UnitWait::kDeadline;
+    if (wait == UnitWait::kDone) {
+      last_lost_detail = "sandbox worker completed without a result row";
+    } else if (wait == UnitWait::kDead && lone) {
+      if (std::optional<ScenarioResult> error =
+              death_error(impl, specs[0], status)) {
+        error->attempts = attempt + 1;
+        out.push_back(render_result(std::move(*error), impl.counters));
+        return out;
       }
-      if (crash_signal(sig)) {
-        return crash_row(impl, spec, attempt, sig);
+      last_lost_detail =
+          "sandbox worker lost (" + describe_status(status) + ")";
+    }
+  }
+  if (!lone) {
+    for (const ScenarioSpec& spec : specs) {
+      std::vector<ExecutedScenario> row = run_unit_process(impl, {spec});
+      if (row.empty()) {
+        return {};
       }
+      out.push_back(std::move(row.front()));
     }
-    if (WIFEXITED(status) && WEXITSTATUS(status) == kExitOom) {
-      return limit_row(impl, spec, attempt, /*cpu=*/false);
-    }
-    // SIGKILL we did not send (the kernel OOM killer), a stray exit, an
-    // unknown signal: transient, retried like a timeout.
-    last_was_timeout = false;
-    last_lost_detail = "sandbox worker lost (" + describe_status(status) + ")";
+    return out;
   }
   ScenarioResult result =
       last_was_timeout
           ? make_error_result(
-                spec, ScenarioError::kTimeout,
+                specs[0], ScenarioError::kTimeout,
                 "watchdog: no completion within " +
                     std::to_string(timeout_ms) + " ms after " +
                     std::to_string(attempts_allowed) + " attempt(s)")
           : make_error_result(
-                spec, ScenarioError::kWorkerLost,
+                specs[0], ScenarioError::kWorkerLost,
                 last_lost_detail + " after " +
                     std::to_string(attempts_allowed) + " attempt(s)");
   result.attempts = attempts_allowed;
-  return render_result(std::move(result), impl.counters);
-}
-
-std::vector<ExecutedScenario> run_group_process(
-    ScenarioExecutor::Impl& impl, const std::vector<ScenarioSpec>& specs,
-    bool& withdrawn) {
-  std::uint64_t group_timeout_ms = 0;
-  for (const ScenarioSpec& spec : specs) {
-    group_timeout_ms += impl.timeout_of(spec);
-  }
-  const std::vector<int> attempts(specs.size(), 0);
-  bool group_ok = false;
-  UnitCollect collect;
-  if (dispatch_unit(impl, specs, attempts)) {
-    const UnitWait wait = wait_unit(
-        impl, specs.size(),
-        Clock::now() + std::chrono::milliseconds(group_timeout_ms), collect);
-    if (wait == UnitWait::kDone) {
-      group_ok = true;
-      for (const std::string& row : collect.rows) {
-        if (row.empty()) {
-          group_ok = false;
-        }
-      }
-      if (!group_ok) {
-        kill_worker(impl);
-      }
-    } else if (wait == UnitWait::kDeadline) {
-      kill_worker(impl);
-    }
-    if (!group_ok) {
-      reap_worker(impl);
-    }
-  }
-  if (impl.interrupted.load(std::memory_order_relaxed)) {
-    withdrawn = true;
-    return {};
-  }
-  std::vector<ExecutedScenario> out;
-  out.reserve(specs.size());
-  if (group_ok) {
-    for (std::size_t i = 0; i < specs.size(); ++i) {
-      out.push_back(from_child_row(std::move(collect.rows[i]),
-                                   std::move(collect.health[i]),
-                                   impl.counters));
-    }
-    return out;
-  }
-  // Group worker died (or timed out): the partial rows are discarded and
-  // every member degrades to the per-scenario guarded path with the full
-  // retry policy -- byte-identical rows by the batch-equivalence contract.
-  for (const ScenarioSpec& spec : specs) {
-    bool entry_withdrawn = false;
-    out.push_back(run_one_process(impl, spec, entry_withdrawn));
-    if (entry_withdrawn) {
-      withdrawn = true;
-      return {};
-    }
-  }
+  out.push_back(render_result(std::move(result), impl.counters));
   return out;
 }
 
@@ -812,12 +753,10 @@ std::vector<ExecutedScenario> run_group_process(
 /// no containment.
 std::vector<ExecutedScenario> run_unit_thread(
     ScenarioExecutor::Impl& impl, const std::vector<ScenarioSpec>& specs) {
-  std::vector<ScenarioResult> results = run_unit_inline(
-      specs, impl.workspace,
-      [&](std::size_t index) {
+  std::vector<ScenarioResult> results =
+      run_unit_inline(specs, impl.workspace, [&](std::size_t index) {
         return run_scenario_guarded(specs[index], impl.workspace).result;
-      },
-      [](std::size_t, ScenarioResult&) {});
+      });
   std::vector<ExecutedScenario> out;
   out.reserve(specs.size());
   for (ScenarioResult& result : results) {
@@ -866,22 +805,7 @@ std::vector<ExecutedScenario> ScenarioExecutor::run_unit(
   if (impl_->config.mode == IsolationMode::kThread) {
     return run_unit_thread(*impl_, specs);
   }
-  bool withdrawn = false;
-  if (specs.size() == 1) {
-    ExecutedScenario entry = run_one_process(*impl_, specs[0], withdrawn);
-    if (withdrawn) {
-      return {};
-    }
-    std::vector<ExecutedScenario> out;
-    out.push_back(std::move(entry));
-    return out;
-  }
-  std::vector<ExecutedScenario> out =
-      run_group_process(*impl_, specs, withdrawn);
-  if (withdrawn) {
-    return {};
-  }
-  return out;
+  return run_unit_process(*impl_, specs);
 }
 
 void ScenarioExecutor::interrupt() {

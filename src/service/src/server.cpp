@@ -134,8 +134,7 @@ struct Job {
     // inflight quota (four scenarios by default) and a graceful stop
     // lets in-flight units finish, so a lane unit would make a quota of
     // loops stop, cancel and commit all at once.
-    units = campaign->units([](std::size_t) { return true; },
-                            /*pack_lanes=*/false);
+    units = campaign->units(/*pack_lanes=*/false);
     inflight.assign(specs.size(), false);
   }
 };

@@ -7,6 +7,7 @@
 #include <cstdlib>
 #include <fstream>
 #include <iterator>
+#include <limits>
 #include <set>
 #include <stdexcept>
 #include <thread>
@@ -138,6 +139,14 @@ TEST(MonteCarlo, SummaryOfKnownSamples) {
   EXPECT_DOUBLE_EQ(s.p50, 3.0);
   EXPECT_EQ(s.count, 5u);
   EXPECT_NEAR(s.stddev, std::sqrt(2.0), 1e-12);
+
+  // An INL die that cannot lock reads +inf; an exact rank beside it must
+  // not weigh it by zero (inf * 0 is NaN).
+  const auto unlocked =
+      summarize({1.0, 2.0, std::numeric_limits<double>::infinity()});
+  EXPECT_DOUBLE_EQ(unlocked.p50, 2.0);
+  EXPECT_TRUE(std::isinf(unlocked.p95));
+  EXPECT_TRUE(std::isinf(unlocked.max));
 }
 
 TEST(MonteCarlo, EmptySummaryIsZero) {

@@ -5,6 +5,7 @@
 // parser / atomic writer they ride on, and the runner's CLI grammar.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <climits>
 #include <filesystem>
 #include <fstream>
@@ -70,9 +71,9 @@ std::vector<ScenarioSpec> quick_batch() {
           quick_spec("c", 13)};
 }
 
-/// The yield family copied 8 times, renamed and re-seeded: at any job
-/// count up to 2 every shard packs each corner's siblings into one
-/// multi-spec dispatch unit of at least four scenarios.
+/// The yield family copied 8 times, renamed and re-seeded: each corner's
+/// siblings pack into one multi-spec dispatch unit of at least eight
+/// scenarios, whatever the job count.
 std::vector<ScenarioSpec> replicated_yield() {
   const auto family = ScenarioRegistry::builtin().expand("yield");
   std::vector<ScenarioSpec> specs;
@@ -160,27 +161,26 @@ TEST(CampaignTest, McYieldCampaignIsByteIdenticalAcrossJobsAndKernelPaths) {
 }
 
 TEST(CampaignTest, PacksYieldSiblingsIntoBatchedUnits) {
-  // Each shard plans its specs: one packed unit per corner group (three
-  // per shard here), streamed byte-identically to the plain runner.
+  // The campaign plans the whole list once: one packed unit per corner
+  // group, three at any job count, streamed byte-identically to the plain
+  // runner.
   const auto specs = replicated_yield();
   const auto results = ScenarioRunner(2).run(specs);
-  for (const std::size_t jobs : {std::size_t{1}, std::size_t{2}}) {
+  for (const std::size_t jobs :
+       {std::size_t{1}, std::size_t{2}, std::size_t{4}}) {
     CampaignConfig config;
     config.isolation.mode = IsolationMode::kProcess;
     config.jobs = jobs;
     config.journal_dir = fresh_dir("packed" + std::to_string(jobs));
     const auto outcome = Campaign(config).run(specs);
-    EXPECT_EQ(outcome.batched_units, 3 * jobs) << "jobs " << jobs;
+    EXPECT_EQ(outcome.batched_units, 3u) << "jobs " << jobs;
     EXPECT_EQ(outcome.jsonl(), ScenarioRunner::jsonl(results))
         << "jobs " << jobs;
     EXPECT_EQ(outcome.health_jsonl, ScenarioRunner::health_jsonl(results));
     EXPECT_EQ(outcome.executed, specs.size());
   }
-  // The four closed loops pack into one closed-loop lane unit (one shard,
-  // so the count does not depend on the host's thread count).
-  CampaignConfig one_job;
-  one_job.jobs = 1;
-  EXPECT_EQ(Campaign(one_job).run(quick_batch()).batched_units, 1u);
+  // The four closed loops pack into one closed-loop lane unit.
+  EXPECT_EQ(Campaign(CampaignConfig{}).run(quick_batch()).batched_units, 1u);
 }
 
 TEST(CampaignTest, DieBudgetCutsUnitsBetweenScenariosNeverInside) {
@@ -300,6 +300,39 @@ TEST(CampaignTest, ResumeAfterTornJournalIsByteIdentical) {
     EXPECT_EQ(replayed.jsonl(), uninterrupted.jsonl()) << tag;
     EXPECT_EQ(replayed.health_jsonl, uninterrupted.health_jsonl) << tag;
   }
+}
+
+TEST(CampaignTest, GracefulStopStartsNoUnitAndTheResumeRunsThemAll) {
+  // A stop already requested when the run begins: no unit starts, so
+  // every spec is skipped, nothing is journaled and the stream is empty.
+  // A resume with the flag cleared then matches an uninterrupted run.
+  std::vector<ScenarioSpec> specs = quick_batch();
+  for (ScenarioSpec& spec : ScenarioRegistry::builtin().expand("yield")) {
+    specs.push_back(std::move(spec));
+  }
+  const auto uninterrupted = Campaign(CampaignConfig{}).run(specs);
+
+  std::atomic<bool> stop{true};
+  CampaignConfig config;
+  config.journal_dir = fresh_dir("stopped");
+  config.jobs = 2;
+  config.stop = &stop;
+  const auto stopped = Campaign(config).run(specs);
+  EXPECT_TRUE(stopped.interrupted);
+  EXPECT_EQ(stopped.skipped, specs.size());
+  EXPECT_EQ(stopped.executed, 0u);
+  EXPECT_EQ(stopped.jsonl(), "");
+  EXPECT_EQ(stopped.health_jsonl, "");
+
+  stop = false;
+  config.resume = true;
+  const auto resumed = Campaign(config).run(specs);
+  EXPECT_FALSE(resumed.interrupted);
+  EXPECT_EQ(resumed.skipped, 0u);
+  EXPECT_EQ(resumed.resumed, 0u);
+  EXPECT_EQ(resumed.executed, specs.size());
+  EXPECT_EQ(resumed.jsonl(), uninterrupted.jsonl());
+  EXPECT_EQ(resumed.health_jsonl, uninterrupted.health_jsonl);
 }
 
 TEST(CampaignTest, ResumeRefusesAMismatchedScenarioList) {

@@ -7,11 +7,11 @@ RUNNER, SERVER and CLIENT are the built ddl_scenario_runner,
 ddl_scenario_server and ddl_scenario_client.  The smoke suite run once by
 the runner is the clean reference stream.
 
-(a) The runner at --jobs 2 with a SIGSEGV injected into the first
+(a) The runner at --jobs 1 with a SIGSEGV injected into the first
     scenario: exactly one `crash` error row naming the signal and the spec
     fingerprint, every other row passes, and the aggregate counts one
-    sandbox crash and at least one respawned worker.  Two shards on any
-    core count, so the crashed scenario shares its shard and its worker is
+    sandbox crash and at least one respawned worker.  One executor pulls
+    every unit, so the worker that died with the crashed scenario is
     respawned for the next unit.
 (b) The runner at --jobs 2 with an allocation loop under a 512 MiB
     RLIMIT_AS: exactly one `resource_limit` row, the rest pass, one
@@ -109,7 +109,7 @@ def runner_segv(runner, work):
     out = os.path.join(work, "segv.jsonl")
     # The exit status counts the one failed scenario; the campaign itself
     # must not die with the worker.
-    subprocess.run([runner, "--suite", "smoke", "--jobs", "2",
+    subprocess.run([runner, "--suite", "smoke", "--jobs", "1",
                     "--inject-crash", "segv", "--out", out],
                    stderr=subprocess.DEVNULL)
     stream = rows(out)

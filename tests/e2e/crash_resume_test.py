@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""End-to-end: a campaign killed by SIGKILL resumes byte-identically.
+"""End-to-end: a campaign killed by SIGKILL, or stopped by SIGTERM,
+resumes byte-identically.
 
     crash_resume_test.py RUNNER WORK_DIR
 
@@ -12,7 +13,13 @@ reference result and health streams byte for byte, restoring at least 5
 scenarios and executing at least one, and its aggregate must count every
 line of the resumed health stream.  A closed-loop lane unit commits
 many rows at once, so the executed floor is what proves the kill landed
-mid-suite.  Registered with ctest under the `e2e` label.
+mid-suite.
+
+A second journaled run at --jobs 2 gets SIGTERM at the same point: it
+finishes its in-flight units, starts no other, and exits 130 with
+`interrupted: true` and a non-zero `skipped` count in its aggregate.  A
+--resume at --jobs 4 must again reproduce the reference streams byte for
+byte.  Registered with ctest under the `e2e` label.
 """
 import json
 import os
@@ -39,10 +46,54 @@ def read(path):
         return stream.read()
 
 
+def aggregate(work):
+    with open(os.path.join(work, "BENCH_scenario_suite_regression.json")) as f:
+        return json.load(f)
+
+
+def interrupt(suite, env, journal, sig):
+    """Sends `sig` to a journaled --jobs 2 run once its journal holds
+    KILL_AT_LINES rows; returns the exit status and the rows journaled."""
+    shutil.rmtree(journal, ignore_errors=True)
+    victim = subprocess.Popen(
+        suite + ["--jobs", "2", "--journal", journal, "--out", os.devnull],
+        env=env, stderr=subprocess.DEVNULL)
+    journal_file = os.path.join(journal, "journal.jsonl")
+    deadline = time.monotonic() + 120
+    while (journal_lines(journal_file) < KILL_AT_LINES and
+           victim.poll() is None and time.monotonic() < deadline):
+        time.sleep(POLL_S)
+    victim.send_signal(sig)
+    status = victim.wait()
+    killed_at = journal_lines(journal_file)
+    assert killed_at >= KILL_AT_LINES, killed_at
+    return status, killed_at
+
+
+def resume_matches(suite, env, work, journal, reference, reference_health):
+    """Resumes `journal` at --jobs 4 and checks both streams against the
+    reference; returns the resumed run's aggregate report."""
+    resumed = os.path.join(work, "resumed.jsonl")
+    resumed_health = os.path.join(work, "resumed-health.jsonl")
+    subprocess.run(suite + ["--jobs", "4", "--resume", journal,
+                            "--out", resumed, "--health-out", resumed_health],
+                   env=env, stderr=subprocess.DEVNULL)
+    assert read(resumed) == read(reference), "result streams differ"
+    assert read(resumed_health) == read(reference_health), \
+        "health streams differ"
+    report = aggregate(work)
+    # Resumed rows are rebuilt from their journal lines, so the aggregate
+    # must count the health stream itself.
+    health_lines = read(resumed_health).count(b"\n")
+    assert health_lines > 0, "the regression suite emits health events"
+    assert report["health_events"] == health_lines, \
+        (report["health_events"], health_lines)
+    return report
+
+
 def main(runner, work):
     os.makedirs(work, exist_ok=True)
     journal = os.path.join(work, "journal")
-    shutil.rmtree(journal, ignore_errors=True)
     env = dict(os.environ, DDL_BENCH_DIR=work)
     suite = [runner, "--suite", "regression"]
 
@@ -52,43 +103,29 @@ def main(runner, work):
                             "--health-out", reference_health],
                    env=env, stderr=subprocess.DEVNULL)
 
-    victim = subprocess.Popen(
-        suite + ["--jobs", "2", "--journal", journal, "--out", os.devnull],
-        env=env, stderr=subprocess.DEVNULL)
-    journal_file = os.path.join(journal, "journal.jsonl")
-    deadline = time.monotonic() + 120
-    while (journal_lines(journal_file) < KILL_AT_LINES and
-           victim.poll() is None and time.monotonic() < deadline):
-        time.sleep(POLL_S)
-    victim.send_signal(signal.SIGKILL)
-    victim.wait()
-    killed_at = journal_lines(journal_file)
-    assert killed_at >= KILL_AT_LINES, killed_at
-
-    resumed = os.path.join(work, "resumed.jsonl")
-    resumed_health = os.path.join(work, "resumed-health.jsonl")
-    subprocess.run(suite + ["--jobs", "4", "--resume", journal,
-                            "--out", resumed, "--health-out", resumed_health],
-                   env=env, stderr=subprocess.DEVNULL)
-    assert read(resumed) == read(reference), "result streams differ"
-    assert read(resumed_health) == read(reference_health), \
-        "health streams differ"
-
-    with open(os.path.join(work, "BENCH_scenario_suite_regression.json")) as f:
-        report = json.load(f)
+    _, killed_at = interrupt(suite, env, journal, signal.SIGKILL)
+    report = resume_matches(suite, env, work, journal, reference,
+                            reference_health)
     assert report["resumed"] >= KILL_AT_LINES, report["resumed"]
     assert report["executed"] >= 1, report["executed"]
     assert report["resumed"] + report["executed"] == report["scenarios"], \
         report
-    # Resumed rows are rebuilt from their journal lines, so the aggregate
-    # must count the health stream itself.
-    health_lines = read(resumed_health).count(b"\n")
-    assert health_lines > 0, "the regression suite emits health events"
-    assert report["health_events"] == health_lines, \
-        (report["health_events"], health_lines)
     print("killed with %d journaled rows; resumed %d, executed %d: "
           "byte-identical" % (killed_at, report["resumed"],
                               report["executed"]))
+
+    status, stopped_at = interrupt(suite, env, journal, signal.SIGTERM)
+    assert status == 130, status
+    stopped = aggregate(work)
+    assert stopped["interrupted"] is True, stopped
+    assert stopped["skipped"] > 0, stopped
+    report = resume_matches(suite, env, work, journal, reference,
+                            reference_health)
+    assert report["resumed"] == stopped_at, (report["resumed"], stopped_at)
+    print("stopped with %d journaled rows and %d never started; resumed "
+          "%d, executed %d: byte-identical"
+          % (stopped_at, stopped["skipped"], report["resumed"],
+             report["executed"]))
 
 
 if __name__ == "__main__":

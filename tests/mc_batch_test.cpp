@@ -379,6 +379,7 @@ TEST(McBatch, MixedLockTapBlockMatchesScalarOnEveryKernel) {
   const auto spec = mixed_tap_spec();
   const std::uint64_t base_seed = 2024;
   std::set<std::size_t> taps;
+  std::vector<std::size_t> unlocked;  ///< The kAtLimit and tap-0 lanes.
   std::size_t at_limit = 0;
   std::size_t tap_zero = 0;
   for (std::size_t i = 0; i < kBatchLanes; ++i) {
@@ -388,8 +389,10 @@ TEST(McBatch, MixedLockTapBlockMatchesScalarOnEveryKernel) {
     const auto tap = scalar_lock_tap(spec, i, die_seed(base_seed, i));
     if (!tap.has_value()) {
       ++at_limit;
+      unlocked.push_back(i);
     } else if (*tap == 0) {
       ++tap_zero;
+      unlocked.push_back(i);
     } else {
       taps.insert(*tap);
     }
@@ -404,6 +407,13 @@ TEST(McBatch, MixedLockTapBlockMatchesScalarOnEveryKernel) {
   for_each_kernel([&] {
     expect_matches_scalar(spec, 37, base_seed, 1);
     expect_matches_scalar(spec, 37, base_seed, 3);
+    // A die without a transfer curve reads +inf, so it fails any limit.
+    const auto samples =
+        monte_carlo_batched_samples(spec, kBatchLanes, base_seed, 1);
+    for (const std::size_t lane : unlocked) {
+      EXPECT_TRUE(std::isinf(samples[lane]) && samples[lane] > 0.0)
+          << "lane " << lane << " reads " << samples[lane];
+    }
   });
 }
 

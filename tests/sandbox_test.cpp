@@ -241,6 +241,9 @@ TEST(SandboxTest, GroupCrashDegradesToPerScenarioRetries) {
   // rather than being lost or duplicated.  The guilty spec is a closed-loop
   // run, or a yield spec whose kernel constants match a unit sibling's: a
   // hooked spec must stay off the packed dispatch, or its crash never runs.
+  // The degraded members run as lone units: two batch-eligible yield specs
+  // (each a one-member planner group) and one lane-eligible closed loop (a
+  // one-member lane run, finished on the scalar plant).
   const std::vector<ScenarioSpec> yield =
       ScenarioRegistry::builtin().expand("yield");
   ASSERT_EQ(yield.size(), 4u);
@@ -251,19 +254,25 @@ TEST(SandboxTest, GroupCrashDegradesToPerScenarioRetries) {
   isolation.mode = IsolationMode::kProcess;
   ScenarioExecutor clean(isolation);
   for (const ScenarioSpec& guilty : {crashing_spec("segv"), crashing_yield}) {
-    std::vector<ScenarioSpec> specs = {yield[0], yield[1], guilty};
+    std::vector<ScenarioSpec> specs = {yield[0], yield[1],
+                                       quick_spec("plain", 51), guilty};
     ScenarioExecutor executor(isolation);
     std::vector<ExecutedScenario> runs = executor.run_unit(specs);
     ASSERT_EQ(runs.size(), specs.size()) << guilty.name;
-    EXPECT_EQ(runs[2].result.error, ScenarioError::kCrash) << guilty.name;
-    EXPECT_EQ(runs[2].result.error_detail,
+    EXPECT_EQ(runs[3].result.error, ScenarioError::kCrash) << guilty.name;
+    EXPECT_EQ(runs[3].result.error_detail,
               "sandbox worker killed by SIGSEGV (spec " +
                   fingerprint_of_one(guilty) + ")");
-    for (std::size_t i = 0; i < 2; ++i) {
+    for (std::size_t i = 0; i < 3; ++i) {
       EXPECT_EQ(runs[i].result.error, ScenarioError::kNone) << i;
       EXPECT_FALSE(runs[i].line.empty()) << i;
-      // The degraded rows byte-match a clean single-spec execution.
+      // The degraded rows byte-match a clean single-spec execution and the
+      // plain guarded runner alike.
       EXPECT_EQ(runs[i].line, clean.run_unit({specs[i]}).front().line) << i;
+      EXPECT_EQ(runs[i].line,
+                ddl::scenario::to_json_line(
+                    ddl::scenario::run_scenario_guarded(specs[i]).result))
+          << i;
     }
   }
 }

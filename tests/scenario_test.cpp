@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <set>
 #include <string>
 #include <vector>
@@ -560,6 +561,48 @@ TEST(McYieldTest, YieldRowCarriesTheMcFieldsOnly) {
   const auto plain = ddl::scenario::run_scenario(smoke.front()).result;
   EXPECT_EQ(ddl::scenario::to_json_line(plain).find("\"mc_"),
             std::string::npos);
+}
+
+TEST(McYieldTest, DiesThatCannotLockFailTheYield) {
+  // A 70x power-on fault on cell 0 or cell 1 of the typical-corner line
+  // leaves no die a transfer curve: cell 0 alone crosses T/2 (kAtLimit),
+  // or the line locks at tap 0 and maps every duty word to one tap.  Each
+  // such die reports +inf INL and fails the limit, on the lone path, in a
+  // planner group and on the forced-scalar reference alike.
+  const auto yield = ScenarioRegistry::builtin().expand("yield");
+  const auto typical =
+      std::find_if(yield.begin(), yield.end(), [](const ScenarioSpec& spec) {
+        return spec.name == "yield/proposed/typical/inl-256die";
+      });
+  ASSERT_NE(typical, yield.end());
+  std::vector<ScenarioSpec> specs;
+  for (const std::size_t cell : {std::size_t{0}, std::size_t{1}}) {
+    ScenarioSpec spec = *typical;
+    spec.name = "yield/proposed/typical/cell" + std::to_string(cell) +
+                "x70-16die";
+    spec.mc_dies = 16;
+    spec.faults = {FaultSpec::delay_cell(cell, 70.0)};
+    specs.push_back(spec);
+  }
+  std::vector<ScenarioSpec> scalar = specs;
+  for (ScenarioSpec& spec : scalar) {
+    spec.mc_force_scalar = true;
+  }
+  const auto planned = ScenarioRunner(1).run(specs);
+  const auto reference = ScenarioRunner(1).run(scalar);
+  ASSERT_EQ(planned.size(), specs.size());
+  for (std::size_t i = 0; i < specs.size(); ++i) {
+    const auto lone = ddl::scenario::run_scenario(specs[i]).result;
+    EXPECT_FALSE(lone.pass) << lone.name;
+    EXPECT_EQ(lone.failure_reason, "yield_below_min") << lone.name;
+    EXPECT_EQ(lone.mc_yield, 0.0) << lone.name;
+    EXPECT_TRUE(std::isinf(lone.mc_inl_max_lsb)) << lone.name;
+    const std::string line = ddl::scenario::to_json_line(lone);
+    EXPECT_NE(line.find("\"mc_inl_max_lsb\": \"inf\""), std::string::npos)
+        << line;
+    EXPECT_EQ(ddl::scenario::to_json_line(planned[i]), line);
+    EXPECT_EQ(ddl::scenario::to_json_line(reference[i]), line);
+  }
 }
 
 TEST(BatchPlanTest, ClassifiesEligibilityAndGroupsByKernelConstants) {
