@@ -9,7 +9,11 @@
 // prefix sums over the lanes, the controller's lock walk is replayed in
 // closed form per lane, and the Eq-18 mapper's INL is scanned once per
 // distinct lock tap with the lanes side by side -- one schedule amortized
-// across the batch.
+// across the batch.  A block samples only the cells its dies read: through
+// each lane's T/2 crossing and the mapper's last tap (all cells for a die
+// that never crosses), planned from the nominal line and extended when a
+// lane reads further.  A cell's draw does not depend on which cells a
+// block samples, so neither does any die's result.
 //
 // Determinism and equivalence contract (tested die-by-die):
 //   * every die's result is a pure function of its seed and faults (of

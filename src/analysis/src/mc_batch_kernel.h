@@ -55,6 +55,9 @@ struct BatchYieldKernelParams {
 
 /// Structure-of-arrays scratch for one block of kBatchLanes dies, reused
 /// across blocks within a shard (element [cell * kBatchLanes + lane]).
+/// Sized for the whole line; an INL block fills only the rows its dies
+/// read, so rows past a block's plan hold an earlier block's values and are
+/// never read.
 struct BatchWorkspace {
   std::vector<double> unit;        ///< Uniform draws.
   std::vector<double> cell;        ///< Per-cell typical delays, ps.
@@ -87,7 +90,8 @@ inline double batch_process_factor(std::uint64_t seed, std::uint64_t index,
   return f;
 }
 
-/// Computes kBatchLanes dies' max-INL values in one pass.  `seeds`,
+/// Computes kBatchLanes dies' max-INL values, sampling only the cells they
+/// read (see mc_batch_kernel_body.inc, "Rows on demand").  `seeds`,
 /// `fault_cell` (kNoFault = none), `fault_severity`, `out_inl` and
 /// `needs_fallback` are kBatchLanes-long.  A lane whose lock walk the
 /// closed form cannot represent (tap delay wrapping past the period) gets

@@ -17,9 +17,13 @@ mid-suite.
 
 A second journaled run at --jobs 2 gets SIGTERM at the same point: it
 finishes its in-flight units, starts no other, and exits 130 with
-`interrupted: true` and a non-zero `skipped` count in its aggregate.  A
---resume at --jobs 4 must again reproduce the reference streams byte for
-byte.  Registered with ctest under the `e2e` label.
+`interrupted: true` and a non-zero `skipped` count in its aggregate.  That
+aggregate counts only the rows the run delivered: `scenarios` is
+`resumed + executed`, `scenarios + skipped` is the suite size, `failed` is
+the failing rows of its result stream, and no never-started scenario shows
+up as an empty failure reason or family.  A --resume at --jobs 4 must again
+reproduce the reference streams byte for byte.  Registered with ctest under
+the `e2e` label.
 """
 import json
 import os
@@ -51,12 +55,13 @@ def aggregate(work):
         return json.load(f)
 
 
-def interrupt(suite, env, journal, sig):
-    """Sends `sig` to a journaled --jobs 2 run once its journal holds
-    KILL_AT_LINES rows; returns the exit status and the rows journaled."""
+def interrupt(suite, env, journal, sig, out=os.devnull):
+    """Sends `sig` to a journaled --jobs 2 run, writing its result stream to
+    `out`, once its journal holds KILL_AT_LINES rows; returns the exit status
+    and the rows journaled."""
     shutil.rmtree(journal, ignore_errors=True)
     victim = subprocess.Popen(
-        suite + ["--jobs", "2", "--journal", journal, "--out", os.devnull],
+        suite + ["--jobs", "2", "--journal", journal, "--out", out],
         env=env, stderr=subprocess.DEVNULL)
     journal_file = os.path.join(journal, "journal.jsonl")
     deadline = time.monotonic() + 120
@@ -114,11 +119,24 @@ def main(runner, work):
           "byte-identical" % (killed_at, report["resumed"],
                               report["executed"]))
 
-    status, stopped_at = interrupt(suite, env, journal, signal.SIGTERM)
+    delivered = os.path.join(work, "stopped.jsonl")
+    status, stopped_at = interrupt(suite, env, journal, signal.SIGTERM,
+                                   delivered)
     assert status == 130, status
     stopped = aggregate(work)
     assert stopped["interrupted"] is True, stopped
     assert stopped["skipped"] > 0, stopped
+    # The aggregate counts the delivered rows, never the unstarted ones.
+    rows = [json.loads(line) for line in read(delivered).splitlines()]
+    suite_size = read(reference).count(b"\n")
+    assert stopped["scenarios"] == len(rows), (stopped, len(rows))
+    assert stopped["scenarios"] == stopped["resumed"] + stopped["executed"], \
+        stopped
+    assert stopped["scenarios"] + stopped["skipped"] == suite_size, \
+        (stopped, suite_size)
+    assert stopped["failed"] == sum(not row["pass"] for row in rows), stopped
+    assert "failures." not in stopped, stopped
+    assert not any(key.startswith("family..") for key in stopped), stopped
     report = resume_matches(suite, env, work, journal, reference,
                             reference_health)
     assert report["resumed"] == stopped_at, (report["resumed"], stopped_at)

@@ -25,6 +25,7 @@
 #include "ddl/analysis/mc_batch.h"
 #include "ddl/analysis/monte_carlo.h"
 #include "ddl/cells/batch_mismatch.h"
+#include "ddl/core/design_calculator.h"
 #include "ddl/core/proposed_controller.h"
 #include "ddl/core/proposed_line.h"
 #include "ddl/dpwm/behavioral.h"
@@ -431,6 +432,140 @@ TEST(McBatch, ShortLineMatchesScalarOnEveryKernel) {
   for_each_kernel([&] {
     expect_matches_scalar(spec, 64, 2024, 1);
     expect_matches_scalar(spec, 21, 5, 2);
+  });
+}
+
+// ---- Rows on demand -------------------------------------------------------
+//
+// An INL block computes only the prefix rows its dies read: a first pass
+// planned from the nominal line, extended while a lane reads past it.
+// These cases pin that plan against the scalar reference on every kernel.
+
+/// The 1 MHz, 6-bit proposed line of the scenario yield family at `op`.
+McBatchSpec yield_line_spec(const cells::OperatingPoint& op) {
+  McBatchSpec spec;
+  const auto design =
+      core::DesignCalculator(tech()).size_proposed(core::DesignSpec{1.0, 6});
+  spec.line = BatchLineSpec::from_technology(tech(), design.line);
+  spec.clock_period_ps = 1e6;
+  spec.op = op;
+  return spec;
+}
+
+/// The same `severity`x power-on fault on `cell` of dies 0 .. dies - 1.
+void fault_every_die(McBatchSpec& spec, std::size_t dies, std::size_t cell,
+                     double severity) {
+  for (std::size_t trial = 0; trial < dies; ++trial) {
+    spec.faults.push_back({trial, cell, severity});
+  }
+}
+
+/// Prefix rows die `trial` reads, from the scalar controller's lock: through
+/// the crossing (lock tap + 1) and the mapper's last tap; all n when it
+/// cannot lock.
+std::size_t scalar_rows_read(const McBatchSpec& spec, std::size_t trial,
+                             std::uint64_t seed) {
+  const std::size_t n = spec.line.num_cells;
+  const auto tap = scalar_lock_tap(spec, trial, seed);
+  if (!tap.has_value()) {
+    return n;
+  }
+  const std::size_t last = core::DutyMapper(n).map(n - 1, *tap);
+  return std::max(*tap + 1, last) + 1;
+}
+
+TEST(McBatchRows, YieldFamilyShapesMatchScalarOnEveryKernel) {
+  struct Shape {
+    const char* name;
+    McBatchSpec spec;
+    std::size_t rows;  ///< Prefix rows every die of the shape reads.
+  };
+  constexpr std::size_t kDies = 64;
+  auto fault = yield_line_spec(cells::OperatingPoint::typical());
+  fault_every_die(fault, kDies, /*cell=*/31, /*severity=*/3.0);
+  const Shape shapes[] = {
+      {"fast", yield_line_spec(cells::OperatingPoint::fast()), 256},
+      {"typical", yield_line_spec(cells::OperatingPoint::typical()), 124},
+      {"slow", yield_line_spec(cells::OperatingPoint::slow()), 50},
+      {"typical cell31x3", fault, 120},
+      {"fig50", fig50_spec(), 60},
+  };
+  for (const Shape& shape : shapes) {
+    SCOPED_TRACE(shape.name);
+    for (const std::uint64_t seed : {801, 802, 2024}) {
+      for (std::size_t i = 0; i < kDies; ++i) {
+        ASSERT_EQ(scalar_rows_read(shape.spec, i, die_seed(seed, i)),
+                  shape.rows)
+            << "die " << i << " of seed " << seed;
+      }
+    }
+    for_each_kernel([&] {
+      for (const std::uint64_t seed : {801, 802, 2024}) {
+        expect_matches_scalar(shape.spec, kDies, seed, 1);
+      }
+    });
+  }
+}
+
+TEST(McBatchRows, LanesPastThePlanExtendThePass) {
+  // At 0.45 sigma per cell the typical 1 MHz line's crossings spread over
+  // several taps, so some lanes read far more rows than a nominal die --
+  // past the first pass's few rows of slack -- and their blocks must
+  // extend the pass.  A 2x fault on cell 130, past the first pass, must
+  // land in the pass that samples its row.
+  auto spec = yield_line_spec(cells::OperatingPoint::typical());
+  auto nominal = spec;
+  nominal.line.sigma_cell = 0.0;
+  const std::size_t nominal_rows = scalar_rows_read(nominal, 0, 1);
+  EXPECT_EQ(nominal_rows, 124u);
+  spec.line.sigma_cell = 0.45;
+  constexpr std::size_t kDies = 128;
+  fault_every_die(spec, kDies, /*cell=*/130, /*severity=*/2.0);
+  std::size_t beyond = 0;
+  for (std::size_t i = 0; i < kDies; ++i) {
+    beyond += scalar_rows_read(spec, i, die_seed(2024, i)) > nominal_rows + 8;
+  }
+  EXPECT_GE(beyond, 4u) << "of " << kDies << " dies";
+  for_each_kernel([&] {
+    expect_matches_scalar(spec, kDies, 2024, 1);
+    expect_matches_scalar(spec, kDies, 7, 2);
+  });
+}
+
+TEST(McBatchRows, BlockOfKAtLimitLanesReadsTheWholeLine) {
+  // T/2 beyond every die's full line delay: no lane crosses, so every
+  // block reads all n rows, and every die reads +inf.
+  auto spec = fig50_spec();
+  spec.clock_period_ps = 4.0 * static_cast<double>(spec.line.num_cells) *
+                         spec.line.nominal_cell_ps *
+                         cells::delay_derating(spec.op);
+  for (std::size_t i = 0; i < kBatchLanes; ++i) {
+    ASSERT_FALSE(scalar_lock_tap(spec, i, die_seed(2024, i)).has_value());
+  }
+  for_each_kernel([&] {
+    expect_matches_scalar(spec, 2 * kBatchLanes + 3, 2024, 1);
+    for (const double inl :
+         monte_carlo_batched_samples(spec, kBatchLanes, 2024, 1)) {
+      EXPECT_TRUE(std::isinf(inl) && inl > 0.0) << inl;
+    }
+  });
+}
+
+TEST(McBatchRows, WrappingLanesFallBackBesideLockedLanes) {
+  // A 300x fault on cell 31 of the typical 1 MHz line wraps the crossing
+  // past the period: every third die takes the scalar fallback, and its
+  // block-mates keep the closed form.
+  auto spec = yield_line_spec(cells::OperatingPoint::typical());
+  constexpr std::size_t kDies = 64;
+  for (std::size_t trial = 0; trial < kDies; trial += 3) {
+    spec.faults.push_back({trial, /*cell=*/31, /*severity=*/300.0});
+  }
+  for_each_kernel([&] {
+    McBatchStats stats;
+    monte_carlo_batched_samples(spec, kDies, 2024, 1, &stats);
+    EXPECT_EQ(stats.scalar_fallbacks, (kDies + 2) / 3);
+    expect_matches_scalar(spec, kDies, 2024, 1);
+    expect_matches_scalar(spec, kDies, 801, 1);
   });
 }
 

@@ -108,20 +108,21 @@ std::string bundle_file_name(const std::string& scenario_name) {
   return name;
 }
 
-/// --shrink: delta-debug every verdict failure down to a 1-minimal fault
-/// plan and drop a replay bundle next to the journal (or in the working
-/// directory).  Returns the bundle paths written.
+/// --shrink: delta-debug every committed verdict failure down to a
+/// 1-minimal fault plan and drop a replay bundle next to the journal (or in
+/// the working directory).  Returns the bundle paths written.
 std::vector<std::string> shrink_failures(
     const std::vector<scenario::ScenarioSpec>& specs,
-    const std::vector<scenario::ScenarioResult>& results,
-    const std::string& dir) {
+    const scenario::CampaignOutcome& outcome, const std::string& dir) {
   std::vector<std::string> bundles;
   for (std::size_t i = 0; i < specs.size(); ++i) {
-    const scenario::ScenarioResult& result = results[i];
-    // Only completed verdict failures shrink: error rows (timeouts) are not
+    const scenario::ScenarioResult& result = outcome.results[i];
+    // Only completed verdict failures shrink: a scenario a graceful stop
+    // never started has no row, error rows (timeouts) are not
     // deterministically reproducible, and fault-free specs have no plan to
     // shrink.
-    if (result.pass || result.error != scenario::ScenarioError::kNone ||
+    if (outcome.result_lines[i].empty() || result.pass ||
+        result.error != scenario::ScenarioError::kNone ||
         specs[i].faults.empty()) {
       continue;
     }
@@ -229,7 +230,15 @@ int main(int argc, char** argv) {
     return 64;
   }
   const double wall_ms = timer.elapsed_ms();
-  const auto summary = scenario::summarize(outcome.results);
+  // Only committed rows count: a scenario a graceful stop never started has
+  // no row, and its default result would read as a failure.
+  std::vector<scenario::ScenarioResult> committed;
+  for (std::size_t i = 0; i < specs.size(); ++i) {
+    if (!outcome.result_lines[i].empty()) {
+      committed.push_back(outcome.results[i]);
+    }
+  }
+  const auto summary = scenario::summarize(committed);
 
   // The per-scenario stream: stdout by default, --out FILE otherwise
   // (atomic, so a crash mid-write never leaves a torn artifact).
@@ -252,7 +261,7 @@ int main(int argc, char** argv) {
 
   std::vector<std::string> bundles;
   if (options.shrink) {
-    bundles = shrink_failures(specs, outcome.results, options.journal_dir);
+    bundles = shrink_failures(specs, outcome, options.journal_dir);
   }
 
   // The aggregate record is a BenchReport, so it (and only it) carries
