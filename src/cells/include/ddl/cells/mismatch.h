@@ -49,6 +49,9 @@ class MismatchSampler {
   double sigma() const noexcept { return sigma_; }
 
  private:
+  /// One instance of a cell whose derated corner delay is `nominal_ps`.
+  double draw(double nominal_ps);
+
   const Technology* tech_;
   std::mt19937_64 rng_;
   std::normal_distribution<double> unit_gauss_{0.0, 1.0};

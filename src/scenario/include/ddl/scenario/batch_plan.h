@@ -20,6 +20,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <functional>
 #include <vector>
 
@@ -115,5 +116,11 @@ void run_lanes(
     const std::vector<ScenarioSpec>& specs,
     std::vector<std::size_t> members, ScenarioWorkspace& workspace,
     const std::function<void(std::size_t, ScenarioArtifacts)>& finished);
+
+/// The lane steps run_lanes takes over loops of `periods`: its own rule
+/// replayed on the period counts -- kBuckLanes lanes, longest first, a
+/// lane refilled as soon as its loop ends.  The wall of a lane unit in
+/// periods, which CampaignJob::units budgets.  0 for no loop.
+std::uint64_t lane_steps(std::vector<std::uint64_t> periods);
 
 }  // namespace ddl::scenario

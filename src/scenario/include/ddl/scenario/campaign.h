@@ -7,9 +7,11 @@
 // ddl_scenario_server job go through it.  The batch planner
 // (ddl/scenario/batch_plan.h) groups the list once; a unit is a run of
 // one planner group's members of a bounded die count (one batched kernel
-// dispatch), a run of consecutive closed loops of a bounded period count
-// (one closed-loop lane unit, CLI only), or any other spec alone, and
-// units come in order of their first member.
+// dispatch), a set of closed loops whose lane schedule has a bounded wall
+// (one closed-loop lane unit, CLI only), or any other spec alone.  Without
+// lane units, units come in order of their first member; with them, the
+// specs alone come first, then the lane units, longest wall first, then
+// the group units.
 //
 // Campaign::run drives a CampaignJob: it cuts the uncommitted specs into
 // one unit list, and its executors (one per job thread) pull the units in
@@ -96,15 +98,19 @@ class CampaignJob {
   std::size_t resumed() const noexcept { return resumed_; }
   bool done() const noexcept { return completed_ == rows_.size(); }
 
-  /// Dispatch units over the uncommitted specs, ordered by first member:
-  /// each planner group's uncommitted members in runs of at most 16384
-  /// dies -- one batched kernel dispatch per unit -- with `pack_lanes`,
-  /// each run of consecutive uncommitted lane-eligible closed loops
-  /// (lane_eligible) in pieces of at most 48000 periods -- one closed-loop
-  /// lane unit each -- and every other spec alone.  A scenario is never
-  /// split.  The list depends on the specs and the committed rows alone.
-  /// Campaign::run packs lanes; the daemon does not (see
-  /// ddl/service/server.h).
+  /// Dispatch units over the uncommitted specs: each planner group's
+  /// uncommitted members in runs of at most 16384 dies -- one batched
+  /// kernel dispatch per unit -- and every other spec alone, ordered by
+  /// first member.  With `pack_lanes`, the uncommitted lane-eligible closed
+  /// loops (lane_eligible) become closed-loop lane units instead: the loops
+  /// go longest first (ties by index), and each unit opens at the longest
+  /// loop left and takes the next ones, first fit, while its lane_steps --
+  /// run_lanes' schedule replayed on the period counts -- stay within
+  /// max(6000, the opener's periods).  The list is then the specs alone in
+  /// index order, the lane units longest lane_steps first, and the group
+  /// units by first member.  A scenario is never split.  The list depends
+  /// on the specs and the committed rows alone.  Campaign::run packs lanes;
+  /// the daemon does not (see ddl/service/server.h).
   std::vector<std::vector<std::size_t>> units(bool pack_lanes) const;
 
   /// Commits one executed unit: `runs[k]` is the row of spec `unit[k]`.

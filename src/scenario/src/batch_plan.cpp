@@ -246,4 +246,13 @@ void run_lanes(
   }
 }
 
+std::uint64_t lane_steps(std::vector<std::uint64_t> periods) {
+  std::sort(periods.begin(), periods.end(), std::greater<>());
+  std::array<std::uint64_t, analog::kBuckLanes> free_at{};
+  for (const std::uint64_t length : periods) {
+    *std::min_element(free_at.begin(), free_at.end()) += length;
+  }
+  return *std::max_element(free_at.begin(), free_at.end());
+}
+
 }  // namespace ddl::scenario

@@ -2,12 +2,15 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cstddef>
+#include <cstdint>
 #include <filesystem>
 #include <iterator>
 #include <memory>
 #include <set>
 #include <stdexcept>
 #include <utility>
+#include <vector>
 
 #include "ddl/analysis/bench_json.h"
 #include "ddl/analysis/parallel.h"
@@ -22,12 +25,60 @@ namespace {
 /// scenario is never split, so a larger one runs alone.
 constexpr std::uint64_t kUnitDieBudget = 16384;
 
-/// Closed-loop periods one lane unit may carry.  The regression suite's
-/// ~174k periods cut into four lane units: a kill -9 re-runs at most one
-/// unit's worth per executor and a graceful stop waits for at most one,
-/// while each unit still keeps all eight lanes busy through most of its
-/// run.  A scenario is never split.
-constexpr std::uint64_t kUnitPeriodBudget = 48000;
+/// Lane steps one lane unit may take (its wall in periods, lane_steps),
+/// unless its longest loop alone takes longer: then that loop's length.
+/// The regression suite's ~174k periods plan as four lane units of 9000,
+/// 6000, 5000 and 2500 lane steps with all eight lanes busy through 96.5%
+/// of them.  A kill -9 re-runs at most one unit's worth per executor and a
+/// graceful stop waits for at most one per executor.  A scenario is never
+/// split.
+constexpr std::uint64_t kUnitLaneSteps = 6000;
+
+/// Cuts the loops `pool` (spec indices; `periods` by index) into lane
+/// units, longest wall first.  The loops go longest first, ties by index;
+/// a unit opens at the longest loop left and takes the next ones, first
+/// fit, while its lane_steps stay within max(kUnitLaneSteps, the opener's
+/// length).
+std::vector<std::vector<std::size_t>> lane_units(
+    std::vector<std::size_t> pool, const std::vector<std::uint64_t>& periods) {
+  std::stable_sort(pool.begin(), pool.end(), [&](std::size_t a, std::size_t b) {
+    return periods[a] > periods[b];
+  });
+  std::vector<std::pair<std::uint64_t, std::vector<std::size_t>>> cut;
+  std::vector<bool> placed(pool.size(), false);
+  std::vector<std::uint64_t> lengths;
+  for (std::size_t open = 0; open < pool.size(); ++open) {
+    if (placed[open]) {
+      continue;
+    }
+    const std::uint64_t budget = std::max(kUnitLaneSteps, periods[pool[open]]);
+    std::vector<std::size_t> unit;
+    lengths.clear();
+    for (std::size_t next = open; next < pool.size(); ++next) {
+      if (placed[next]) {
+        continue;
+      }
+      lengths.push_back(periods[pool[next]]);
+      if (lane_steps(lengths) > budget) {
+        lengths.pop_back();
+        continue;
+      }
+      unit.push_back(pool[next]);
+      placed[next] = true;
+    }
+    cut.emplace_back(lane_steps(lengths), std::move(unit));
+  }
+  // Executors pull units in order: the longest walls first finish close
+  // together.
+  std::stable_sort(cut.begin(), cut.end(), [](const auto& a, const auto& b) {
+    return a.first > b.first;
+  });
+  std::vector<std::vector<std::size_t>> units;
+  for (auto& entry : cut) {
+    units.push_back(std::move(entry.second));
+  }
+  return units;
+}
 
 }  // namespace
 
@@ -97,59 +148,48 @@ CampaignJob::~CampaignJob() = default;
 std::vector<std::vector<std::size_t>> CampaignJob::units(
     bool pack_lanes) const {
   const auto pending = [&](std::size_t index) { return !committed_[index]; };
-  const auto lane = [&](std::size_t index) {
-    return pack_lanes && lane_periods_[index] > 0;
-  };
   std::vector<std::vector<std::size_t>> units;
-  // Cuts ascending `indices` into units of at most `budget` in `cost`; a
-  // scenario is never split, so a larger one runs alone.
-  const auto pack = [&](const std::vector<std::size_t>& indices,
-                        const std::vector<std::uint64_t>& cost,
-                        std::uint64_t budget) {
-    std::vector<std::size_t> unit;
-    std::uint64_t total = 0;
-    for (const std::size_t index : indices) {
-      if (!unit.empty() && total + cost[index] > budget) {
-        units.push_back(std::move(unit));
-        unit.clear();
-        total = 0;
-      }
-      unit.push_back(index);
-      total += cost[index];
+  std::vector<std::size_t> loops;
+  for (const std::size_t index : plan_.scalar) {
+    if (!pending(index)) {
+      continue;
     }
-    if (!unit.empty()) {
+    if (pack_lanes && lane_periods_[index] > 0) {
+      loops.push_back(index);
+    } else {
+      units.push_back({index});
+    }
+  }
+  // With lanes the specs alone lead, in index order: each takes the
+  // per-scenario path (hooks, deadline, retries), so its wall is the least
+  // known, and a worker it loses is respawned for the units after it.  The
+  // lane units follow, longest wall first, and the group units come last.
+  std::size_t sorted_from = 0;
+  if (pack_lanes) {
+    for (std::vector<std::size_t>& unit : lane_units(loops, lane_periods_)) {
       units.push_back(std::move(unit));
     }
-  };
-
+    sorted_from = units.size();
+  }
   std::vector<std::size_t> members;
   for (const BatchGroup& group : plan_.groups) {
     members.clear();
     std::copy_if(group.members.begin(), group.members.end(),
                  std::back_inserter(members), pending);
-    pack(members, dies_, kUnitDieBudget);
-  }
-  // Runs of consecutive lane specs: any other pending spec ends a run, so
-  // units still start in index order.
-  members.clear();
-  for (std::size_t index = 0; index < committed_.size(); ++index) {
-    if (!pending(index)) {
-      continue;
-    }
-    if (lane(index)) {
-      members.push_back(index);
-      continue;
-    }
-    pack(members, lane_periods_, kUnitPeriodBudget);
-    members.clear();
-  }
-  pack(members, lane_periods_, kUnitPeriodBudget);
-  for (const std::size_t index : plan_.scalar) {
-    if (pending(index) && !lane(index)) {
-      units.push_back({index});
+    // Units of at most kUnitDieBudget dies; a scenario is never split, so
+    // a larger one runs alone.
+    std::uint64_t total = 0;
+    for (const std::size_t index : members) {
+      if (index == members.front() || total + dies_[index] > kUnitDieBudget) {
+        units.emplace_back();
+        total = 0;
+      }
+      units.back().push_back(index);
+      total += dies_[index];
     }
   }
-  std::sort(units.begin(), units.end(),
+  std::sort(units.begin() + static_cast<std::ptrdiff_t>(sorted_from),
+            units.end(),
             [](const std::vector<std::size_t>& a,
                const std::vector<std::size_t>& b) {
               return a.front() < b.front();

@@ -5,12 +5,14 @@
 // parser / atomic writer they ride on, and the runner's CLI grammar.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <climits>
 #include <filesystem>
 #include <fstream>
 #include <limits>
 #include <map>
+#include <random>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -18,6 +20,7 @@
 #include <vector>
 
 #include "ddl/analysis/bench_json.h"
+#include "ddl/scenario/batch_plan.h"
 #include "ddl/scenario/campaign.h"
 #include "ddl/scenario/chaos.h"
 #include "ddl/scenario/cli.h"
@@ -25,6 +28,7 @@
 #include "ddl/scenario/registry.h"
 #include "ddl/scenario/runner.h"
 #include "ddl/scenario/spec.h"
+#include "ddl/scenario/workspace.h"
 
 namespace {
 
@@ -33,14 +37,18 @@ namespace fs = std::filesystem;
 using ddl::scenario::Architecture;
 using ddl::scenario::Campaign;
 using ddl::scenario::CampaignConfig;
+using ddl::scenario::CampaignJob;
 using ddl::scenario::ChaosCampaignSpec;
 using ddl::scenario::FaultSpec;
 using ddl::scenario::IsolationMode;
+using ddl::scenario::lane_eligible;
+using ddl::scenario::lane_steps;
 using ddl::scenario::LoadSpec;
 using ddl::scenario::ScenarioError;
 using ddl::scenario::ScenarioRegistry;
 using ddl::scenario::ScenarioRunner;
 using ddl::scenario::ScenarioSpec;
+using ddl::scenario::ScenarioWorkspace;
 
 ScenarioSpec quick_spec(const std::string& variant, std::uint64_t seed) {
   ScenarioSpec spec;
@@ -199,32 +207,267 @@ TEST(CampaignTest, DieBudgetCutsUnitsBetweenScenariosNeverInside) {
             ScenarioRunner::jsonl(ScenarioRunner(1).run(specs)));
 }
 
-TEST(CampaignTest, PeriodBudgetCutsLaneUnitsBetweenScenariosNeverInside) {
-  // Six 9000-period loops are 54000 periods: five fill one lane unit under
-  // the 48000-period budget and the sixth runs alone.
-  std::vector<ScenarioSpec> specs;
-  for (int i = 0; i < 6; ++i) {
-    ScenarioSpec spec = quick_spec("long" + std::to_string(i), 40 + i);
-    spec.periods = 9000;
-    spec.measure_from = 8000;
-    specs.push_back(spec);
-  }
-  CampaignConfig config;
-  config.jobs = 1;
-  auto outcome = Campaign(config).run(specs);
-  EXPECT_EQ(outcome.batched_units, 1u);
-  EXPECT_EQ(outcome.jsonl(),
-            ScenarioRunner::jsonl(ScenarioRunner(1).run(specs)));
+using Units = std::vector<std::vector<std::size_t>>;
 
-  // Any other spec ends a run of lane specs: the yield scenario between
-  // them leaves two lane units, so units still start in index order.
+/// Loops of the given lengths, named and seeded by position.
+std::vector<ScenarioSpec> loops_of(const std::vector<std::uint64_t>& lengths) {
+  std::vector<ScenarioSpec> specs;
+  for (std::size_t i = 0; i < lengths.size(); ++i) {
+    ScenarioSpec spec = quick_spec("loop" + std::to_string(i), 40 + i);
+    spec.periods = lengths[i];
+    spec.measure_from = lengths[i] / 2;
+    specs.push_back(std::move(spec));
+  }
+  return specs;
+}
+
+/// The planned unit list of `specs` with nothing committed.
+Units planned_units(const std::vector<ScenarioSpec>& specs, bool pack_lanes) {
+  ScenarioWorkspace workspace;
+  return CampaignJob(specs, "", false, workspace).units(pack_lanes);
+}
+
+std::uint64_t unit_lane_steps(const std::vector<ScenarioSpec>& specs,
+                              const std::vector<std::size_t>& unit) {
+  std::vector<std::uint64_t> periods;
+  for (const std::size_t index : unit) {
+    periods.push_back(specs[index].periods);
+  }
+  return lane_steps(periods);
+}
+
+TEST(CampaignTest, LaneStepsReplayTheLongestFirstLaneSchedule) {
+  EXPECT_EQ(lane_steps({}), 0u);
+  EXPECT_EQ(lane_steps({900}), 900u);
+  // Eight lanes run eight loops side by side; a ninth waits for the
+  // shortest of them, whatever order the lengths come in.
+  EXPECT_EQ(lane_steps(std::vector<std::uint64_t>(8, 3000)), 3000u);
+  EXPECT_EQ(lane_steps({100, 3000, 3000, 3000, 3000, 3000, 3000, 3000, 2000}),
+            3000u);
+  EXPECT_EQ(lane_steps({3000, 3000, 3000, 3000, 3000, 3000, 3000, 1000, 2500}),
+            3500u);
+  EXPECT_EQ(lane_steps(std::vector<std::uint64_t>(17, 2500)), 7500u);
+}
+
+TEST(CampaignTest, LaneBudgetCutsUnitsByWallAndPoolsLoopsAcrossOtherSpecs) {
+  // Nine 9000-period loops: the longest loop sets a 9000-step budget, so
+  // eight fill the lanes side by side and the ninth runs alone.  Units are
+  // cut between scenarios, never inside one.
+  const auto nine = loops_of(std::vector<std::uint64_t>(9, 9000));
+  const Units units = planned_units(nine, true);
+  ASSERT_EQ(units.size(), 2u);
+  EXPECT_EQ(units[0], (std::vector<std::size_t>{0, 1, 2, 3, 4, 5, 6, 7}));
+  EXPECT_EQ(units[1], (std::vector<std::size_t>{8}));
+
+  // Any other spec no longer splits the loops: the hooked loop and the
+  // yield scenario between them leave one lane unit of the four plain
+  // loops, after the hooked loop alone and ahead of the yield unit.
   std::vector<ScenarioSpec> mixed = quick_batch();
   mixed.insert(mixed.begin() + 2,
                ScenarioRegistry::builtin().expand("yield").front());
-  outcome = Campaign(config).run(mixed);
-  EXPECT_EQ(outcome.batched_units, 2u);
+  ScenarioSpec hooked = quick_spec("hooked", 9);
+  hooked.debug_hang_ms = 1;
+  mixed.insert(mixed.begin() + 1, hooked);
+  EXPECT_EQ(planned_units(mixed, true), (Units{{1}, {0, 2, 4, 5}, {3}}));
+  EXPECT_EQ(planned_units(mixed, false),
+            (Units{{0}, {1}, {2}, {3}, {4}, {5}}));
+  CampaignConfig config;
+  config.jobs = 1;
+  const auto outcome = Campaign(config).run(mixed);
+  EXPECT_EQ(outcome.batched_units, 1u);
   EXPECT_EQ(outcome.jsonl(),
             ScenarioRunner::jsonl(ScenarioRunner(1).run(mixed)));
+}
+
+TEST(CampaignTest, LoopLongerThanTheBudgetTakesCompanionsUpToItsOwnLength) {
+  // The 20000-period loop opens a unit whose budget is its own length:
+  // seven lanes take two 10000-period loops each beside it, and the
+  // fifteenth would take the schedule past 20000 steps.
+  std::vector<std::uint64_t> lengths(16, 10000);
+  lengths.insert(lengths.begin() + 5, 20000);
+  const auto specs = loops_of(lengths);
+  const Units units = planned_units(specs, true);
+  ASSERT_EQ(units.size(), 2u);
+  ASSERT_EQ(units[0].size(), 15u);
+  EXPECT_EQ(units[0].front(), 5u);
+  EXPECT_EQ(unit_lane_steps(specs, units[0]), 20000u);
+  EXPECT_EQ(units[1], (std::vector<std::size_t>{15, 16}));
+  EXPECT_EQ(unit_lane_steps(specs, units[1]), 10000u);
+}
+
+TEST(CampaignTest, RegressionSuitePlansFourFullLaneUnitsAheadOfTheYieldUnits) {
+  const auto specs = ScenarioRegistry::builtin().expand("regression");
+  const Units units = planned_units(specs, true);
+  ScenarioWorkspace workspace;
+  std::vector<std::size_t> sizes;
+  std::vector<std::uint64_t> steps;
+  std::uint64_t periods = 0;
+  for (std::size_t u = 0; u < units.size(); ++u) {
+    const std::vector<std::size_t>& unit = units[u];
+    if (!lane_eligible(specs[unit.front()], workspace)) {
+      EXPECT_EQ(specs[unit.front()].family, "yield");
+      continue;
+    }
+    EXPECT_EQ(sizes.size(), u) << "lane units come first";
+    sizes.push_back(unit.size());
+    steps.push_back(unit_lane_steps(specs, unit));
+    for (const std::size_t index : unit) {
+      periods += specs[index].periods;
+    }
+  }
+  EXPECT_EQ(sizes, (std::vector<std::size_t>{15, 16, 16, 6}));
+  EXPECT_EQ(steps, (std::vector<std::uint64_t>{9000, 6000, 5000, 2500}));
+  // 96.5% of the 8 × 22500 lane slots step a plant.
+  EXPECT_EQ(periods, 173700u);
+}
+
+/// units(false) as it was before lane units: each planner group's pending
+/// members cut at 16384 dies, every other pending spec alone, ordered by
+/// first member.
+Units first_member_units(const std::vector<ScenarioSpec>& specs,
+                         const std::vector<bool>& committed) {
+  ScenarioWorkspace workspace;
+  const auto plan = ddl::scenario::plan_batches(specs, workspace);
+  Units units;
+  for (const auto& group : plan.groups) {
+    std::uint64_t dies = 0;
+    bool open = false;
+    for (const std::size_t index : group.members) {
+      if (committed[index]) {
+        continue;
+      }
+      if (!open || dies + specs[index].mc_dies > 16384) {
+        units.emplace_back();
+        dies = 0;
+        open = true;
+      }
+      units.back().push_back(index);
+      dies += specs[index].mc_dies;
+    }
+  }
+  for (const std::size_t index : plan.scalar) {
+    if (!committed[index]) {
+      units.push_back({index});
+    }
+  }
+  std::sort(units.begin(), units.end(),
+            [](const auto& a, const auto& b) { return a.front() < b.front(); });
+  return units;
+}
+
+TEST(CampaignTest, LaneUnitPlanPropertiesHoldOverRandomLists) {
+  const auto yield = ScenarioRegistry::builtin().expand("yield");
+  std::mt19937_64 rng(29);
+  for (int trial = 0; trial < 200; ++trial) {
+    std::vector<std::uint64_t> lengths(
+        std::uniform_int_distribution<std::size_t>(1, 80)(rng));
+    for (std::uint64_t& length : lengths) {
+      length = std::uniform_int_distribution<std::uint64_t>(100, 12000)(rng);
+    }
+    auto specs = loops_of(lengths);
+    // A few yield specs, scalar-forced yield specs and hooked loops at
+    // random places.
+    for (int extra = std::uniform_int_distribution<int>(0, 6)(rng); extra > 0;
+         --extra) {
+      ScenarioSpec spec = yield[rng() % yield.size()];
+      switch (rng() % 3) {
+        case 0:
+          spec.mc_force_scalar = true;
+          break;
+        case 1:
+          spec = quick_spec("hooked", rng() % 100);
+          spec.debug_throw = true;
+          break;
+      }
+      spec.name += "/extra" + std::to_string(extra);
+      specs.insert(specs.begin() + rng() % (specs.size() + 1), spec);
+    }
+    ScenarioWorkspace workspace;
+    CampaignJob job(specs, "", false, workspace);
+    std::vector<bool> committed(specs.size(), false);
+    for (std::size_t i = 0; i < specs.size(); ++i) {
+      if (rng() % 3 == 0) {
+        job.commit({i}, std::vector<ddl::scenario::ExecutedScenario>(1));
+        committed[i] = true;
+      }
+    }
+    std::vector<bool> grouped(specs.size(), false);
+    for (const auto& group : ddl::scenario::plan_batches(specs, workspace).groups) {
+      for (const std::size_t index : group.members) {
+        grouped[index] = true;
+      }
+    }
+    const std::string tag = "trial " + std::to_string(trial);
+
+    // Specs alone, then lane units, then the planner groups' units.
+    const Units units = job.units(true);
+    std::vector<int> seen(specs.size(), 0);
+    int phase = 0;
+    std::uint64_t previous = std::numeric_limits<std::uint64_t>::max();
+    Units others;
+    for (const auto& unit : units) {
+      for (const std::size_t index : unit) {
+        ++seen[index];
+      }
+      const int kind = grouped[unit.front()]                          ? 2
+                       : lane_eligible(specs[unit.front()], workspace) ? 1
+                                                                       : 0;
+      ASSERT_GE(kind, phase) << tag;
+      phase = kind;
+      if (kind != 1) {
+        others.push_back(unit);
+        continue;
+      }
+      std::uint64_t longest = 0;
+      for (const std::size_t index : unit) {
+        ASSERT_TRUE(lane_eligible(specs[index], workspace)) << tag;
+        longest = std::max(longest, specs[index].periods);
+      }
+      const std::uint64_t steps = unit_lane_steps(specs, unit);
+      EXPECT_LE(steps, std::max<std::uint64_t>(6000, longest)) << tag;
+      EXPECT_LE(steps, previous) << tag << ": longest wall first";
+      previous = steps;
+    }
+    for (std::size_t i = 0; i < specs.size(); ++i) {
+      EXPECT_EQ(seen[i], committed[i] ? 0 : 1) << tag << ", spec " << i;
+    }
+
+    // The list without lanes keeps the first-member order of old; with
+    // lanes, its specs alone and its group units keep that order apart.
+    const Units reference = first_member_units(specs, committed);
+    EXPECT_EQ(job.units(false), reference) << tag;
+    Units unlaned;
+    for (const bool in_group : {false, true}) {
+      for (const auto& unit : reference) {
+        if (grouped[unit.front()] == in_group &&
+            (in_group || !lane_eligible(specs[unit.front()], workspace))) {
+          unlaned.push_back(unit);
+        }
+      }
+    }
+    EXPECT_EQ(others, unlaned) << tag;
+  }
+}
+
+TEST(CampaignTest, LaneUnitsStreamByteEqualToTheRunnerAtAnyJobCount) {
+  // Loops of uneven lengths around a yield spec and a hooked loop: the
+  // hooked loop alone, lane units of several loops each, the yield unit.
+  auto specs = loops_of({1500, 300, 2200, 900, 900, 1200, 700, 2600, 400,
+                         1100, 1800, 600});
+  specs.insert(specs.begin() + 4,
+               ScenarioRegistry::builtin().expand("yield").front());
+  ScenarioSpec hooked = quick_spec("hooked", 9);
+  hooked.debug_hang_ms = 1;
+  specs.insert(specs.begin() + 9, hooked);
+  const auto results = ScenarioRunner(2).run(specs);
+  for (const std::size_t jobs : {std::size_t{1}, std::size_t{3}}) {
+    CampaignConfig config;
+    config.jobs = jobs;
+    const auto outcome = Campaign(config).run(specs);
+    EXPECT_EQ(outcome.jsonl(), ScenarioRunner::jsonl(results)) << jobs;
+    EXPECT_EQ(outcome.health_jsonl, ScenarioRunner::health_jsonl(results))
+        << jobs;
+  }
 }
 
 TEST(CampaignTest, OrphanHealthLinesAreDroppedOnResume) {

@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstddef>
 
 #include "ddl/cells/cell_kind.h"
 #include "ddl/cells/mismatch.h"
@@ -156,6 +157,34 @@ TEST(Mismatch, MeanTracksNominal) {
     sum += sampler.sample_delay_ps(CellKind::kBuffer, op);
   }
   EXPECT_NEAR(sum / kSamples, 40.0, 0.05);
+}
+
+TEST(Mismatch, SeriesDrawIsTheSumOfSingleDrawsBitForBit) {
+  // A series draw derates once per call; each buffer must still draw what
+  // a single-cell draw would, in the same order, so the sum and the
+  // generator state after it are the same bits.
+  const Technology tech = Technology::i32nm_class();
+  for (const OperatingPoint op : {OperatingPoint::typical(),
+                                  OperatingPoint::fast(),
+                                  OperatingPoint::slow()}) {
+    for (const std::size_t k : {std::size_t{1}, std::size_t{2},
+                                std::size_t{196}}) {
+      MismatchSampler series(tech, 77);
+      MismatchSampler single(tech, 77);
+      for (int draw = 0; draw < 3; ++draw) {
+        double total = 0.0;
+        for (std::size_t i = 0; i < k; ++i) {
+          total += single.sample_delay_ps(CellKind::kBuffer, op);
+        }
+        EXPECT_EQ(series.sample_series_delay_ps(CellKind::kBuffer, op, k),
+                  total)
+            << "k=" << k << " draw " << draw;
+        EXPECT_EQ(series.sample_delay_ps(CellKind::kBuffer, op),
+                  single.sample_delay_ps(CellKind::kBuffer, op))
+            << "k=" << k << " draw " << draw;
+      }
+    }
+  }
 }
 
 // Property: a series of k mismatched cells has relative sigma ~ 1/sqrt(k) --

@@ -6,8 +6,9 @@
 // per-lane parameters; every field is compared after every period.
 // Scenario level: every closed-loop spec of the regression, smoke and
 // chaos suites plus a 64-storm chaos expansion, run through lane units of
-// 2, 3, 8 and 13 scenarios and through one permuted unit, must reproduce
-// run_scenario's rows, health lines and full history byte for byte.
+// 2, 3, 8 and 13 scenarios, through one permuted unit and through the lane
+// units the campaign plans, must reproduce run_scenario's rows, health
+// lines and full history byte for byte.
 //
 // Every test runs on the dispatched kernel variant and once more with
 // DDL_MC_BATCH_KERNEL=base, the cap the lanes share with the batched
@@ -28,6 +29,7 @@
 #include "ddl/analog/buck.h"
 #include "ddl/analysis/parallel.h"
 #include "ddl/scenario/batch_plan.h"
+#include "ddl/scenario/campaign.h"
 #include "ddl/scenario/chaos.h"
 #include "ddl/scenario/registry.h"
 #include "ddl/scenario/runner.h"
@@ -286,9 +288,10 @@ std::vector<std::vector<std::size_t>> consecutive_units(std::size_t count,
 }
 
 /// The whole lane contract over `specs`: lane units of 2, 3, 8 and 13
-/// scenarios and one permuted unit of all of them match run_scenario's
-/// artifacts, and the thread-mode executor's packed unit -- the dispatch
-/// path itself -- renders the same rows and health lines.
+/// scenarios, one permuted unit of all of them and the lane units the
+/// campaign plans (CampaignJob::units) match run_scenario's artifacts, and
+/// the thread-mode executor's packed unit -- the dispatch path itself --
+/// renders the same rows and health lines.
 void expect_lanes_match_the_scalar_runs(const std::vector<ScenarioSpec>& specs) {
   ASSERT_GE(specs.size(), 2u);
   ddl::scenario::ScenarioWorkspace workspace;
@@ -296,6 +299,8 @@ void expect_lanes_match_the_scalar_runs(const std::vector<ScenarioSpec>& specs) 
     ASSERT_TRUE(ddl::scenario::lane_eligible(spec, workspace)) << spec.name;
   }
   const std::vector<ScenarioArtifacts> reference = references(specs);
+  const std::vector<std::vector<std::size_t>> planned =
+      ddl::scenario::CampaignJob(specs, "", false, workspace).units(true);
 
   std::vector<std::size_t> permuted(specs.size());
   for (std::size_t i = 0; i < permuted.size(); ++i) {
@@ -310,6 +315,7 @@ void expect_lanes_match_the_scalar_runs(const std::vector<ScenarioSpec>& specs) 
           consecutive_units(specs.size(), size);
     }
     configs["one permuted unit"] = {permuted};
+    configs["the campaign's units"] = planned;
     for (const auto& [config, units] : configs) {
       const std::vector<ScenarioArtifacts> laned = run_units(specs, units);
       for (std::size_t i = 0; i < specs.size(); ++i) {
