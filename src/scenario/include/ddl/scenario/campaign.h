@@ -1,4 +1,5 @@
-// Crash-safe campaign execution on top of the scenario runner.
+// Crash-safe campaign execution: the durable job, and the CLI's engine
+// that drives it through ScenarioExecutors.
 //
 // A CampaignJob is the durable state of one spec list: its rows by index,
 // the on-disk journal behind them and the dispatch-unit policy.  It is the
@@ -15,8 +16,7 @@
 //
 // Campaign::run drives a CampaignJob: it cuts the uncommitted specs into
 // one unit list, and its executors (one per job thread) pull the units in
-// order.  On top of that it adds three things a long-running batch service
-// needs that the plain ScenarioRunner does not provide:
+// order.  A job, run this way or by the daemon, gives three things:
 //
 //   durability  every completed unit is appended to an on-disk JSONL
 //               journal in one commit (write-ahead: health events first,
@@ -76,7 +76,7 @@ class CampaignJob {
   /// `resume`, must hold a manifest fingerprint-matching `specs`
   /// (std::runtime_error otherwise): torn journal tails are truncated and
   /// every committed row is restored by index -- its journaled line and
-  /// health lines byte-exactly, its verdict via reconstruct_result.  The
+  /// health lines byte-exactly, its result read back from them.  The
   /// journal files open (fresh, or appending on resume) only while some
   /// row is uncommitted.  The list is planned once on `workspace`.  Spec
   /// names must be unique (the journal is keyed by name); throws
@@ -163,10 +163,8 @@ struct CampaignConfig {
 };
 
 /// Everything a campaign run produces.  `result_lines` (spec order, no
-/// trailing newline) is the canonical byte-stable stream; `results` backs
-/// summarize() -- entries rebuilt from a row line (every resumed scenario,
-/// and under process isolation every executed one too) carry the verdict
-/// fields only, metrics left zero.
+/// trailing newline) is the canonical byte-stable stream; `results` holds
+/// the result each line was rendered from.
 struct CampaignOutcome {
   std::vector<ScenarioResult> results;
   std::vector<std::string> result_lines;

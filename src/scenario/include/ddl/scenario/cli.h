@@ -23,6 +23,8 @@
 #include <utility>
 #include <vector>
 
+#include "ddl/scenario/sandbox.h"
+
 namespace ddl::scenario {
 
 struct ScenarioSpec;
@@ -70,6 +72,12 @@ Flag number_flag(std::string name, std::string value_name, std::string help,
                      });
 }
 
+/// The sandbox's rows over `config`, one block for the runner and the
+/// daemon: --timeout-ms, --retries, --isolation, --mem-limit-mb and
+/// --cpu-limit-s.  A 0 keeps IsolationConfig's meaning (a deadline derived
+/// per spec, no cap).
+std::vector<Flag> sandbox_flags(IsolationConfig& config);
+
 /// --inject-crash KIND[@SUBSTR] (runner and client); KIND is a kCrashKinds
 /// entry, SUBSTR selects the targets of mark_crash_targets.
 Flag inject_crash_flag(std::string& kind, std::string& match);
@@ -113,9 +121,9 @@ struct RunnerOptions {
   std::string journal_dir;      ///< --journal / --resume: durability dir.
   bool resume = false;          ///< --resume: skip journaled scenarios.
   std::size_t jobs = 0;         ///< --jobs: 0 = DDL_THREADS / hardware.
-  std::uint64_t timeout_ms = 0; ///< --timeout-ms: 0 = auto_timeout_ms.
-  int retries = 1;              ///< --retries: extra attempts on timeout.
-  std::uint64_t backoff_ms = 50;  ///< --backoff-ms: first retry delay.
+  /// --isolation and the sandbox's flags (sandbox_flags), plus
+  /// --backoff-ms.
+  IsolationConfig isolation;
 
   // Chaos mode: replace the expanded suite with N seeded fault storms over
   // its first scenario (which must be storm-able; see expand_chaos).
@@ -127,9 +135,6 @@ struct RunnerOptions {
   std::string replay_path;  ///< --replay FILE: replay a bundle, then exit.
 
   std::uint64_t inject_hang_ms = 0;  ///< --inject-hang MS (test hook).
-  std::string isolation = "process";  ///< --isolation thread|process.
-  std::uint64_t mem_limit_mb = 0;  ///< --mem-limit-mb: worker RLIMIT_AS cap.
-  std::uint64_t cpu_limit_s = 0;   ///< --cpu-limit-s: worker RLIMIT_CPU cap.
   /// --inject-crash KIND[@SUBSTR] (test hook; see inject_crash_flag).
   std::string inject_crash_kind;
   std::string inject_crash_match;

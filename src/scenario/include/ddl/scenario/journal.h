@@ -106,13 +106,6 @@ void drop_orphan_health(const std::string& dir, const JournalState& state);
 void check_resumable(const std::string& dir, const std::string& fingerprint,
                      std::size_t scenarios);
 
-/// Rebuilds the verdict-bearing slice of a ScenarioResult from a journaled
-/// line's parsed fields, enough for summarize() and exit-code accounting;
-/// metrics and the typed architecture/corner stay default (the line itself
-/// is the record).
-ScenarioResult reconstruct_result(
-    const std::map<std::string, std::string>& fields);
-
 /// The lines one JournalWriter::record commits, in order: a dispatch
 /// unit's result rows, or its health events.  A single line converts
 /// implicitly, so a one-row unit commits as `record(line, health_lines)`.

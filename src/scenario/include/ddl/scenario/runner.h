@@ -92,7 +92,7 @@ struct ScenarioResult {
 };
 
 /// Renders one result as a flat ordered JsonObject (the JSONL record
-/// schema; see DESIGN.md "Scenario engine").  Health events appear only as
+/// schema: result_fields in spec_codec.cpp).  Health events appear only as
 /// a count here; the full stream renders via `health_to_json`.
 analysis::JsonObject to_json(const ScenarioResult& result);
 
@@ -102,6 +102,23 @@ std::string to_json_line(const ScenarioResult& result);
 /// One health event as a flat JsonObject, tagged with its scenario.
 analysis::JsonObject health_to_json(const ScenarioResult& result,
                                     const core::HealthEvent& event);
+
+/// One executed scenario: its result and the row line and health lines
+/// rendered from it, in every isolation mode and after a resume.
+struct ExecutedScenario {
+  ScenarioResult result;
+  std::string line;
+  std::vector<std::string> health_lines;
+};
+
+/// Renders `result` into its row line and health lines.
+ExecutedScenario render_executed(ScenarioResult result);
+
+/// Reads the lines back into the result they were rendered from, keeping
+/// the lines as they are.  Fields whose line does not parse, or whose key
+/// does not read, keep their defaults.
+ExecutedScenario read_executed(std::string line,
+                               std::vector<std::string> health_lines);
 
 /// Everything a single run produces -- the full telemetry for examples and
 /// debugging, not just the verdict.

@@ -111,17 +111,6 @@ struct SandboxCounters {
   std::atomic<std::size_t> workers_lost{0};
 };
 
-/// One executed scenario: the verdict plus its rendered JSONL line and
-/// health-event lines.  In process mode the lines are rendered inside the
-/// worker and shipped back byte-exact; `result` carries the verdict slice
-/// either way (full telemetry in thread mode, reconstructed from the row
-/// in process mode -- same contract as a journal resume).
-struct ExecutedScenario {
-  ScenarioResult result;
-  std::string line;
-  std::vector<std::string> health_lines;
-};
-
 /// Executes dispatch units (one spec, or one packed unit) under
 /// the configured isolation mode.  One executor per campaign/server worker
 /// thread; not itself thread-safe except interrupt(), which any thread may

@@ -12,7 +12,6 @@
 #include <utility>
 #include <vector>
 
-#include "ddl/analysis/bench_json.h"
 #include "ddl/analysis/parallel.h"
 #include "ddl/scenario/journal.h"
 
@@ -124,14 +123,8 @@ CampaignJob::CampaignJob(const std::vector<ScenarioSpec>& specs,
       if (it == prior.lines.end()) {
         continue;
       }
-      ExecutedScenario& row = rows_[i];
-      const auto fields = analysis::parse_flat_json_line(it->second);
-      row.result = fields ? reconstruct_result(*fields) : ScenarioResult{};
-      row.line = std::move(it->second);
-      const auto health_it = prior.health.find(specs[i].name);
-      if (health_it != prior.health.end()) {
-        row.health_lines = std::move(health_it->second);
-      }
+      rows_[i] = read_executed(std::move(it->second),
+                               std::move(prior.health[specs[i].name]));
       committed_[i] = true;
       ++resumed_;
     }

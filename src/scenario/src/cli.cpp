@@ -47,7 +47,7 @@ FlagTable runner_flags(RunnerOptions& o) {
       return "";
     };
   };
-  return FlagTable({
+  std::vector<Flag> rows = {
       help_flag(o.help),
       text_flag("--suite", "NAME", "suite to run (default: smoke)", o.suite),
       text_flag("--filter", "SUBSTR",
@@ -70,19 +70,15 @@ FlagTable runner_flags(RunnerOptions& o) {
                   "scenarios are skipped and the final streams stay "
                   "byte-identical to an unbroken run",
                   journal(true)),
-      sandbox_only(number_flag("--timeout-ms", "MS",
-                               "sandbox deadline per scenario attempt "
-                               "(default: 10 s + 20 ms per switching period)",
-                               o.timeout_ms, 1)),
-      sandbox_only(number_flag("--retries", "N",
-                               "extra attempts for a timed-out or lost "
-                               "scenario (default: 1; exponential backoff "
-                               "between tries)",
-                               o.retries)),
+  };
+  for (Flag& flag : sandbox_flags(o.isolation)) {
+    rows.push_back(std::move(flag));
+  }
+  rows.insert(rows.end(), {
       sandbox_only(number_flag("--backoff-ms", "MS",
                                "first retry backoff, doubling per retry "
                                "(default: 50)",
-                               o.backoff_ms)),
+                               o.isolation.backoff_base_ms)),
       number_flag("--chaos", "N",
                   "replace the suite with N seeded random fault storms over "
                   "its first scenario",
@@ -105,26 +101,12 @@ FlagTable runner_flags(RunnerOptions& o) {
                                "attempts for MS to exercise the sandbox "
                                "deadline",
                                o.inject_hang_ms, 1)),
-      choice_flag("--isolation", "MODE",
-                  "where scenarios run: 'process' (default; fork()ed sandbox "
-                  "workers with deadlines, retries and crash containment) or "
-                  "'thread' (in process, with none of those: every "
-                  "[sandbox-only] flag is rejected)",
-                  {"thread", "process"},
-                  [&o](const std::string& mode) { o.isolation = mode; }),
-      sandbox_only(number_flag("--mem-limit-mb", "N",
-                               "RLIMIT_AS cap per sandbox worker, in MiB "
-                               "(default: unlimited)",
-                               o.mem_limit_mb, 1)),
-      sandbox_only(number_flag("--cpu-limit-s", "N",
-                               "RLIMIT_CPU cap per sandbox worker, in seconds "
-                               "(default: unlimited)",
-                               o.cpu_limit_s, 1)),
       sandbox_only(inject_crash_flag(o.inject_crash_kind,
                                      o.inject_crash_match)),
       switch_flag("--list", "list suites and their scenarios, then exit",
                   o.list),
   });
+  return FlagTable(std::move(rows));
 }
 
 }  // namespace
@@ -224,6 +206,40 @@ Flag port_flag(std::string name, std::string help, int& out) {
 Flag sandbox_only(Flag flag) {
   flag.sandbox_only = true;
   return flag;
+}
+
+std::vector<Flag> sandbox_flags(IsolationConfig& config) {
+  return {
+      sandbox_only(number_flag("--timeout-ms", "MS",
+                               "sandbox deadline per scenario attempt "
+                               "(default: 0, which is 10 s + 20 ms per "
+                               "switching period)",
+                               config.timeout_ms)),
+      sandbox_only(number_flag("--retries", "N",
+                               "extra attempts for a timed-out or lost "
+                               "scenario (default: 1; exponential backoff "
+                               "between tries)",
+                               config.max_retries)),
+      choice_flag("--isolation", "MODE",
+                  "where scenarios run: 'process' (default; fork()ed sandbox "
+                  "workers with deadlines, retries and crash containment: a "
+                  "crashing scenario becomes a structured error row) or "
+                  "'thread' (in process, with none of those: every "
+                  "[sandbox-only] flag is rejected)",
+                  {"thread", "process"},
+                  [&config](const std::string& mode) {
+                    config.mode = mode == "thread" ? IsolationMode::kThread
+                                                   : IsolationMode::kProcess;
+                  }),
+      sandbox_only(number_flag("--mem-limit-mb", "N",
+                               "RLIMIT_AS cap per sandbox worker, in MiB "
+                               "(default: 0, unlimited)",
+                               config.limits.mem_limit_mb)),
+      sandbox_only(number_flag("--cpu-limit-s", "N",
+                               "RLIMIT_CPU cap per sandbox worker, in seconds "
+                               "(default: 0, unlimited)",
+                               config.limits.cpu_limit_s)),
+  };
 }
 
 Flag inject_crash_flag(std::string& kind, std::string& match) {
@@ -331,7 +347,7 @@ ParsedArgs parse_runner_args(const std::vector<std::string>& args) {
   }
   if (options.resume && options.journal_dir.empty()) {
     parsed.error = "--resume needs a journal directory";
-  } else if (options.isolation == "thread") {
+  } else if (options.isolation.mode == IsolationMode::kThread) {
     parsed.error = flags.thread_isolation_error();
   }
   if (parsed.ok() && !options.replay_path.empty() &&

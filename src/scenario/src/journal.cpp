@@ -2,7 +2,6 @@
 
 #include <cerrno>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <sstream>
 #include <stdexcept>
@@ -93,44 +92,6 @@ std::string content_fingerprint_of(const std::vector<ScenarioSpec>& specs) {
   return fnv1a_hex(specs, [](const ScenarioSpec& spec) {
     return spec_to_json(spec).to_json_line();
   });
-}
-
-ScenarioResult reconstruct_result(
-    const std::map<std::string, std::string>& fields) {
-  ScenarioResult result;
-  result.name = field_or(fields, "name");
-  result.family = field_or(fields, "family");
-  result.pass = field_or(fields, "pass") == "true";
-  result.locked = field_or(fields, "locked") == "true";
-  result.supervised = field_or(fields, "supervised") == "true";
-  result.failure_reason = field_or(fields, "failure_reason");
-  result.failure_detail = field_or(fields, "failure_detail");
-  result.error_detail = field_or(fields, "error_detail");
-  const std::string& error = field_or(fields, "error_kind");
-  if (error == "exception") {
-    result.error = ScenarioError::kException;
-  } else if (error == "timeout") {
-    result.error = ScenarioError::kTimeout;
-  } else if (error == "crash") {
-    result.error = ScenarioError::kCrash;
-  } else if (error == "resource_limit") {
-    result.error = ScenarioError::kResourceLimit;
-  } else if (error == "worker_lost") {
-    result.error = ScenarioError::kWorkerLost;
-  }
-  const std::string& attempts = field_or(fields, "attempts");
-  if (!attempts.empty()) {
-    result.attempts = std::atoi(attempts.c_str());
-  }
-  const std::string& seed = field_or(fields, "seed");
-  if (!seed.empty()) {
-    result.seed = std::strtoull(seed.c_str(), nullptr, 10);
-  }
-  const std::string& periods = field_or(fields, "periods");
-  if (!periods.empty()) {
-    result.periods = std::strtoull(periods.c_str(), nullptr, 10);
-  }
-  return result;
 }
 
 void drop_torn_tail(const std::string& path) {

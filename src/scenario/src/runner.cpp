@@ -617,80 +617,6 @@ ScenarioArtifacts exception_artifacts(const ScenarioSpec& spec) {
   return artifacts;
 }
 
-analysis::JsonObject to_json(const ScenarioResult& result) {
-  analysis::JsonObject object;
-  object.set("schema_version", analysis::kBenchJsonSchemaVersion);
-  object.set("name", result.name);
-  object.set("family", result.family);
-  object.set("architecture", std::string(to_string(result.architecture)));
-  object.set("corner", std::string(to_string(result.corner.corner)));
-  object.set("supply_v", result.corner.supply_v);
-  object.set("temperature_c", result.corner.temperature_c);
-  object.set("seed", result.seed);
-  object.set("periods", result.periods);
-  object.set("locked", result.locked);
-  object.set("lock_cycles", result.lock_cycles);
-  object.set("pass", result.pass);
-  object.set("failure_reason", result.failure_reason);
-  object.set("failure_detail", result.failure_detail);
-  object.set("verdict", std::string(result.verdict()));
-  object.set("error_kind", std::string(to_string(result.error)));
-  object.set("error_detail", result.error_detail);
-  object.set("attempts", result.attempts);
-  object.set("supervised", result.supervised);
-  object.set("lock_losses", result.lock_losses);
-  object.set("relocks", result.relocks);
-  object.set("relock_latency_max", result.relock_latency_max);
-  object.set("degradation_level", result.degradation_level);
-  object.set("health_events", static_cast<std::uint64_t>(result.health.size()));
-  object.set("target_vref_v", result.target_vref_v);
-  object.set("mean_vout", result.metrics.mean_vout);
-  object.set("vout_stddev", result.metrics.vout_stddev);
-  object.set("max_ripple_v", result.metrics.max_ripple_v);
-  object.set("mean_abs_error_v", result.metrics.mean_abs_error_v);
-  object.set("distinct_duty_words", result.metrics.distinct_duty_words);
-  object.set("limit_cycling", result.metrics.limit_cycling);
-  object.set("settle_period", result.settle_period);
-  object.set("transitions_settled",
-             static_cast<std::uint64_t>(result.transitions_settled));
-  object.set("transitions_total",
-             static_cast<std::uint64_t>(result.transitions_total));
-  object.set("efficiency", result.efficiency);
-  if (result.mc_dies > 0) {
-    // Yield rows only: the fields are absent (not zero) elsewhere, and the
-    // engine choice (batched vs scalar fallback) is deliberately invisible
-    // -- both paths must render byte-identical rows.
-    object.set("mc_dies", result.mc_dies);
-    object.set("mc_yield", result.mc_yield);
-    object.set("mc_inl_mean_lsb", result.mc_inl_mean_lsb);
-    object.set("mc_inl_p95_lsb", result.mc_inl_p95_lsb);
-    object.set("mc_inl_max_lsb", result.mc_inl_max_lsb);
-  }
-  return object;
-}
-
-std::string to_json_line(const ScenarioResult& result) {
-  return to_json(result).to_json_line();
-}
-
-analysis::JsonObject health_to_json(const ScenarioResult& result,
-                                    const core::HealthEvent& event) {
-  analysis::JsonObject object;
-  object.set("schema_version", analysis::kBenchJsonSchemaVersion);
-  object.set("scenario", result.name);
-  object.set("family", result.family);
-  object.set("architecture", std::string(to_string(result.architecture)));
-  object.set("seed", result.seed);
-  object.set("period", event.period);
-  object.set("event", std::string(core::to_string(event.kind)));
-  object.set("detail", event.detail);
-  object.set("tap_position", event.tap_position);
-  object.set("relock_latency_periods", event.relock_latency_periods);
-  object.set("relock_cycles", event.relock_cycles);
-  object.set("degradation", event.degradation);
-  return object;
-}
-
 SuiteSummary summarize(const std::vector<ScenarioResult>& results) {
   SuiteSummary summary;
   summary.total = results.size();

@@ -142,19 +142,6 @@ void emit_frame(int fd, const analysis::JsonObject& frame) {
   }
 }
 
-void emit_entry(int fd, std::size_t entry, const ScenarioResult& result) {
-  for (const core::HealthEvent& event : result.health) {
-    analysis::JsonObject frame = service::make_frame("health");
-    frame.set("entry", static_cast<std::uint64_t>(entry));
-    frame.set("row", health_to_json(result, event).to_json_line());
-    emit_frame(fd, frame);
-  }
-  analysis::JsonObject frame = service::make_frame("row");
-  frame.set("entry", static_cast<std::uint64_t>(entry));
-  frame.set("row", to_json_line(result));
-  emit_frame(fd, frame);
-}
-
 /// --inject-crash execution, inside the worker where the blast radius is
 /// one process.  The fatal-signal kinds reset the disposition first so the
 /// worker dies by the *real* signal even under a sanitizer runtime that
@@ -250,7 +237,17 @@ void child_run_unit(const std::vector<ScenarioSpec>& specs,
     // The supervisor's attempt number: a retried-then-succeeded row
     // reports every attempt it consumed.
     results[i].attempts = attempts[i] + 1;
-    emit_entry(resp_fd, i, results[i]);
+    const ExecutedScenario entry = render_executed(std::move(results[i]));
+    for (const std::string& health_line : entry.health_lines) {
+      analysis::JsonObject frame = service::make_frame("health");
+      frame.set("entry", static_cast<std::uint64_t>(i));
+      frame.set("row", health_line);
+      emit_frame(resp_fd, frame);
+    }
+    analysis::JsonObject frame = service::make_frame("row");
+    frame.set("entry", static_cast<std::uint64_t>(i));
+    frame.set("row", entry.line);
+    emit_frame(resp_fd, frame);
   }
   analysis::JsonObject done = service::make_frame("unit_done");
   done.set("entries", static_cast<std::uint64_t>(results.size()));
@@ -389,6 +386,8 @@ struct ScenarioExecutor::Impl {
 
 namespace {
 
+/// Counts one of the supervisor's own error rows, the only rows that can
+/// carry a crash, a resource kill or a lost worker.
 void note_counters(SandboxCounters* counters, const ScenarioResult& result) {
   if (counters == nullptr) {
     return;
@@ -406,32 +405,6 @@ void note_counters(SandboxCounters* counters, const ScenarioResult& result) {
     default:
       break;
   }
-}
-
-ExecutedScenario render_result(ScenarioResult result,
-                               SandboxCounters* counters) {
-  ExecutedScenario entry;
-  entry.line = to_json_line(result);
-  entry.health_lines.reserve(result.health.size());
-  for (const core::HealthEvent& event : result.health) {
-    entry.health_lines.push_back(
-        health_to_json(result, event).to_json_line());
-  }
-  entry.result = std::move(result);
-  note_counters(counters, entry.result);
-  return entry;
-}
-
-ExecutedScenario from_child_row(std::string row,
-                                std::vector<std::string> health,
-                                SandboxCounters* counters) {
-  ExecutedScenario entry;
-  const auto fields = analysis::parse_flat_json_line(row);
-  entry.result = fields ? reconstruct_result(*fields) : ScenarioResult{};
-  entry.line = std::move(row);
-  entry.health_lines = std::move(health);
-  note_counters(counters, entry.result);
-  return entry;
 }
 
 bool spawn_worker(ScenarioExecutor::Impl& impl) {
@@ -696,9 +669,8 @@ std::vector<ExecutedScenario> run_unit_process(
                      [](const std::string& row) { return row.empty(); });
     if (wait == UnitWait::kDone && complete) {
       for (std::size_t i = 0; i < specs.size(); ++i) {
-        out.push_back(from_child_row(std::move(collect.rows[i]),
-                                     std::move(collect.health[i]),
-                                     impl.counters));
+        out.push_back(read_executed(std::move(collect.rows[i]),
+                                    std::move(collect.health[i])));
       }
       return out;
     }
@@ -716,7 +688,8 @@ std::vector<ExecutedScenario> run_unit_process(
       if (std::optional<ScenarioResult> error =
               death_error(impl, specs[0], status)) {
         error->attempts = attempt + 1;
-        out.push_back(render_result(std::move(*error), impl.counters));
+        note_counters(impl.counters, *error);
+        out.push_back(render_executed(std::move(*error)));
         return out;
       }
       last_lost_detail =
@@ -745,7 +718,8 @@ std::vector<ExecutedScenario> run_unit_process(
                 last_lost_detail + " after " +
                     std::to_string(attempts_allowed) + " attempt(s)");
   result.attempts = attempts_allowed;
-  out.push_back(render_result(std::move(result), impl.counters));
+  note_counters(impl.counters, result);
+  out.push_back(render_executed(std::move(result)));
   return out;
 }
 
@@ -753,14 +727,12 @@ std::vector<ExecutedScenario> run_unit_process(
 /// no containment.
 std::vector<ExecutedScenario> run_unit_thread(
     ScenarioExecutor::Impl& impl, const std::vector<ScenarioSpec>& specs) {
-  std::vector<ScenarioResult> results =
-      run_unit_inline(specs, impl.workspace, [&](std::size_t index) {
-        return run_scenario_guarded(specs[index], impl.workspace).result;
-      });
   std::vector<ExecutedScenario> out;
-  out.reserve(specs.size());
-  for (ScenarioResult& result : results) {
-    out.push_back(render_result(std::move(result), impl.counters));
+  for (ScenarioResult& result :
+       run_unit_inline(specs, impl.workspace, [&](std::size_t index) {
+         return run_scenario_guarded(specs[index], impl.workspace).result;
+       })) {
+    out.push_back(render_executed(std::move(result)));
   }
   return out;
 }

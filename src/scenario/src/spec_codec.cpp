@@ -1,7 +1,8 @@
-// The flat-JSON spec codec: one key list, walked by a writer and by a
-// strict reader (see spec.h).
+// The flat-JSON codec: one key list each for specs, result rows and health
+// rows, walked by a writer and by a strict reader (spec.h, runner.h).
 #include <algorithm>
 #include <cerrno>
+#include <charconv>
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
@@ -9,6 +10,7 @@
 #include <type_traits>
 
 #include "ddl/scenario/cli.h"
+#include "ddl/scenario/runner.h"
 #include "ddl/scenario/spec.h"
 
 namespace ddl::scenario {
@@ -16,8 +18,8 @@ namespace {
 
 using Fields = std::map<std::string, std::string>;
 
-/// Every key of the codec, once, in serialization order.  `io` is a
-/// SpecWriter (over a const spec) or a SpecReader.  `io.when(written)`
+/// Every key of a spec, once, in serialization order.  `io` is a
+/// FieldWriter (over a const spec) or a FieldReader.  `io.when(written)`
 /// guards keys the writer emits only sometimes; the reader reads them
 /// always, so a present key is type-checked even where it does not apply.
 template <typename Io, typename Spec>
@@ -100,12 +102,81 @@ void spec_fields(Io& io, Spec& spec) {
   }
 }
 
+/// Every key of a result row, once, in row order.  Derived keys render
+/// from the result; the reader type-checks them and drops them.
+template <typename Io, typename Result>
+void result_fields(Io& io, Result& result) {
+  io.derived("schema_version", analysis::kBenchJsonSchemaVersion);
+  io("name", result.name);
+  io("family", result.family);
+  io("architecture", result.architecture);
+  io("corner", result.corner.corner);
+  io("supply_v", result.corner.supply_v);
+  io("temperature_c", result.corner.temperature_c);
+  io("seed", result.seed);
+  io("periods", result.periods);
+  io("locked", result.locked);
+  io("lock_cycles", result.lock_cycles);
+  io("pass", result.pass);
+  io("failure_reason", result.failure_reason);
+  io("failure_detail", result.failure_detail);
+  io.derived("verdict", std::string(result.verdict()));
+  io("error_kind", result.error);
+  io("error_detail", result.error_detail);
+  io("attempts", result.attempts);
+  io("supervised", result.supervised);
+  io("lock_losses", result.lock_losses);
+  io("relocks", result.relocks);
+  io("relock_latency_max", result.relock_latency_max);
+  io("degradation_level", result.degradation_level);
+  io.derived("health_events",
+             static_cast<std::uint64_t>(result.health.size()));
+  io("target_vref_v", result.target_vref_v);
+  io("mean_vout", result.metrics.mean_vout);
+  io("vout_stddev", result.metrics.vout_stddev);
+  io("max_ripple_v", result.metrics.max_ripple_v);
+  io("mean_abs_error_v", result.metrics.mean_abs_error_v);
+  io("distinct_duty_words", result.metrics.distinct_duty_words);
+  io("limit_cycling", result.metrics.limit_cycling);
+  io("settle_period", result.settle_period);
+  io("transitions_settled", result.transitions_settled);
+  io("transitions_total", result.transitions_total);
+  io("efficiency", result.efficiency);
+  if (io.when(result.mc_dies > 0)) {  // Yield rows only (ScenarioResult).
+    io("mc_dies", result.mc_dies);
+    io("mc_yield", result.mc_yield);
+    io("mc_inl_mean_lsb", result.mc_inl_mean_lsb);
+    io("mc_inl_p95_lsb", result.mc_inl_p95_lsb);
+    io("mc_inl_max_lsb", result.mc_inl_max_lsb);
+  }
+}
+
+/// Every key of a health row, once, in row order: the event, tagged with
+/// its scenario's identity (derived from `result`).
+template <typename Io, typename Event>
+void health_fields(Io& io, const ScenarioResult& result, Event& event) {
+  io.derived("schema_version", analysis::kBenchJsonSchemaVersion);
+  io.derived("scenario", result.name);
+  io.derived("family", result.family);
+  io.derived("architecture", result.architecture);
+  io.derived("seed", result.seed);
+  io("period", event.period);
+  io("event", event.kind);
+  io("detail", event.detail);
+  io("tap_position", event.tap_position);
+  io("relock_latency_periods", event.relock_latency_periods);
+  io("relock_cycles", event.relock_cycles);
+  io("degradation", event.degradation);
+}
+
 // ---- Values ---------------------------------------------------------------
 
 std::string_view name_of(Architecture a) { return to_string(a); }
 std::string_view name_of(cells::ProcessCorner c) { return cells::to_string(c); }
 std::string_view name_of(LoadSpec::Kind k) { return LoadSpec{k}.kind_name(); }
 std::string_view name_of(FaultSpec::Kind k) { return FaultSpec{k}.kind_name(); }
+std::string_view name_of(ScenarioError e) { return to_string(e); }
+std::string_view name_of(core::HealthEventKind k) { return core::to_string(k); }
 
 // Each parse_value reads one whole value into `out`.  It returns nullptr
 // on success, else what the key expected (and `out` keeps its value).
@@ -135,6 +206,13 @@ const char* parse_value(const std::string& text, FaultSpec::Kind& out) {
   return parse_enum(text, FaultSpec::Kind::kClockPeriodStep, out,
                     "a fault kind");
 }
+const char* parse_value(const std::string& text, ScenarioError& out) {
+  return parse_enum(text, ScenarioError::kWorkerLost, out, "an error kind");
+}
+const char* parse_value(const std::string& text, core::HealthEventKind& out) {
+  return parse_enum(text, core::HealthEventKind::kDegraded, out,
+                    "a health event kind");
+}
 const char* parse_value(const std::string& text, std::string& out) {
   out = text;
   return nullptr;
@@ -144,6 +222,16 @@ const char* parse_value(const std::string& text, std::uint64_t& out) {
 }
 const char* parse_value(const std::string& text, int& out) {
   return parse_count(text, out) ? nullptr : "a non-negative integer";
+}
+const char* parse_value(const std::string& text, std::int64_t& out) {
+  std::int64_t value = 0;  // from_chars: digits, '-' first when negative.
+  const char* last = text.data() + text.size();
+  const auto [end, error] = std::from_chars(text.data(), last, value);
+  if (error != std::errc{} || end != last) {
+    return "an integer";
+  }
+  out = value;
+  return nullptr;
 }
 const char* parse_value(const std::string& text, bool& out) {
   if (text != "true" && text != "false") {
@@ -200,9 +288,9 @@ class KeyScope {
   std::size_t scope_;
 };
 
-class SpecWriter : KeyScope {
+class FieldWriter : KeyScope {
  public:
-  SpecWriter(analysis::JsonObject& object, const std::string& prefix)
+  FieldWriter(analysis::JsonObject& object, const std::string& prefix)
       : KeyScope(prefix), object_(object) {}
 
   template <typename T>
@@ -212,6 +300,12 @@ class SpecWriter : KeyScope {
     } else {
       object_.set(key(name), value);
     }
+  }
+
+  /// A key rendered from other fields.
+  template <typename T>
+  void derived(const char* name, const T& value) {
+    (*this)(name, value);
   }
 
   bool when(bool written) const { return written; }
@@ -226,11 +320,11 @@ class SpecWriter : KeyScope {
   analysis::JsonObject& object_;
 };
 
-class SpecReader : KeyScope {
+class FieldReader : KeyScope {
  public:
   /// Reads the keys under `prefix`, noting each consumed one in `seen`
   /// when that is given.
-  SpecReader(const Fields& fields, const std::string& prefix,
+  FieldReader(const Fields& fields, const std::string& prefix,
              std::vector<std::string>& errors,
              std::vector<const std::string*>* seen = nullptr)
       : KeyScope(prefix), fields_(fields), errors_(errors), seen_(seen) {
@@ -254,6 +348,13 @@ class SpecReader : KeyScope {
       errors_.push_back(key_ + ": expected " + expected + ", got '" +
                         it->second + "'");
     }
+  }
+
+  /// Type-checks a derived key, then drops it.
+  template <typename T>
+  void derived(const char* name, const T& /*value*/) {
+    T dropped{};
+    (*this)(name, dropped);
   }
 
   bool when(bool /*written*/) const { return true; }
@@ -288,7 +389,7 @@ class SpecReader : KeyScope {
     std::vector<const std::string*> seen;
     std::vector<std::string> repeated;
     ScenarioSpec scratch;
-    SpecReader again(fields_, prefix, repeated, &seen);
+    FieldReader again(fields_, prefix, repeated, &seen);
     spec_fields(again, scratch);
     std::sort(seen.begin(), seen.end(), std::less<>());
     for (auto it = begin_; it != end_; ++it) {
@@ -319,17 +420,66 @@ analysis::JsonObject spec_to_json(const ScenarioSpec& spec) {
 
 void spec_to_json_into(analysis::JsonObject& object, const ScenarioSpec& spec,
                        const std::string& prefix) {
-  SpecWriter writer(object, prefix);
+  FieldWriter writer(object, prefix);
   spec_fields(writer, spec);
 }
 
 SpecParse spec_from_json_checked(const Fields& fields,
                                  const std::string& prefix) {
   SpecParse parse;
-  SpecReader reader(fields, prefix, parse.errors);
+  FieldReader reader(fields, prefix, parse.errors);
   spec_fields(reader, parse.spec);
   reader.finish(prefix);
   return parse;
+}
+
+analysis::JsonObject to_json(const ScenarioResult& result) {
+  analysis::JsonObject object;
+  FieldWriter writer(object, "");
+  result_fields(writer, result);
+  return object;
+}
+
+std::string to_json_line(const ScenarioResult& result) {
+  return to_json(result).to_json_line();
+}
+
+analysis::JsonObject health_to_json(const ScenarioResult& result,
+                                    const core::HealthEvent& event) {
+  analysis::JsonObject object;
+  FieldWriter writer(object, "");
+  health_fields(writer, result, event);
+  return object;
+}
+
+ExecutedScenario render_executed(ScenarioResult result) {
+  ExecutedScenario entry;
+  entry.line = to_json_line(result);
+  for (const core::HealthEvent& event : result.health) {
+    entry.health_lines.push_back(health_to_json(result, event).to_json_line());
+  }
+  entry.result = std::move(result);
+  return entry;
+}
+
+ExecutedScenario read_executed(std::string line,
+                               std::vector<std::string> health_lines) {
+  ExecutedScenario entry{{}, std::move(line), std::move(health_lines)};
+  std::vector<std::string> errors;  // A key that does not read stays default.
+  if (const auto fields = analysis::parse_flat_json_line(entry.line)) {
+    FieldReader reader(*fields, "", errors);
+    result_fields(reader, entry.result);
+  }
+  std::vector<core::HealthEvent>& health = entry.result.health;
+  health.resize(entry.health_lines.size());
+  for (std::size_t i = 0; i < health.size(); ++i) {
+    if (const auto fields =
+            analysis::parse_flat_json_line(entry.health_lines[i])) {
+      FieldReader reader(*fields, "", errors);
+      health_fields(reader, entry.result, health[i]);
+    }
+  }
+  return entry;
 }
 
 }  // namespace ddl::scenario

@@ -1,7 +1,6 @@
 #include "ddl/service/chaos_proxy.h"
 
 #include <arpa/inet.h>
-#include <fcntl.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <poll.h>
@@ -29,11 +28,6 @@ using Clock = std::chrono::steady_clock;
 /// The shared splitmix64 stream step (core/hash.h); the per-connection
 /// state word lives inside Conn, so the free-function form fits here.
 using core::splitmix64_next;
-
-bool set_nonblocking(int fd) {
-  const int flags = ::fcntl(fd, F_GETFL, 0);
-  return flags >= 0 && ::fcntl(fd, F_SETFL, flags | O_NONBLOCK) == 0;
-}
 
 /// An abortive close: SO_LINGER with zero timeout turns close() into a
 /// TCP RST, so the peer sees ECONNRESET (the fault being modeled), not a
@@ -254,8 +248,8 @@ struct ChaosProxy::Impl {
         }
         continue;
       }
-      set_nonblocking(client);
-      set_nonblocking(server);
+      net::set_nonblocking(client);
+      net::set_nonblocking(server);
       const int one = 1;
       ::setsockopt(client, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
       ::setsockopt(server, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
@@ -487,30 +481,15 @@ bool ChaosProxy::start(std::string* error) {
   }
   impl.wake_read_fd = pipe_fds[0];
   impl.wake_write_fd = pipe_fds[1];
-  set_nonblocking(impl.wake_read_fd);
-  set_nonblocking(impl.wake_write_fd);
+  net::set_nonblocking(impl.wake_read_fd);
+  net::set_nonblocking(impl.wake_write_fd);
 
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) {
-    return fail("socket() failed: " + std::string(std::strerror(errno)));
+  std::string detail;
+  impl.listen_fd = net::listen_loopback(impl.config.listen_port, "bind/listen",
+                                        impl.bound_port, detail);
+  if (impl.listen_fd < 0) {
+    return fail(detail);
   }
-  const int one = 1;
-  ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  addr.sin_port = htons(static_cast<std::uint16_t>(impl.config.listen_port));
-  if (::bind(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0 ||
-      ::listen(fd, 64) != 0) {
-    const std::string detail = std::strerror(errno);
-    ::close(fd);
-    return fail("bind/listen failed: " + detail);
-  }
-  socklen_t length = sizeof(addr);
-  ::getsockname(fd, reinterpret_cast<sockaddr*>(&addr), &length);
-  impl.bound_port = ntohs(addr.sin_port);
-  set_nonblocking(fd);
-  impl.listen_fd = fd;
 
   impl.relay_thread = std::thread([this] { impl_->relay_main(); });
   {

@@ -1,7 +1,6 @@
 #include "ddl/service/server.h"
 
 #include <arpa/inet.h>
-#include <fcntl.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <poll.h>
@@ -78,11 +77,6 @@ std::string join(const std::vector<std::string>& parts) {
     out += part;
   }
   return out;
-}
-
-bool set_nonblocking(int fd) {
-  const int flags = ::fcntl(fd, F_GETFL, 0);
-  return flags >= 0 && ::fcntl(fd, F_SETFL, flags | O_NONBLOCK) == 0;
 }
 
 /// A dispatch unit in flight: a planned unit of one job (trimmed to the
@@ -929,28 +923,37 @@ struct ScenarioServer::Impl {
       }
       scenario::ChaosCampaignSpec campaign;
       campaign.base = std::move(parsed.spec);
+      // Each number is optional, and 0 storms or max_faults keeps the
+      // default; a value that is not a decimal unsigned integer would
+      // name another job, so it is refused.
+      const auto number = [&](const char* key, std::uint64_t& out) {
+        const auto it = fields.find(key);
+        if (it == fields.end() || scenario::parse_u64(it->second, out)) {
+          return true;
+        }
+        send_error(session, "invalid_submit",
+                   std::string(key) + ": '" + clip(it->second) +
+                       "' is not a non-negative integer",
+                   tag);
+        return false;
+      };
       std::uint64_t storms = 0;
       std::uint64_t max_faults = 0;
-      const auto storms_it = fields.find("storms");
-      if (storms_it != fields.end() &&
-          scenario::parse_u64(storms_it->second, storms) && storms > 0) {
-        if (storms > kMaxSpecsPerSubmit) {  // The spec_count cap.
-          send_error(session, "invalid_submit",
-                     "storms " + std::to_string(storms) + " exceeds the " +
-                         std::to_string(kMaxSpecsPerSubmit) + " per-submit cap",
-                     tag);
-          return;
-        }
+      if (!number("storms", storms) || !number("chaos_seed", campaign.seed) ||
+          !number("max_faults", max_faults)) {
+        return;
+      }
+      if (storms > kMaxSpecsPerSubmit) {  // The spec_count cap.
+        send_error(session, "invalid_submit",
+                   "storms " + std::to_string(storms) + " exceeds the " +
+                       std::to_string(kMaxSpecsPerSubmit) + " per-submit cap",
+                   tag);
+        return;
+      }
+      if (storms > 0) {
         campaign.storms = static_cast<std::size_t>(storms);
       }
-      const auto seed_it = fields.find("chaos_seed");
-      if (seed_it != fields.end()) {
-        scenario::parse_u64(seed_it->second, campaign.seed);
-      }
-      const auto faults_it = fields.find("max_faults");
-      if (faults_it != fields.end() &&
-          scenario::parse_u64(faults_it->second, max_faults) &&
-          max_faults > 0) {
+      if (max_faults > 0) {
         campaign.max_faults_per_storm = static_cast<std::size_t>(max_faults);
       }
       try {
@@ -1050,7 +1053,7 @@ struct ScenarioServer::Impl {
       if (fd < 0) {
         return;  // EAGAIN (drained) or transient error; poll retries.
       }
-      if (!set_nonblocking(fd)) {
+      if (!net::set_nonblocking(fd)) {
         ::close(fd);
         continue;
       }
@@ -1529,31 +1532,16 @@ bool ScenarioServer::start(std::string* error) {
   }
   impl.wake_read_fd = pipe_fds[0];
   impl.wake_write_fd = pipe_fds[1];
-  set_nonblocking(impl.wake_read_fd);
-  set_nonblocking(impl.wake_write_fd);
+  net::set_nonblocking(impl.wake_read_fd);
+  net::set_nonblocking(impl.wake_write_fd);
 
   if (impl.config.enable_tcp) {
-    const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-    if (fd < 0) {
-      return fail("socket() failed: " + std::string(std::strerror(errno)));
+    std::string detail;
+    impl.tcp_listen_fd = net::listen_loopback(
+        impl.config.tcp_port, "tcp bind/listen", impl.bound_tcp_port, detail);
+    if (impl.tcp_listen_fd < 0) {
+      return fail(detail);
     }
-    const int one = 1;
-    ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-    addr.sin_port = htons(static_cast<std::uint16_t>(impl.config.tcp_port));
-    if (::bind(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0 ||
-        ::listen(fd, 64) != 0) {
-      const std::string detail = std::strerror(errno);
-      ::close(fd);
-      return fail("tcp bind/listen failed: " + detail);
-    }
-    socklen_t length = sizeof(addr);
-    ::getsockname(fd, reinterpret_cast<sockaddr*>(&addr), &length);
-    impl.bound_tcp_port = ntohs(addr.sin_port);
-    set_nonblocking(fd);
-    impl.tcp_listen_fd = fd;
   }
 
   if (!impl.config.unix_path.empty()) {
@@ -1576,7 +1564,7 @@ bool ScenarioServer::start(std::string* error) {
       ::close(fd);
       return fail("unix bind/listen failed: " + detail);
     }
-    set_nonblocking(fd);
+    net::set_nonblocking(fd);
     impl.unix_listen_fd = fd;
   }
 

@@ -545,6 +545,78 @@ TEST(CampaignTest, ResumeAfterTornJournalIsByteIdentical) {
   }
 }
 
+TEST(CampaignTest, EveryModeCarriesTheResultItsRowWasRenderedFrom) {
+  // The regression suite in thread isolation, in process isolation, and
+  // resumed (in process isolation) from its journal cut to all but the
+  // last two records: every entry of `results` renders thread mode's row
+  // and health lines, so the typed fields a row carries come back in every
+  // mode.
+  const auto specs = ScenarioRegistry::builtin().expand("regression");
+  CampaignConfig thread_config;
+  thread_config.jobs = 2;
+  thread_config.isolation.mode = IsolationMode::kThread;
+  const auto thread = Campaign(thread_config).run(specs);
+
+  CampaignConfig process_config;
+  process_config.jobs = 2;
+  process_config.journal_dir = fresh_dir("modes_full");
+  const auto process = Campaign(process_config).run(specs);
+
+  const std::string cut_dir = fresh_dir("modes_cut");
+  const std::string journal = slurp(process_config.journal_dir +
+                                    "/journal.jsonl");
+  std::size_t end = 0;
+  for (std::size_t lines = 0; lines + 2 < specs.size(); ++lines) {
+    end = journal.find('\n', end) + 1;
+  }
+  spit(cut_dir + "/journal.jsonl", journal.substr(0, end));
+  spit(cut_dir + "/health_journal.jsonl",
+       slurp(process_config.journal_dir + "/health_journal.jsonl"));
+  spit(cut_dir + "/manifest.json",
+       slurp(process_config.journal_dir + "/manifest.json"));
+  CampaignConfig resume_config = process_config;
+  resume_config.journal_dir = cut_dir;
+  resume_config.resume = true;
+  const auto resumed = Campaign(resume_config).run(specs);
+  ASSERT_EQ(resumed.resumed, specs.size() - 2);
+
+  // Thread mode's results hold every kind of field the check compares.
+  const auto& want = thread.results;
+  ASSERT_EQ(want.size(), specs.size());
+  const auto any = [&](auto predicate) {
+    return std::any_of(want.begin(), want.end(), predicate);
+  };
+  using ddl::scenario::ScenarioResult;
+  EXPECT_TRUE(any([](const ScenarioResult& r) {
+    return r.architecture == Architecture::kCounter;
+  }));
+  EXPECT_TRUE(any([](const ScenarioResult& r) { return r.lock_cycles > 0; }));
+  EXPECT_TRUE(any([](const ScenarioResult& r) { return r.mc_dies > 0; }));
+  EXPECT_TRUE(any([](const ScenarioResult& r) { return !r.health.empty(); }));
+
+  for (const auto* outcome : {&thread, &process, &resumed}) {
+    ASSERT_EQ(outcome->results.size(), specs.size());
+    std::string health;
+    for (std::size_t i = 0; i < specs.size(); ++i) {
+      const ScenarioResult& got = outcome->results[i];
+      const auto rendered = ddl::scenario::render_executed(got);
+      EXPECT_EQ(rendered.line, thread.result_lines[i]);
+      for (const std::string& line : rendered.health_lines) {
+        health += line + "\n";
+      }
+      EXPECT_EQ(got.architecture, want[i].architecture) << specs[i].name;
+      EXPECT_EQ(got.lock_cycles, want[i].lock_cycles) << specs[i].name;
+      EXPECT_EQ(got.metrics.mean_vout, want[i].metrics.mean_vout)
+          << specs[i].name;
+      EXPECT_EQ(got.mc_dies, want[i].mc_dies) << specs[i].name;
+      EXPECT_EQ(got.mc_inl_p95_lsb, want[i].mc_inl_p95_lsb) << specs[i].name;
+      EXPECT_EQ(got.health.size(), want[i].health.size()) << specs[i].name;
+    }
+    EXPECT_EQ(health, thread.health_jsonl);
+    EXPECT_EQ(outcome->jsonl(), thread.jsonl());
+  }
+}
+
 TEST(CampaignTest, GracefulStopStartsNoUnitAndTheResumeRunsThemAll) {
   // A stop already requested when the run begins: no unit starts, so
   // every spec is skipped, nothing is journaled and the stream is empty.
@@ -938,9 +1010,9 @@ TEST(CliTest, ParsesTheFullFlagSet) {
   EXPECT_EQ(options.health_out_path, "h.jsonl");
   EXPECT_EQ(options.journal_dir, "dir");
   EXPECT_FALSE(options.resume);
-  EXPECT_EQ(options.timeout_ms, 5000u);
-  EXPECT_EQ(options.retries, 3);
-  EXPECT_EQ(options.backoff_ms, 10u);
+  EXPECT_EQ(options.isolation.timeout_ms, 5000u);
+  EXPECT_EQ(options.isolation.max_retries, 3);
+  EXPECT_EQ(options.isolation.backoff_base_ms, 10u);
   EXPECT_EQ(options.chaos_storms, 32u);
   EXPECT_EQ(options.chaos_seed, 7u);
   EXPECT_EQ(options.chaos_max_faults, 5u);
@@ -972,7 +1044,7 @@ TEST(CliTest, RejectsMalformedNumbers) {
        {std::vector<std::string>{"--jobs", "oops"},
         {"--jobs", "8oops"},
         {"--jobs", "-2"},
-        {"--timeout-ms", "0"},
+        {"--timeout-ms", "-1"},
         {"--timeout-ms", "1e3"},
         {"--retries", "99999999999999999999"},
         {"--chaos", "0"},
@@ -981,6 +1053,10 @@ TEST(CliTest, RejectsMalformedNumbers) {
     const auto parsed = ddl::scenario::parse_runner_args(args);
     EXPECT_FALSE(parsed.ok()) << args[0] << " " << args[1];
     EXPECT_FALSE(parsed.error.empty());
+  }
+  // 0 keeps IsolationConfig's meaning: a deadline derived per spec, no cap.
+  for (const char* flag : {"--timeout-ms", "--mem-limit-mb", "--cpu-limit-s"}) {
+    EXPECT_TRUE(ddl::scenario::parse_runner_args({flag, "0"}).ok()) << flag;
   }
 }
 
@@ -1005,7 +1081,8 @@ TEST(CliTest, ReplayIsExclusiveWithBatchModes) {
 }
 
 TEST(CliTest, IsolationModeMustBeThreadOrProcess) {
-  EXPECT_EQ(ddl::scenario::parse_runner_args({}).options.isolation, "process");
+  EXPECT_EQ(ddl::scenario::parse_runner_args({}).options.isolation.mode,
+            IsolationMode::kProcess);
   EXPECT_TRUE(ddl::scenario::parse_runner_args({"--isolation", "thread"}).ok());
   const auto bogus = ddl::scenario::parse_runner_args({"--isolation", "fork"});
   EXPECT_FALSE(bogus.ok());
@@ -1037,14 +1114,14 @@ TEST(CliTest, ThreadIsolationRejectsEverySandboxOnlyFlag) {
   }
   const auto process = parse_runner_args(all_of_them);
   ASSERT_TRUE(process.ok()) << process.error;
-  EXPECT_EQ(process.options.isolation, "process");
-  EXPECT_EQ(process.options.timeout_ms, 100u);
-  EXPECT_EQ(process.options.retries, 2);
-  EXPECT_EQ(process.options.backoff_ms, 10u);
+  EXPECT_EQ(process.options.isolation.mode, IsolationMode::kProcess);
+  EXPECT_EQ(process.options.isolation.timeout_ms, 100u);
+  EXPECT_EQ(process.options.isolation.max_retries, 2);
+  EXPECT_EQ(process.options.isolation.backoff_base_ms, 10u);
   EXPECT_EQ(process.options.inject_hang_ms, 100u);
   EXPECT_EQ(process.options.inject_crash_kind, "segv");
-  EXPECT_EQ(process.options.mem_limit_mb, 64u);
-  EXPECT_EQ(process.options.cpu_limit_s, 5u);
+  EXPECT_EQ(process.options.isolation.limits.mem_limit_mb, 64u);
+  EXPECT_EQ(process.options.isolation.limits.cpu_limit_s, 5u);
 }
 
 TEST(CliTest, StrictNumericHelpers) {
@@ -1364,6 +1441,112 @@ TEST(SpecCodecTest, ReadOfWriteReproducesTheBytes) {
     ASSERT_TRUE(parse.ok()) << parse.errors.front();
     EXPECT_EQ(ddl::scenario::spec_to_json(parse.spec).to_json_line(), line);
   }
+}
+
+// ---- Row codec -------------------------------------------------------------
+
+/// A result no suite produces: edge doubles in the metrics, a run that
+/// never settled, strings that need escaping, `error` and one health event
+/// of every kind.
+ddl::scenario::ScenarioResult crafted_result(ScenarioError error) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  ddl::scenario::ScenarioResult result;
+  result.name = "crafted/\"quoted\"\\back\nline\ttab\x01" "ctl/\xc3\xa9";
+  result.family = "crafted";
+  result.architecture = Architecture::kCounter;
+  result.corner.corner = ddl::cells::ProcessCorner::kSlow;
+  result.corner.supply_v = -0.0;
+  result.corner.temperature_c = std::numeric_limits<double>::denorm_min();
+  result.seed = std::numeric_limits<std::uint64_t>::max();
+  result.periods = 12345;
+  result.locked = true;
+  result.lock_cycles = 77;
+  result.failure_reason = "error:" + std::string(to_string(error));
+  result.failure_detail = "detail with \"quotes\"";
+  result.error = error;
+  result.error_detail = "worker said \\o/\r\n";
+  result.attempts = 3;
+  result.supervised = true;
+  result.lock_losses = 2;
+  result.relocks = 1;
+  result.relock_latency_max = 41;
+  result.degradation_level = 2;
+  result.target_vref_v = std::numeric_limits<double>::max();
+  result.metrics.mean_vout = inf;
+  result.metrics.vout_stddev = -inf;
+  result.metrics.max_ripple_v = nan;
+  result.metrics.mean_abs_error_v = 0.0;
+  result.metrics.distinct_duty_words = 9;
+  result.metrics.limit_cycling = true;
+  result.settle_period = -1;
+  result.transitions_settled = 1;
+  result.transitions_total = 2;
+  result.efficiency = -std::numeric_limits<double>::max();
+  result.mc_dies = 256;
+  result.mc_yield = std::numeric_limits<double>::denorm_min();
+  result.mc_inl_mean_lsb = -0.0;
+  result.mc_inl_p95_lsb = nan;
+  result.mc_inl_max_lsb = inf;
+  for (const ddl::core::HealthEventKind kind :
+       {ddl::core::HealthEventKind::kLockLost,
+        ddl::core::HealthEventKind::kRelockAttempt,
+        ddl::core::HealthEventKind::kRelocked,
+        ddl::core::HealthEventKind::kRelockFailed,
+        ddl::core::HealthEventKind::kDegraded}) {
+    ddl::core::HealthEvent event;
+    event.period = 100 + result.health.size();
+    event.kind = kind;
+    event.detail = "tap \"31\"\n";
+    event.tap_position = 31;
+    event.relock_latency_periods = 4;
+    event.relock_cycles = 64;
+    event.degradation = static_cast<int>(result.health.size());
+    result.health.push_back(event);
+  }
+  return result;
+}
+
+TEST(RowCodecTest, ReadOfWriteReproducesTheBytes) {
+  // Every row and health line of the regression, smoke and chaos suites,
+  // plus one crafted result per error kind: the reader reads back what the
+  // writer wrote, and rendering what it read reproduces the bytes.
+  std::vector<ddl::scenario::ScenarioResult> results;
+  for (const char* suite : {"regression", "smoke", "chaos"}) {
+    const auto run =
+        ScenarioRunner().run(ScenarioRegistry::builtin().expand(suite));
+    results.insert(results.end(), run.begin(), run.end());
+  }
+  ASSERT_FALSE(ScenarioRunner::health_jsonl(results).empty());
+  for (const ScenarioError error :
+       {ScenarioError::kNone, ScenarioError::kException,
+        ScenarioError::kTimeout, ScenarioError::kCrash,
+        ScenarioError::kResourceLimit, ScenarioError::kWorkerLost}) {
+    results.push_back(crafted_result(error));
+  }
+  for (const ddl::scenario::ScenarioResult& result : results) {
+    const auto written = ddl::scenario::render_executed(result);
+    const auto read =
+        ddl::scenario::read_executed(written.line, written.health_lines);
+    EXPECT_EQ(read.line, written.line);
+    EXPECT_EQ(read.health_lines, written.health_lines);
+    const auto again = ddl::scenario::render_executed(read.result);
+    EXPECT_EQ(again.line, written.line);
+    EXPECT_EQ(again.health_lines, written.health_lines) << written.line;
+  }
+
+  // What does not read keeps its default, and the bytes stay as they came.
+  const auto torn = ddl::scenario::read_executed(
+      R"({"schema_version": 2, "name": "torn)", {"not json"});
+  EXPECT_EQ(torn.result.name, "");
+  EXPECT_EQ(torn.line, R"({"schema_version": 2, "name": "torn)");
+  ASSERT_EQ(torn.result.health.size(), 1u);
+  EXPECT_EQ(torn.health_lines.front(), "not json");
+  const auto mistyped = ddl::scenario::read_executed(
+      R"({"name": "x", "lock_cycles": "many", "settle_period": 12x})", {});
+  EXPECT_EQ(mistyped.result.name, "x");
+  EXPECT_EQ(mistyped.result.lock_cycles, 0u);
+  EXPECT_EQ(mistyped.result.settle_period, -1);
 }
 
 // ---- Replay bundle format --------------------------------------------------

@@ -11,8 +11,10 @@ Smoke: every row of `--suite smoke` carries schema_version 2, `name`,
 independent of the thread count).  The aggregate report counts every row
 as a scenario and every failing row as failed.
 
-Recovery: `--suite recovery` at --jobs 1 and at --jobs 4 writes
-byte-identical result and health streams.  Every health line has
+Recovery: `--suite recovery` at --jobs 1 and at --jobs 4, in process and
+in thread isolation, writes byte-identical result and health streams, and
+aggregates that agree on every verdict key (scenarios, passed, failed,
+locked, health_events, failures.* and family.*).  Every health line has
 schema_version 2, a known event kind, an integer period and degradation,
 a scenario and a tap position, and each `relocked` event a latency of at
 least one period.  The stream shows a lock loss, a successful re-lock and
@@ -62,18 +64,37 @@ def check_smoke(runner, work):
                                             report["scenarios"]))
 
 
-def check_recovery(runner, work):
-    streams = {}
-    for jobs in (1, 4):
-        out = os.path.join(work, "recovery-j%d.jsonl" % jobs)
-        health = os.path.join(work, "health-j%d.jsonl" % jobs)
-        run(runner, work, ["--suite", "recovery", "--jobs", str(jobs),
-                           "--out", out, "--health-out", health])
-        streams[jobs] = (read(out), read(health))
-    assert streams[1][0] == streams[4][0], "result streams differ by --jobs"
-    assert streams[1][1] == streams[4][1], "health streams differ by --jobs"
+VERDICT_KEYS = ("scenarios", "passed", "failed", "locked", "health_events")
 
-    events = json_lines(os.path.join(work, "health-j1.jsonl"))
+
+def verdicts(report):
+    """The aggregate's verdict keys: what the rows say, not how they ran."""
+    return {key: value for key, value in report.items()
+            if key in VERDICT_KEYS or key.startswith(("failures.", "family."))}
+
+
+def check_recovery(runner, work):
+    runs = {}
+    for isolation in ("process", "thread"):
+        for jobs in (1, 4):
+            tag = "%s-j%d" % (isolation, jobs)
+            out = os.path.join(work, "recovery-%s.jsonl" % tag)
+            health = os.path.join(work, "health-%s.jsonl" % tag)
+            run(runner, work, ["--suite", "recovery", "--jobs", str(jobs),
+                               "--isolation", isolation, "--out", out,
+                               "--health-out", health])
+            with open(os.path.join(work,
+                                   "BENCH_scenario_suite_recovery.json")) as f:
+                report = verdicts(json.load(f))
+            runs[tag] = (read(out), read(health), report)
+    reference = runs["process-j1"]
+    assert reference[2]["scenarios"] > 0, reference[2]
+    for tag, (out, health, report) in runs.items():
+        assert out == reference[0], "result stream of %s differs" % tag
+        assert health == reference[1], "health stream of %s differs" % tag
+        assert report == reference[2], (tag, report, reference[2])
+
+    events = json_lines(os.path.join(work, "health-process-j1.jsonl"))
     assert events, "empty health stream"
     for event in events:
         assert event["schema_version"] == 2, event
@@ -86,8 +107,8 @@ def check_recovery(runner, work):
             assert event["relock_latency_periods"] >= 1, event
     seen = {event["event"] for event in events}
     assert {"lock_lost", "relocked", "degraded"} <= seen, seen
-    print("recovery: %d health events, byte-identical at --jobs 1 and 4; "
-          "kinds %s" % (len(events), sorted(seen)))
+    print("recovery: %d health events, byte-identical at --jobs 1 and 4 "
+          "in both isolation modes; kinds %s" % (len(events), sorted(seen)))
 
 
 def main(runner, work):

@@ -15,7 +15,9 @@ tool, with its own list of flags below:
 
 The server refuses each of its four sandbox-only flags under
 `--isolation thread`, and out-of-range ports, retry counts and outbox caps
-exit 64 instead of wrapping to another value.  No case may start a
+exit 64 instead of wrapping to another value.  Both the runner and the
+server read 0 for the sandbox's deadline and caps (derive per spec, no
+cap): `FLAG 0 --help` exits 0.  No case may start a
 listener or a sandbox worker: each runs under a timeout, and a tool still
 running when it expires is terminated and the case fails.  Every failing
 case is listed before the test exits 1.  Registered with ctest under the
@@ -68,6 +70,8 @@ PROXY_FLAGS = {
 
 SERVER_SANDBOX_ONLY = ("--timeout-ms", "--retries", "--mem-limit-mb",
                        "--cpu-limit-s")
+# Sandbox numbers whose 0 means "derive per spec" or "no cap".
+SANDBOX_ZERO = ("--timeout-ms", "--mem-limit-mb", "--cpu-limit-s")
 
 # Values that wrap when stored unchecked: a port above 65535, a retry count
 # past INT_MAX (2^32 + 1 wraps to 1 retry, 2^31 to INT_MIN), and an outbox
@@ -172,6 +176,9 @@ def main(runner, server, client, proxy, work):
                     USAGE_EXIT, flag + " requires --isolation process")
     for tool, args, flag in WRAP_CASES:
         cases.check("wrap", tool, args, USAGE_EXIT, flag)
+    for tool in ("runner", "server"):
+        for flag in SANDBOX_ZERO:
+            cases.check("zero", tool, [flag, "0", "--help"], 0)
 
     flag_count = sum(len(flags) for flags in (RUNNER_FLAGS, SERVER_FLAGS,
                                               CLIENT_FLAGS, PROXY_FLAGS))

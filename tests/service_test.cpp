@@ -25,6 +25,7 @@
 #include <set>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "ddl/core/hash.h"
@@ -806,6 +807,24 @@ TEST(ServiceTest, MalformedSubmissionsGetStructuredErrorFrames) {
   submission = client.submit_frame(faults, "bad6");
   EXPECT_FALSE(submission.accepted);
   EXPECT_EQ(submission.error_code, "invalid_chaos");
+
+  // A chaos number that is not a decimal unsigned integer names another
+  // job than the one asked for: refused, naming the key.
+  for (const auto& [key, value] :
+       std::vector<std::pair<std::string, std::string>>{
+           {"storms", "two"}, {"chaos_seed", "-1"}, {"max_faults", "1.5"}}) {
+    ddl::analysis::JsonObject malformed =
+        ddl::service::make_frame("submit_chaos");
+    malformed.set("job", "bad-" + key);
+    malformed.set(key, value);
+    malformed.set("spec.name", "svc/storm-base");
+    submission = client.submit_frame(malformed, "bad-" + key);
+    EXPECT_FALSE(submission.accepted) << key;
+    EXPECT_EQ(submission.error_code, "invalid_submit") << key;
+    EXPECT_NE(submission.error_detail.find(key + ": '" + value + "'"),
+              std::string::npos)
+        << submission.error_detail;
+  }
 
   // A payload that is not JSON at all.
   ASSERT_TRUE(client.send_payload("certainly not json"));

@@ -205,14 +205,7 @@ int main(int argc, char** argv) {
   config.resume = options.resume;
   config.jobs = options.jobs;
   config.stop = &g_stop;
-  config.isolation.timeout_ms = options.timeout_ms;
-  config.isolation.max_retries = options.retries;
-  config.isolation.backoff_base_ms = options.backoff_ms;
-  config.isolation.mode = options.isolation == "thread"
-                              ? scenario::IsolationMode::kThread
-                              : scenario::IsolationMode::kProcess;
-  config.isolation.limits.mem_limit_mb = options.mem_limit_mb;
-  config.isolation.limits.cpu_limit_s = options.cpu_limit_s;
+  config.isolation = options.isolation;
   std::signal(SIGTERM, on_signal);
   std::signal(SIGINT, on_signal);
 
@@ -280,8 +273,6 @@ int main(int argc, char** argv) {
   report.set("failed",
              static_cast<std::uint64_t>(summary.total - summary.passed));
   report.set("locked", static_cast<std::uint64_t>(summary.locked));
-  // Counted on the stream, not on results: a row rebuilt from its line (a
-  // sandboxed or resumed scenario) carries no health vector.
   report.set("health_events",
              static_cast<std::uint64_t>(std::count(
                  outcome.health_jsonl.begin(), outcome.health_jsonl.end(),
@@ -294,7 +285,7 @@ int main(int argc, char** argv) {
   report.set("exceptions", static_cast<std::uint64_t>(outcome.exceptions));
   report.set("skipped", static_cast<std::uint64_t>(outcome.skipped));
   report.set("interrupted", outcome.interrupted);
-  report.set("isolation", options.isolation);
+  report.set("isolation", std::string(to_string(options.isolation.mode)));
   report.set("sandbox_crashes",
              static_cast<std::uint64_t>(outcome.sandbox_crashes));
   report.set("workers_respawned",

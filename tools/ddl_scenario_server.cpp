@@ -37,8 +37,7 @@ struct ServerOptions {
 scenario::FlagTable server_flags(ServerOptions& o) {
   using namespace scenario;
   service::ServiceConfig& c = o.config;
-  IsolationConfig& sandbox = c.isolation;
-  return FlagTable({
+  std::vector<Flag> rows = {
       help_flag(o.help),
       port_flag("--port", "loopback TCP port (default 0 = ephemeral)",
                 c.tcp_port),
@@ -84,32 +83,11 @@ scenario::FlagTable server_flags(ServerOptions& o) {
                     }
                     return problem;
                   }),
-      sandbox_only(number_flag("--timeout-ms", "N",
-                               "sandbox deadline per attempt (0 = per-spec)",
-                               sandbox.timeout_ms)),
-      sandbox_only(number_flag("--retries", "N",
-                               "extra attempts for timed-out or lost scenarios",
-                               sandbox.max_retries)),
-      choice_flag("--isolation", "MODE",
-                  "where scenarios run: 'process' (default; fork()ed sandbox "
-                  "workers -- a crashing scenario becomes a structured error "
-                  "row and the daemon survives) or 'thread' (in process, with "
-                  "no deadline, retry or containment: every [sandbox-only] "
-                  "flag is rejected)",
-                  {"thread", "process"},
-                  [&sandbox](const std::string& mode) {
-                    sandbox.mode = mode == "thread" ? IsolationMode::kThread
-                                                    : IsolationMode::kProcess;
-                  }),
-      sandbox_only(number_flag(
-          "--mem-limit-mb", "N",
-          "RLIMIT_AS cap per sandbox worker, in MiB (0 = unlimited)",
-          sandbox.limits.mem_limit_mb)),
-      sandbox_only(number_flag(
-          "--cpu-limit-s", "N",
-          "RLIMIT_CPU cap per sandbox worker, in seconds (0 = unlimited)",
-          sandbox.limits.cpu_limit_s)),
-  });
+  };
+  for (Flag& flag : sandbox_flags(c.isolation)) {
+    rows.push_back(std::move(flag));
+  }
+  return FlagTable(std::move(rows));
 }
 
 ServerOptions parse_args(const std::vector<std::string>& args) {
