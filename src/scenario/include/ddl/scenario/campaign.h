@@ -74,9 +74,9 @@ class CampaignJob {
   /// Opens the job over `specs`; an empty `journal_dir` keeps it in
   /// memory.  Otherwise the directory is created on demand and, with
   /// `resume`, must hold a manifest fingerprint-matching `specs`
-  /// (std::runtime_error otherwise): torn journal tails are truncated and
-  /// every committed row is restored by index -- its journaled line and
-  /// health lines byte-exactly, its result read back from them.  The
+  /// (std::runtime_error otherwise): one load_journal repairs the journal
+  /// files and every committed row is restored by index -- its journaled
+  /// line and health lines byte-exactly, its result read back from them.  The
   /// journal files open (fresh, or appending on resume) only while some
   /// row is uncommitted.  The list is planned once on `workspace`.  Spec
   /// names must be unique (the journal is keyed by name); throws

@@ -20,10 +20,12 @@
 // One record() commits one dispatch unit -- a packed batch-plan unit, or
 // a single scenario -- under one lock and two flushes.  A kill inside a
 // unit's commit leaves a prefix of its result lines; the rest of the unit
-// simply runs again on resume.  A torn tail (the chunk after the last '\n'
-// of a killed append) is dropped on load and truncated before appends
-// resume.  Journaled lines are byte-reused on resume, so a resumed stream
-// is byte-identical to an uninterrupted run.
+// simply runs again on resume.  A resume is check_resumable, then one
+// load_journal: it reads each file once, parses each complete line once,
+// and cuts a torn tail (the chunk after the last '\n' of a killed append)
+// and orphaned health lines before appends resume.  Journaled lines are
+// byte-reused on resume, so a resumed stream is byte-identical to an
+// uninterrupted run.
 #pragma once
 
 #include <cstdint>
@@ -75,31 +77,21 @@ std::string fingerprint_of(const std::vector<ScenarioSpec>& specs);
 /// iff every field of every spec matches, not just the names.
 std::string content_fingerprint_of(const std::vector<ScenarioSpec>& specs);
 
-/// What a resumed campaign restores from a journal directory.
-struct JournalState {
-  /// Scenario name -> its exact journaled result line (byte-reused).
-  std::map<std::string, std::string> lines;
-  /// Scenario name -> its journaled health-event lines, in event order.
-  std::map<std::string, std::vector<std::string>> health;
-};
-
-/// Loads the committed slice of a journal directory.  Only health events
-/// of scenarios whose result line committed are restored (WAL ordering).
-JournalState load_journal(const std::string& dir);
-
-/// Truncates a journal file to its last complete line: a torn tail must be
-/// cut *before* appending resumes, or the first new record would
-/// concatenate onto it and corrupt both.
-void drop_torn_tail(const std::string& path);
-
-/// Drops the health journal's lines whose scenario has no committed result
-/// line in `state` (what load_journal just restored from `dir`).  A unit
-/// killed between its health append and its result commit leaves such
-/// orphans; the scenario re-runs on resume and appends its events again,
-/// so they must go *before* appending resumes, or a later resume would
-/// restore them twice.  The file is rewritten atomically, and only when
-/// something is dropped.
-void drop_orphan_health(const std::string& dir, const JournalState& state);
+/// The one read of a resume: reads each journal file of `dir` once and
+/// returns the committed rows by scenario name (the last line of a name
+/// wins), each read back by the row codec with its health lines in file
+/// order.  In the same pass it repairs what a kill left, before appending
+/// resumes:
+///  - each file keeps only its complete lines: a torn tail would
+///    concatenate onto the next append and corrupt both;
+///  - the health journal drops the lines of scenarios with no committed
+///    result line (WAL ordering), and lines that do not parse.  A killed
+///    unit leaves such orphans; the scenario runs again and appends its
+///    events anew, so a later resume must not restore them twice.
+/// A complete result line that does not parse stays in the file, and its
+/// scenario runs again.  A file is rewritten, atomically, only when
+/// something goes.
+std::map<std::string, ExecutedScenario> load_journal(const std::string& dir);
 
 /// Throws std::runtime_error unless `dir` holds a manifest matching the
 /// fingerprint and scenario count (refuses to resume a different campaign).

@@ -120,6 +120,15 @@ ExecutedScenario render_executed(ScenarioResult result);
 ExecutedScenario read_executed(std::string line,
                                std::vector<std::string> health_lines);
 
+/// read_executed's two steps, over lines already tokenized by
+/// analysis::parse_flat_json_line.  read_row reads the result from the
+/// row's `fields`, keeping `line` as it is; read_health_line appends one
+/// health line to `entry` and reads its event from `fields`.
+ExecutedScenario read_row(std::string line,
+                          const std::map<std::string, std::string>& fields);
+void read_health_line(ExecutedScenario& entry, std::string line,
+                      const std::map<std::string, std::string>& fields);
+
 /// Everything a single run produces -- the full telemetry for examples and
 /// debugging, not just the verdict.
 struct ScenarioArtifacts {

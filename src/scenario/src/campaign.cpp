@@ -114,17 +114,13 @@ CampaignJob::CampaignJob(const std::vector<ScenarioSpec>& specs,
   std::filesystem::create_directories(journal_dir);
   if (resume) {
     check_resumable(journal_dir, fingerprint, specs.size());
-    drop_torn_tail(journal_path(journal_dir));
-    drop_torn_tail(health_journal_path(journal_dir));
-    JournalState prior = load_journal(journal_dir);
-    drop_orphan_health(journal_dir, prior);
+    auto prior = load_journal(journal_dir);
     for (std::size_t i = 0; i < specs.size(); ++i) {
-      const auto it = prior.lines.find(specs[i].name);
-      if (it == prior.lines.end()) {
+      const auto it = prior.find(specs[i].name);
+      if (it == prior.end()) {
         continue;
       }
-      rows_[i] = read_executed(std::move(it->second),
-                               std::move(prior.health[specs[i].name]));
+      rows_[i] = std::move(it->second);
       committed_[i] = true;
       ++resumed_;
     }

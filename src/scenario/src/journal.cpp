@@ -13,25 +13,32 @@
 namespace ddl::scenario {
 namespace {
 
-/// Splits a journal file into its *complete* lines: the chunk after the
-/// last '\n' (a torn append from a crash) is dropped.
-std::vector<std::string> complete_lines(const std::string& content) {
-  std::vector<std::string> lines;
-  std::size_t start = 0;
-  for (std::size_t i = 0; i < content.size(); ++i) {
-    if (content[i] == '\n') {
-      lines.push_back(content.substr(start, i - start));
-      start = i + 1;
-    }
-  }
-  return lines;
-}
-
 const std::string& field_or(const std::map<std::string, std::string>& fields,
                             const std::string& key) {
   static const std::string empty;
   const auto it = fields.find(key);
   return it == fields.end() ? empty : it->second;
+}
+
+/// Reads the file at `path` once and hands each complete line to `keep`,
+/// in file order.  The file is rewritten, atomically, to the lines `keep`
+/// returns true for, and only when that drops something: a line, or the
+/// torn chunk after the last '\n' that a killed append leaves.
+template <typename Keep>
+void keep_lines(const std::string& path, Keep keep) {
+  const std::string content = read_file(path);
+  std::string kept;
+  std::size_t start = 0;
+  for (std::size_t end = 0;
+       (end = content.find('\n', start)) != std::string::npos;
+       start = end + 1) {
+    if (keep(content.substr(start, end - start))) {
+      kept.append(content, start, end + 1 - start);
+    }
+  }
+  if (kept.size() != content.size()) {
+    analysis::write_file_atomic(path, kept);
+  }
 }
 
 /// Raises JournalIoError when a journal stream went bad on write/flush,
@@ -94,64 +101,31 @@ std::string content_fingerprint_of(const std::vector<ScenarioSpec>& specs) {
   });
 }
 
-void drop_torn_tail(const std::string& path) {
-  const std::string content = read_file(path);
-  const std::size_t last_newline = content.rfind('\n');
-  const std::size_t keep = last_newline == std::string::npos
-                               ? 0
-                               : last_newline + 1;
-  if (keep < content.size()) {
-    analysis::write_file_atomic(path, content.substr(0, keep));
-  }
-}
-
-void drop_orphan_health(const std::string& dir, const JournalState& state) {
-  const std::vector<std::string> lines =
-      complete_lines(read_file(health_journal_path(dir)));
-  std::size_t restored = 0;
-  for (const auto& [name, health] : state.health) {
-    restored += health.size();
-  }
-  if (restored == lines.size()) {
-    return;
-  }
-  std::string kept;
-  for (const std::string& line : lines) {
+std::map<std::string, ExecutedScenario> load_journal(const std::string& dir) {
+  std::map<std::string, ExecutedScenario> rows;
+  keep_lines(journal_path(dir), [&](std::string line) {
+    // A corrupt record stays in the file, and its scenario runs again.
+    if (const auto fields = analysis::parse_flat_json_line(line)) {
+      const std::string& name = field_or(*fields, "name");
+      if (!name.empty()) {
+        rows[name] = read_row(std::move(line), *fields);
+      }
+    }
+    return true;
+  });
+  // WAL ordering: health lines append before their unit's result lines
+  // commit, so a line whose scenario has no committed row is an orphan.
+  keep_lines(health_journal_path(dir), [&](std::string line) {
     const auto fields = analysis::parse_flat_json_line(line);
-    if (fields && state.lines.count(field_or(*fields, "scenario")) != 0) {
-      kept += line;
-      kept += '\n';
+    const auto row =
+        fields ? rows.find(field_or(*fields, "scenario")) : rows.end();
+    if (row == rows.end()) {
+      return false;
     }
-  }
-  analysis::write_file_atomic(health_journal_path(dir), kept);
-}
-
-JournalState load_journal(const std::string& dir) {
-  JournalState state;
-  for (const std::string& line : complete_lines(read_file(journal_path(dir)))) {
-    const auto fields = analysis::parse_flat_json_line(line);
-    if (!fields) {
-      continue;  // Corrupt / torn record: treat the scenario as incomplete.
-    }
-    const std::string& name = field_or(*fields, "name");
-    if (!name.empty()) {
-      state.lines[name] = line;
-    }
-  }
-  for (const std::string& line :
-       complete_lines(read_file(health_journal_path(dir)))) {
-    const auto fields = analysis::parse_flat_json_line(line);
-    if (!fields) {
-      continue;
-    }
-    const std::string& scenario = field_or(*fields, "scenario");
-    // WAL ordering: health lines append before the result line commits, so
-    // only events of *committed* scenarios are restorable.
-    if (state.lines.count(scenario) != 0) {
-      state.health[scenario].push_back(line);
-    }
-  }
-  return state;
+    read_health_line(row->second, std::move(line), *fields);
+    return true;
+  });
+  return rows;
 }
 
 void check_resumable(const std::string& dir, const std::string& fingerprint,

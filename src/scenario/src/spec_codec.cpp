@@ -462,22 +462,33 @@ ExecutedScenario render_executed(ScenarioResult result) {
   return entry;
 }
 
+ExecutedScenario read_row(std::string line, const Fields& fields) {
+  ExecutedScenario entry{{}, std::move(line), {}};
+  std::vector<std::string> errors;  // A key that does not read stays default.
+  FieldReader reader(fields, "", errors);
+  result_fields(reader, entry.result);
+  return entry;
+}
+
+void read_health_line(ExecutedScenario& entry, std::string line,
+                      const Fields& fields) {
+  std::vector<std::string> errors;
+  FieldReader reader(fields, "", errors);
+  health_fields(reader, entry.result, entry.result.health.emplace_back());
+  entry.health_lines.push_back(std::move(line));
+}
+
 ExecutedScenario read_executed(std::string line,
                                std::vector<std::string> health_lines) {
-  ExecutedScenario entry{{}, std::move(line), std::move(health_lines)};
-  std::vector<std::string> errors;  // A key that does not read stays default.
-  if (const auto fields = analysis::parse_flat_json_line(entry.line)) {
-    FieldReader reader(*fields, "", errors);
-    result_fields(reader, entry.result);
-  }
-  std::vector<core::HealthEvent>& health = entry.result.health;
-  health.resize(entry.health_lines.size());
-  for (std::size_t i = 0; i < health.size(); ++i) {
-    if (const auto fields =
-            analysis::parse_flat_json_line(entry.health_lines[i])) {
-      FieldReader reader(*fields, "", errors);
-      health_fields(reader, entry.result, health[i]);
-    }
+  // A line that does not parse reads as one with no key.
+  const auto fields_of = [](const std::string& text) {
+    return analysis::parse_flat_json_line(text).value_or(Fields{});
+  };
+  const Fields fields = fields_of(line);
+  ExecutedScenario entry = read_row(std::move(line), fields);
+  for (std::string& health_line : health_lines) {
+    const Fields event = fields_of(health_line);
+    read_health_line(entry, std::move(health_line), event);
   }
   return entry;
 }

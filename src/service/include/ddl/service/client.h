@@ -18,6 +18,7 @@
 #include <map>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "ddl/analysis/bench_json.h"
@@ -107,6 +108,9 @@ class ScenarioClient {
     std::string error_detail;
     std::vector<std::string> result_lines;  ///< By scenario index.
     std::vector<std::string> health_lines;  ///< Index order, then seq.
+    /// (index, seq) of each health line: frames arrive in the order units
+    /// complete, and this keeps health_lines in index order.
+    std::vector<std::pair<std::uint64_t, std::uint64_t>> health_keys;
     std::size_t scenarios = 0;
     std::size_t passed = 0;
     std::size_t failed = 0;
@@ -141,8 +145,6 @@ class ScenarioClient {
  private:
   Submission pump_for_submit_reply(const std::string& job_tag);
   void absorb(const std::map<std::string, std::string>& fields);
-  void fill_done(JobOutcome& outcome,
-                 const std::map<std::string, std::string>& fields);
 
   ClientConfig config_;
   int fd_ = -1;

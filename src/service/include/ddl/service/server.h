@@ -33,7 +33,10 @@
 // never dispatched, queued ones are withdrawn, in-flight ones finish and
 // journal (the journal stays consistent), and a persistent `cancelled`
 // marker in the job directory makes the decision durable -- a restarted
-// server reschedules nothing cancelled.  `submit_replay` runs a chaos
+// server reschedules nothing cancelled.  A job's frames, `cancelled` and
+// `job_done` included, go to every open session that submitted,
+// resubmitted or cancelled it, once each: a cancel from a second session
+// ends the submitter's wait too.  `submit_replay` runs a chaos
 // replay bundle (PR-5 shrinker output) as a one-scenario job whose
 // `job_done` reports whether the expected failure reproduced.
 //

@@ -38,6 +38,45 @@ std::string text_field(const std::map<std::string, std::string>& fields,
   return it == fields.end() ? std::string() : it->second;
 }
 
+/// Files one stream frame of a job into its outcome.  Health frames come
+/// in the order units complete; each goes to its place by (index, seq), so
+/// the health stream reads in index order, as the runner writes it.
+void file_frame(ScenarioClient::JobOutcome& outcome,
+                const std::map<std::string, std::string>& fields) {
+  const std::string type = text_field(fields, "frame");
+  if (type == "result") {
+    const std::size_t index =
+        static_cast<std::size_t>(u64_field(fields, "index"));
+    if (outcome.result_lines.size() <= index) {
+      outcome.result_lines.resize(index + 1);
+    }
+    outcome.result_lines[index] = text_field(fields, "row");
+  } else if (type == "health") {
+    const std::pair<std::uint64_t, std::uint64_t> key{
+        u64_field(fields, "index"), u64_field(fields, "seq")};
+    auto& keys = outcome.health_keys;
+    const auto at = std::upper_bound(keys.begin(), keys.end(), key);
+    outcome.health_lines.insert(outcome.health_lines.begin() +
+                                    (at - keys.begin()),
+                                text_field(fields, "row"));
+    keys.insert(at, key);
+  } else if (type == "job_done") {
+    outcome.scenarios =
+        static_cast<std::size_t>(u64_field(fields, "scenarios"));
+    outcome.passed = static_cast<std::size_t>(u64_field(fields, "passed"));
+    outcome.failed = static_cast<std::size_t>(u64_field(fields, "failed"));
+    outcome.executed =
+        static_cast<std::size_t>(u64_field(fields, "executed"));
+    outcome.resumed = static_cast<std::size_t>(u64_field(fields, "resumed"));
+    outcome.replay = text_field(fields, "replay") == "true";
+    outcome.reproduced = text_field(fields, "reproduced") == "true";
+    outcome.done = true;
+  } else if (type == "cancelled") {
+    outcome.cancelled = true;
+  }
+  // progress frames carry no payload the client needs to keep.
+}
+
 std::string joined(const std::vector<std::string>& lines) {
   std::string out;
   for (const std::string& line : lines) {
@@ -331,40 +370,12 @@ ScenarioClient::Submission ScenarioClient::pump_for_submit_reply(
   }
 }
 
-void ScenarioClient::fill_done(
-    JobOutcome& outcome, const std::map<std::string, std::string>& fields) {
-  outcome.scenarios = static_cast<std::size_t>(u64_field(fields, "scenarios"));
-  outcome.passed = static_cast<std::size_t>(u64_field(fields, "passed"));
-  outcome.failed = static_cast<std::size_t>(u64_field(fields, "failed"));
-  outcome.executed = static_cast<std::size_t>(u64_field(fields, "executed"));
-  outcome.resumed = static_cast<std::size_t>(u64_field(fields, "resumed"));
-  outcome.replay = text_field(fields, "replay") == "true";
-  outcome.reproduced = text_field(fields, "reproduced") == "true";
-  outcome.done = true;
-}
-
 void ScenarioClient::absorb(const std::map<std::string, std::string>& fields) {
-  const std::string type = text_field(fields, "frame");
   const std::string job_id = text_field(fields, "job_id");
   if (job_id.empty()) {
     return;  // heartbeat / pong / hello: nothing to buffer.
   }
-  JobOutcome& outcome = inbox_[job_id];
-  if (type == "result") {
-    const std::size_t index =
-        static_cast<std::size_t>(u64_field(fields, "index"));
-    if (outcome.result_lines.size() <= index) {
-      outcome.result_lines.resize(index + 1);
-    }
-    outcome.result_lines[index] = text_field(fields, "row");
-  } else if (type == "health") {
-    outcome.health_lines.push_back(text_field(fields, "row"));
-  } else if (type == "job_done") {
-    fill_done(outcome, fields);
-  } else if (type == "cancelled") {
-    outcome.cancelled = true;
-  }
-  // progress frames carry no payload the client needs to keep.
+  file_frame(inbox_[job_id], fields);
 }
 
 ScenarioClient::JobOutcome ScenarioClient::wait(const std::string& job_id) {
@@ -392,20 +403,7 @@ ScenarioClient::JobOutcome ScenarioClient::wait(const std::string& job_id) {
       return outcome;
     }
     if (text_field(*fields, "job_id") == job_id) {
-      if (type == "result") {
-        const std::size_t index =
-            static_cast<std::size_t>(u64_field(*fields, "index"));
-        if (outcome.result_lines.size() <= index) {
-          outcome.result_lines.resize(index + 1);
-        }
-        outcome.result_lines[index] = text_field(*fields, "row");
-      } else if (type == "health") {
-        outcome.health_lines.push_back(text_field(*fields, "row"));
-      } else if (type == "job_done") {
-        fill_done(outcome, *fields);
-      } else if (type == "cancelled") {
-        outcome.cancelled = true;
-      }
+      file_frame(outcome, *fields);
       continue;
     }
     absorb(*fields);

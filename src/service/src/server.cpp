@@ -104,7 +104,9 @@ struct Job {
   /// The job's dispatch units, planned once when it opens.
   std::vector<std::vector<std::size_t>> units;
   std::vector<bool> inflight;  ///< By index: queued or running on a worker.
-  int session_fd = -1;  ///< Attached session; -1 = orphan.
+  /// Open sessions that submitted, resubmitted or cancelled the job; each
+  /// gets its frames, once.  Empty = orphan.
+  std::vector<int> session_fds;
   bool cancelled = false;  ///< Cooperative teardown requested (durable).
   bool is_replay = false;  ///< Born from a submit_replay frame.
   std::string expected_failure_reason;  ///< Replay jobs: expected verdict.
@@ -453,10 +455,30 @@ struct ScenarioServer::Impl {
     send_frame(session, frame);
   }
 
+  /// Attaches `session` to `job`'s frames, beside the sessions already
+  /// attached.
+  static void attach(Job& job, const Session& session) {
+    if (std::find(job.session_fds.begin(), job.session_fds.end(),
+                  session.fd) == job.session_fds.end()) {
+      job.session_fds.push_back(session.fd);
+    }
+  }
+
+  /// Calls `send` with every open session attached to `job`.
+  template <typename Send>
+  void each_session(const Job& job, Send send) {
+    for (const int fd : job.session_fds) {
+      const auto it = sessions.find(fd);
+      if (it != sessions.end()) {
+        send(it->second);
+      }
+    }
+  }
+
   /// Replays every committed row of `job` (byte-exact journal/journal-less
   /// lines) to a resubmitting session, then attaches it for live frames.
   void attach_and_replay(Session& session, Job& job) {
-    job.session_fd = session.fd;
+    attach(job, session);
     send_accepted(session, job, /*resumed=*/true);
     for (std::size_t i = 0; i < job.specs.size(); ++i) {
       if (job.campaign->committed(i)) {
@@ -574,21 +596,20 @@ struct ScenarioServer::Impl {
       // fail-closed -- no torn-commit ambiguity on a later resume -- and
       // the client is told.  The job keeps executing in memory.
       bump(&ServiceStats::journal_io_errors);
-      auto error_session = sessions.find(job.session_fd);
-      if (error_session != sessions.end()) {
-        send_error(error_session->second, "journal_io", e.what(), job.tag);
-      }
+      each_session(job, [&](Session& session) {
+        send_error(session, "journal_io", e.what(), job.tag);
+      });
     }
     bump(&ServiceStats::scenarios_executed, unit.indices.size());
 
-    auto session_it = sessions.find(job.session_fd);
-    if (session_it != sessions.end()) {
-      std::size_t completed = job.campaign->completed() - unit.indices.size();
+    const std::size_t before = job.campaign->completed() - unit.indices.size();
+    each_session(job, [&](Session& session) {
+      std::size_t completed = before;
       for (const std::size_t index : unit.indices) {
-        send_result_frames(session_it->second, job, index);
-        send_progress(session_it->second, job, ++completed);
+        send_result_frames(session, job, index);
+        send_progress(session, job, ++completed);
       }
-    }
+    });
     if (job.done()) {
       finish_job(job);
     } else if (job.cancelled && job.inflight_specs() == 0) {
@@ -610,10 +631,7 @@ struct ScenarioServer::Impl {
     // must never read a stats snapshot that predates it.
     bump(&ServiceStats::jobs_completed);
     set_active_jobs_delta(-1);
-    auto session_it = sessions.find(job.session_fd);
-    if (session_it != sessions.end()) {
-      send_job_done(session_it->second, job);
-    }
+    each_session(job, [&](Session& session) { send_job_done(session, job); });
     // The job itself stays in `jobs` so a later resubmission replays it.
   }
 
@@ -657,10 +675,7 @@ struct ScenarioServer::Impl {
     // finish_job): observing `cancelled` implies the stats reflect it.
     bump(&ServiceStats::jobs_cancelled);
     set_active_jobs_delta(-1);
-    auto session_it = sessions.find(job.session_fd);
-    if (session_it != sessions.end()) {
-      send_cancelled(session_it->second, job);
-    }
+    each_session(job, [&](Session& session) { send_cancelled(session, job); });
   }
 
   void handle_cancel(Session& session,
@@ -695,7 +710,7 @@ struct ScenarioServer::Impl {
                  "job '" + tag + "' already completed", tag);
       return;
     }
-    job.session_fd = session.fd;
+    attach(job, session);
     if (job.cancelled) {
       // Idempotent: a repeated cancel re-announces the terminal state
       // once the teardown finished (otherwise the pending finalize will).
@@ -803,7 +818,7 @@ struct ScenarioServer::Impl {
     const std::string tag = job.tag;
     try {
       Job& created = create_job(std::move(job));
-      created.session_fd = session.fd;
+      attach(created, session);
       send_accepted(session, created, /*resumed=*/false);
     } catch (const std::exception& e) {
       send_error(session, "io_error", e.what(), tag);
@@ -1074,12 +1089,11 @@ struct ScenarioServer::Impl {
     if (it == sessions.end()) {
       return;
     }
-    // Detach, never cancel: the job keeps executing (and journaling) as an
-    // orphan, so a dropped client can reconnect and replay.
+    // Detach, never cancel: the job keeps executing (and journaling), as an
+    // orphan once no session is left, so a dropped client can reconnect
+    // and replay.
     for (auto& [id, job] : jobs) {
-      if (job.session_fd == fd) {
-        job.session_fd = -1;
-      }
+      std::erase(job.session_fds, fd);
     }
     ::close(fd);
     sessions.erase(it);

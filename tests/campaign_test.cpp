@@ -4,6 +4,7 @@
 // expansion, the delta-debugging shrinker, replay bundles, the flat-JSON
 // parser / atomic writer they ride on, and the runner's CLI grammar.
 #include <gtest/gtest.h>
+#include <sys/stat.h>
 
 #include <algorithm>
 #include <atomic>
@@ -112,6 +113,14 @@ std::string slurp(const std::string& path) {
 void spit(const std::string& path, const std::string& content) {
   std::ofstream out(path, std::ios::binary | std::ios::trunc);
   out << content;
+}
+
+/// A file's bytes and inode: write_file_atomic renames a new file into
+/// place, so a rewrite shows as a new inode even when the bytes match.
+std::pair<std::string, ino_t> bytes_and_inode(const std::string& path) {
+  struct stat info {};
+  EXPECT_EQ(::stat(path.c_str(), &info), 0) << path;
+  return {slurp(path), info.st_ino};
 }
 
 // ---- Durability -----------------------------------------------------------
@@ -495,6 +504,40 @@ TEST(CampaignTest, OrphanHealthLinesAreDroppedOnResume) {
   const auto replayed = Campaign(resume).run(specs);
   EXPECT_EQ(replayed.executed, 0u);
   EXPECT_EQ(replayed.health_jsonl, uninterrupted.health_jsonl);
+
+  // Every repair in one directory: both files end in a torn append, the
+  // health lines all belong to the uncommitted supervised scenario, and a
+  // complete but unparseable result line sits between two committed rows.
+  // It stays in the file, and its scenario is not restored by it.
+  std::vector<std::string> rows;  // The unsupervised specs' result lines.
+  const std::string journal = slurp(config.journal_dir + "/journal.jsonl");
+  for (std::size_t at = 0, end = 0;
+       (end = journal.find('\n', at)) != std::string::npos; at = end + 1) {
+    const std::string line = journal.substr(at, end + 1 - at);
+    if (line.find("typical/supervised") == std::string::npos) {
+      rows.push_back(line);
+    }
+  }
+  ASSERT_GE(rows.size(), 2u);
+  const std::string kept = rows[0] + "{\"name\": \"garbage\n" + rows[1];
+  const std::string all_dir = fresh_dir("orphan_every_repair");
+  spit(all_dir + "/journal.jsonl", kept + R"({"schema_version": 2, "na)");
+  spit(all_dir + "/health_journal.jsonl",
+       slurp(config.journal_dir + "/health_journal.jsonl") +
+           R"({"schema_version": 2, "scen)");
+  spit(all_dir + "/manifest.json",
+       slurp(config.journal_dir + "/manifest.json"));
+  resume.journal_dir = all_dir;
+  for (int pass = 0; pass < 2; ++pass) {
+    const auto outcome = Campaign(resume).run(specs);
+    EXPECT_EQ(outcome.resumed, pass == 0 ? 2u : specs.size()) << pass;
+    EXPECT_EQ(outcome.jsonl(), uninterrupted.jsonl()) << pass;
+    EXPECT_EQ(outcome.health_jsonl, uninterrupted.health_jsonl) << pass;
+    EXPECT_EQ(slurp(all_dir + "/journal.jsonl").rfind(kept, 0), 0u) << pass;
+    EXPECT_EQ(slurp(all_dir + "/health_journal.jsonl"),
+              uninterrupted.health_jsonl)
+        << pass;
+  }
 }
 
 TEST(CampaignTest, ResumeAfterTornJournalIsByteIdentical) {
@@ -536,12 +579,21 @@ TEST(CampaignTest, ResumeAfterTornJournalIsByteIdentical) {
     EXPECT_EQ(resumed.executed, specs.size() - 2) << tag;
 
     // The journal in the resumed directory is now complete: a second
-    // resume runs nothing and still reproduces the stream.
+    // resume runs nothing, still reproduces the stream, and writes neither
+    // file -- the same bytes and the same inodes.
+    const auto journal_before = bytes_and_inode(crash_dir + "/journal.jsonl");
+    const auto health_before =
+        bytes_and_inode(crash_dir + "/health_journal.jsonl");
     const auto replayed = Campaign(resume).run(specs);
     EXPECT_EQ(replayed.executed, 0u) << tag;
     EXPECT_EQ(replayed.resumed, specs.size()) << tag;
     EXPECT_EQ(replayed.jsonl(), uninterrupted.jsonl()) << tag;
     EXPECT_EQ(replayed.health_jsonl, uninterrupted.health_jsonl) << tag;
+    EXPECT_EQ(bytes_and_inode(crash_dir + "/journal.jsonl"), journal_before)
+        << tag;
+    EXPECT_EQ(bytes_and_inode(crash_dir + "/health_journal.jsonl"),
+              health_before)
+        << tag;
   }
 }
 

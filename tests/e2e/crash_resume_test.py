@@ -15,6 +15,14 @@ line of the resumed health stream.  A closed-loop lane unit commits
 many rows at once, so the executed floor is what proves the kill landed
 mid-suite.
 
+The kill is then repeated on a resume: a journaled run killed at 5 rows is
+resumed at --jobs 2 and that run is SIGKILLed too, once its journal has
+grown past the first kill's rows.  The next --resume at --jobs 4 repairs
+what the second kill left, appends, and must again reproduce the reference
+streams byte for byte, with `resumed + executed == scenarios`, every row
+the second kill left restored, at least one scenario executed, and no
+result row journaled twice.
+
 A second journaled run at --jobs 2 gets SIGTERM at the same point: it
 finishes its in-flight units, starts no other, and exits 130 with
 `interrupted: true` and a non-zero `skipped` count in its aggregate.  That
@@ -55,23 +63,26 @@ def aggregate(work):
         return json.load(f)
 
 
-def interrupt(suite, env, journal, sig, out=os.devnull):
-    """Sends `sig` to a journaled --jobs 2 run, writing its result stream to
-    `out`, once its journal holds KILL_AT_LINES rows; returns the exit status
-    and the rows journaled."""
+def fresh_run(suite, journal, out=os.devnull):
+    """A journaled --jobs 2 run into an emptied `journal`, writing its result
+    stream to `out`."""
     shutil.rmtree(journal, ignore_errors=True)
-    victim = subprocess.Popen(
-        suite + ["--jobs", "2", "--journal", journal, "--out", out],
-        env=env, stderr=subprocess.DEVNULL)
+    return suite + ["--jobs", "2", "--journal", journal, "--out", out]
+
+
+def interrupt(command, env, journal, sig, at_lines=KILL_AT_LINES):
+    """Sends `sig` to `command` once the journal in `journal` holds `at_lines`
+    rows; returns the exit status and the rows journaled."""
+    victim = subprocess.Popen(command, env=env, stderr=subprocess.DEVNULL)
     journal_file = os.path.join(journal, "journal.jsonl")
     deadline = time.monotonic() + 120
-    while (journal_lines(journal_file) < KILL_AT_LINES and
+    while (journal_lines(journal_file) < at_lines and
            victim.poll() is None and time.monotonic() < deadline):
         time.sleep(POLL_S)
     victim.send_signal(sig)
     status = victim.wait()
     killed_at = journal_lines(journal_file)
-    assert killed_at >= KILL_AT_LINES, killed_at
+    assert killed_at >= at_lines, killed_at
     return status, killed_at
 
 
@@ -108,7 +119,8 @@ def main(runner, work):
                             "--health-out", reference_health],
                    env=env, stderr=subprocess.DEVNULL)
 
-    _, killed_at = interrupt(suite, env, journal, signal.SIGKILL)
+    _, killed_at = interrupt(fresh_run(suite, journal), env, journal,
+                             signal.SIGKILL)
     report = resume_matches(suite, env, work, journal, reference,
                             reference_health)
     assert report["resumed"] >= KILL_AT_LINES, report["resumed"]
@@ -119,9 +131,31 @@ def main(runner, work):
           "byte-identical" % (killed_at, report["resumed"],
                               report["executed"]))
 
+    # Kill the resume too: the next resume repairs the journal the second
+    # kill left (a torn tail, orphaned health lines), then appends to it.
+    _, killed_at = interrupt(fresh_run(suite, journal), env, journal,
+                             signal.SIGKILL)
+    _, rekilled_at = interrupt(
+        suite + ["--jobs", "2", "--resume", journal, "--out", os.devnull],
+        env, journal, signal.SIGKILL, killed_at + 1)
+    report = resume_matches(suite, env, work, journal, reference,
+                            reference_health)
+    assert report["resumed"] == rekilled_at, (report["resumed"], rekilled_at)
+    assert report["executed"] >= 1, report["executed"]
+    assert report["resumed"] + report["executed"] == report["scenarios"], \
+        report
+    names = [json.loads(line)["name"] for line in
+             read(os.path.join(journal, "journal.jsonl")).splitlines()]
+    assert len(names) == report["scenarios"], (len(names), report)
+    assert len(set(names)) == len(names), "a row was journaled twice"
+    print("killed with %d journaled rows, its resume with %d; resumed %d, "
+          "executed %d: byte-identical" % (killed_at, rekilled_at,
+                                           report["resumed"],
+                                           report["executed"]))
+
     delivered = os.path.join(work, "stopped.jsonl")
-    status, stopped_at = interrupt(suite, env, journal, signal.SIGTERM,
-                                   delivered)
+    status, stopped_at = interrupt(fresh_run(suite, journal, delivered), env,
+                                   journal, signal.SIGTERM)
     assert status == 130, status
     stopped = aggregate(work)
     assert stopped["interrupted"] is True, stopped

@@ -974,6 +974,85 @@ TEST(ServiceTest, CancellingAnUnknownOrFinishedJobIsAStructuredError) {
   server.stop();
 }
 
+TEST(ServiceTest, CancelFromASecondSessionEndsTheSubmittersWaitToo) {
+  // The documented `--cancel` use: a second process cancels a job while
+  // the submitter waits on it.  Both sessions get `cancelled`.  The
+  // submitter's short silence budget fails the test instead of hanging it
+  // if the terminal frame reaches only the cancelling session.
+  std::vector<ScenarioSpec> specs;
+  for (int i = 0; i < 4; ++i) {
+    specs.push_back(quick_spec("two" + std::to_string(i), 60 + i, 20'000));
+  }
+  ServiceConfig config = base_config();
+  config.workers = 1;
+  ScenarioServer server(config);
+  ASSERT_TRUE(server.start());
+  ClientConfig submitter_config = client_for(server, "alice");
+  submitter_config.recv_timeout_ms = 5'000;
+  ScenarioClient submitter(submitter_config);
+  ASSERT_TRUE(submitter.connect());
+  const auto submission = submitter.submit_specs("long", specs);
+  ASSERT_TRUE(submission.accepted);
+
+  ScenarioClient canceller(client_for(server, "alice"));
+  ASSERT_TRUE(canceller.connect());
+  ASSERT_TRUE(canceller.cancel("long"));
+  const auto cancelled = canceller.wait(submission.job_id);
+  EXPECT_TRUE(cancelled.cancelled)
+      << cancelled.error_code << ": " << cancelled.error_detail;
+  const auto waited = submitter.wait(submission.job_id);
+  EXPECT_TRUE(waited.cancelled)
+      << waited.error_code << ": " << waited.error_detail;
+  EXPECT_FALSE(waited.done);
+  EXPECT_EQ(server.stats().jobs_cancelled, 1u);
+  EXPECT_LT(server.stats().scenarios_executed, specs.size());
+  canceller.bye();
+  submitter.bye();
+  server.stop();
+}
+
+TEST(ServiceTest, ResubmissionFromASecondSessionKeepsTheFirstAttached) {
+  // A second session resubmits a live job: it gets the replay and the live
+  // frames, and the first session still streams every row to job_done.
+  std::vector<ScenarioSpec> specs;
+  for (int i = 0; i < 3; ++i) {
+    specs.push_back(quick_spec("both" + std::to_string(i), 50 + i, 5'000));
+  }
+  ServiceConfig config = base_config();
+  config.workers = 1;
+  ScenarioServer server(config);
+  ASSERT_TRUE(server.start());
+  ClientConfig first_config = client_for(server, "alice");
+  first_config.recv_timeout_ms = 5'000;
+  ScenarioClient first(first_config);
+  ASSERT_TRUE(first.connect());
+  const auto submission = first.submit_specs("shared", specs);
+  ASSERT_TRUE(submission.accepted);
+
+  ScenarioClient second(client_for(server, "alice"));
+  ASSERT_TRUE(second.connect());
+  const auto resubmission = second.submit_specs("shared", specs);
+  ASSERT_TRUE(resubmission.accepted);
+  EXPECT_TRUE(resubmission.resumed);
+  EXPECT_EQ(resubmission.job_id, submission.job_id);
+  EXPECT_LT(server.stats().scenarios_executed, specs.size());  // Live.
+
+  const auto via_second = second.wait(submission.job_id);
+  ASSERT_TRUE(via_second.done)
+      << via_second.error_code << ": " << via_second.error_detail;
+  const auto via_first = first.wait(submission.job_id);
+  ASSERT_TRUE(via_first.done)
+      << via_first.error_code << ": " << via_first.error_detail;
+  const std::string expected =
+      ScenarioRunner::jsonl(ScenarioRunner(1).run(specs));
+  EXPECT_EQ(via_first.jsonl(), expected);
+  EXPECT_EQ(via_second.jsonl(), expected);
+  EXPECT_EQ(server.stats().scenarios_executed, specs.size());
+  second.bye();
+  first.bye();
+  server.stop();
+}
+
 // ---- Sandbox crash containment --------------------------------------------
 
 TEST(ServiceTest, WorkerCrashBecomesAStructuredRowAndTheDaemonSurvives) {
@@ -1079,6 +1158,44 @@ TEST(ServiceTest, ReplayBundleJobsReportReproduction) {
   EXPECT_TRUE(outcome.replay);
   EXPECT_FALSE(outcome.reproduced);
   EXPECT_EQ(server.stats().replay_jobs, 2u);
+  server.stop();
+}
+
+TEST(ServiceTest, ChaosJobsStreamTheRunnersBytesAndReplay) {
+  // A valid submit_chaos: the server expands the storms, and the streams
+  // match the runner over the same expansion.  A resubmission replays.
+  // The base is supervised, so the storms' faults reach the health stream.
+  ddl::scenario::ChaosCampaignSpec chaos;
+  chaos.base = quick_spec("storm-base", 2026);
+  chaos.base.tolerance_v = 0.06;
+  chaos.base.load = LoadSpec::constant(0.5);
+  chaos.base.supervision.enabled = true;
+  chaos.storms = 6;
+  chaos.seed = 99;
+  ServiceConfig config = base_config();
+  config.state_dir = fresh_dir("chaos_job");
+  ScenarioServer server(config);
+  ASSERT_TRUE(server.start());
+  ResilientClientConfig resilient;
+  resilient.base = client_for(server, "mallory");
+  ResilientScenarioClient client(resilient);
+
+  const auto outcome = client.run_chaos("storms", chaos);
+  ASSERT_TRUE(outcome.done)
+      << outcome.error_code << ": " << outcome.error_detail;
+  EXPECT_EQ(outcome.scenarios, chaos.storms);
+  const auto results =
+      ScenarioRunner(1).run(ddl::scenario::expand_chaos(chaos));
+  EXPECT_EQ(outcome.jsonl(), ScenarioRunner::jsonl(results));
+  EXPECT_EQ(outcome.health_jsonl(), ScenarioRunner::health_jsonl(results));
+  EXPECT_FALSE(outcome.health_jsonl().empty());
+
+  const auto replayed = client.run_chaos("storms", chaos);
+  ASSERT_TRUE(replayed.done)
+      << replayed.error_code << ": " << replayed.error_detail;
+  EXPECT_EQ(replayed.jsonl(), outcome.jsonl());
+  EXPECT_EQ(replayed.health_jsonl(), outcome.health_jsonl());
+  EXPECT_EQ(server.stats().scenarios_executed, chaos.storms);
   server.stop();
 }
 
