@@ -13,7 +13,11 @@
 // that resubmits the same job -- job identity is content-addressed
 // (client name + job tag + content fingerprint of every spec field), so
 // resubmission is idempotent and no scenario ever runs twice.  A job's
-// journal files close when it finishes or its cancel completes.
+// journal files close when it finishes or its cancel completes, and the
+// job then leaves memory: the server keeps an index entry of a few
+// hundred bytes, and a resubmission reopens the directory with the loader
+// a restart uses.  Only a job whose rows are not all on disk (no
+// state_dir, or a journal write fault) stays resident for replay.
 //
 // Scheduling is fair round-robin across clients at dispatch-unit
 // granularity, bounded by per-client quotas: at most
@@ -75,8 +79,10 @@ struct ServiceConfig {
   /// Unix-domain listener path; empty disables it.  An existing socket
   /// file at the path is replaced.
   std::string unix_path;
-  /// Job durability root (journal per job under `<state_dir>/jobs/`);
-  /// empty keeps jobs in memory only (no resume across restarts).
+  /// Job durability root (journal per job under `<state_dir>/jobs/`); a
+  /// replay of a job that has ended reads it back from there.  Empty keeps
+  /// jobs in memory only: no resume across restarts, and every ended job
+  /// stays resident for replay.
   std::string state_dir;
   /// Scenario worker threads.
   std::size_t workers = 2;

@@ -40,7 +40,9 @@ std::string text_field(const std::map<std::string, std::string>& fields,
 
 /// Files one stream frame of a job into its outcome.  Health frames come
 /// in the order units complete; each goes to its place by (index, seq), so
-/// the health stream reads in index order, as the runner writes it.
+/// the health stream reads in index order, as the runner writes it.  A
+/// frame filed again (a replay to a session that already holds the row)
+/// replaces its line, as a result frame does.
 void file_frame(ScenarioClient::JobOutcome& outcome,
                 const std::map<std::string, std::string>& fields) {
   const std::string type = text_field(fields, "frame");
@@ -55,11 +57,14 @@ void file_frame(ScenarioClient::JobOutcome& outcome,
     const std::pair<std::uint64_t, std::uint64_t> key{
         u64_field(fields, "index"), u64_field(fields, "seq")};
     auto& keys = outcome.health_keys;
-    const auto at = std::upper_bound(keys.begin(), keys.end(), key);
-    outcome.health_lines.insert(outcome.health_lines.begin() +
-                                    (at - keys.begin()),
-                                text_field(fields, "row"));
-    keys.insert(at, key);
+    const auto at = std::lower_bound(keys.begin(), keys.end(), key);
+    const auto line = outcome.health_lines.begin() + (at - keys.begin());
+    if (at != keys.end() && *at == key) {
+      *line = text_field(fields, "row");
+    } else {
+      outcome.health_lines.insert(line, text_field(fields, "row"));
+      keys.insert(at, key);
+    }
   } else if (type == "job_done") {
     outcome.scenarios =
         static_cast<std::size_t>(u64_field(fields, "scenarios"));

@@ -108,10 +108,17 @@ struct Job {
   /// gets its frames, once.  Empty = orphan.
   std::vector<int> session_fds;
   bool cancelled = false;  ///< Cooperative teardown requested (durable).
+  /// Every committed row is in the job's directory: it opened a journal
+  /// and no commit failed.  A job that ends otherwise stays resident.
+  bool durable = false;
   bool is_replay = false;  ///< Born from a submit_replay frame.
   std::string expected_failure_reason;  ///< Replay jobs: expected verdict.
 
   bool done() const noexcept { return campaign->done(); }
+
+  /// Has scenarios left to run: the test that places a job loaded from
+  /// its directory live, or in the index of closed jobs.
+  bool schedulable() const noexcept { return !done() && !cancelled; }
 
   /// Scenarios currently queued or running on a worker.  Cancel waits for
   /// these to finish and journal before the teardown completes.
@@ -120,12 +127,18 @@ struct Job {
         std::count(inflight.begin(), inflight.end(), true));
   }
 
+  /// Finished, or cancelled with nothing left queued or running.
+  bool ended() const noexcept {
+    return done() || (cancelled && inflight_specs() == 0);
+  }
+
   /// Opens the job's rows and plans its units; `journal_dir` empty keeps
   /// it in memory.
   void open(const std::string& journal_dir, bool resume,
             scenario::ScenarioWorkspace& workspace) {
     campaign = std::make_unique<scenario::CampaignJob>(specs, journal_dir,
                                                        resume, workspace);
+    durable = !journal_dir.empty();
     // Closed loops stay one per unit: a unit is trimmed to the owner's
     // inflight quota (four scenarios by default) and a graceful stop
     // lets in-flight units finish, so a lane unit would make a quota of
@@ -133,6 +146,27 @@ struct Job {
     units = campaign->units(/*pack_lanes=*/false);
     inflight.assign(specs.size(), false);
   }
+};
+
+/// A closed job's identity, ordered so that one owner's jobs of one tag
+/// sit side by side: a cancel by tag reads one range of the index.
+struct ClosedKey {
+  std::string owner;
+  std::string tag;
+  std::string id;
+  auto operator<=>(const ClosedKey&) const = default;
+};
+
+/// What a job leaves in memory once it has ended: how it ended, and the
+/// two job_done counts its directory cannot tell (a reopened directory
+/// reports every row as resumed).  A replay reads everything else from
+/// the reopened directory, except for a job whose rows are not all there
+/// (not durable), which stays resident.
+struct ClosedJob {
+  bool cancelled = false;    ///< Ended by a cancel, not by its last row.
+  std::size_t executed = 0;  ///< job_done's counts as first delivered.
+  std::size_t resumed = 0;
+  std::unique_ptr<Job> resident;
 };
 
 /// Per-client-name scheduling state.  Slots persist across sessions (a
@@ -178,7 +212,11 @@ struct ScenarioServer::Impl {
 
   // --- Event-loop-owned state (no locks: single-threaded owner) ---------
   std::map<int, Session> sessions;
+  /// Live jobs: with scenarios to run, or in a cancel's teardown.
   std::map<std::string, Job> jobs;
+  /// Every job that has ended (see retire).
+  std::map<ClosedKey, ClosedJob> closed;
+  using ClosedIt = std::map<ClosedKey, ClosedJob>::iterator;
   std::vector<ClientSlot> clients;
   std::size_t rr_cursor = 0;
   bool draining = false;
@@ -368,15 +406,20 @@ struct ScenarioServer::Impl {
       analysis::write_file_atomic(dir + "/job.json", meta.to_json_line() + "\n");
     }
     job.open(dir, /*resume=*/false, plan_workspace);
+    bump(&ServiceStats::jobs_accepted);
+    if (job.is_replay) {
+      bump(&ServiceStats::replay_jobs);
+    }
+    return place(std::move(job));
+  }
 
+  /// Makes a job live: it joins its owner's slot and executes, as an
+  /// orphan until a session attaches.
+  Job& place(Job job) {
     const std::string id = job.id;
     Job& stored = jobs.emplace(id, std::move(job)).first->second;
     slot_of(stored.owner).jobs.push_back(id);
     set_active_jobs_delta(+1);
-    bump(&ServiceStats::jobs_accepted);
-    if (stored.is_replay) {
-      bump(&ServiceStats::replay_jobs);
-    }
     return stored;
   }
 
@@ -420,7 +463,8 @@ struct ScenarioServer::Impl {
     send_frame(session, frame);
   }
 
-  void send_job_done(Session& session, const Job& job) {
+  void send_job_done(Session& session, const Job& job,
+                     const ClosedJob& entry) {
     const scenario::CampaignJob& campaign = *job.campaign;
     std::size_t passed = 0;
     for (std::size_t i = 0; i < job.specs.size(); ++i) {
@@ -433,9 +477,8 @@ struct ScenarioServer::Impl {
     frame.set("passed", static_cast<std::uint64_t>(passed));
     frame.set("failed",
               static_cast<std::uint64_t>(campaign.completed() - passed));
-    frame.set("executed", static_cast<std::uint64_t>(campaign.completed() -
-                                                      campaign.resumed()));
-    frame.set("resumed", static_cast<std::uint64_t>(campaign.resumed()));
+    frame.set("executed", static_cast<std::uint64_t>(entry.executed));
+    frame.set("resumed", static_cast<std::uint64_t>(entry.resumed));
     if (job.is_replay) {
       frame.set("replay", true);
       frame.set("reproduced",
@@ -453,6 +496,17 @@ struct ScenarioServer::Impl {
               static_cast<std::uint64_t>(job.campaign->completed()));
     frame.set("total", static_cast<std::uint64_t>(job.specs.size()));
     send_frame(session, frame);
+  }
+
+  /// The frame that ends an ended job's stream: `cancelled`, or job_done
+  /// with the counts of its first delivery.
+  void send_terminal(Session& session, const Job& job,
+                     const ClosedJob& entry) {
+    if (entry.cancelled) {
+      send_cancelled(session, job);
+    } else {
+      send_job_done(session, job, entry);
+    }
   }
 
   /// Attaches `session` to `job`'s frames, beside the sessions already
@@ -476,9 +530,8 @@ struct ScenarioServer::Impl {
   }
 
   /// Replays every committed row of `job` (byte-exact journal/journal-less
-  /// lines) to a resubmitting session, then attaches it for live frames.
-  void attach_and_replay(Session& session, Job& job) {
-    attach(job, session);
+  /// lines) to a resubmitting session.
+  void replay(Session& session, const Job& job) {
     send_accepted(session, job, /*resumed=*/true);
     for (std::size_t i = 0; i < job.specs.size(); ++i) {
       if (job.campaign->committed(i)) {
@@ -486,14 +539,48 @@ struct ScenarioServer::Impl {
       }
     }
     send_progress(session, job, job.campaign->completed());
-    if (job.done()) {
-      send_job_done(session, job);
-    } else if (job.cancelled && job.inflight_specs() == 0) {
-      // A cancelled job never finishes; the resubmission learns its
-      // terminal state immediately instead of waiting forever.
-      send_cancelled(session, job);
-    }
     bump(&ServiceStats::jobs_attached);
+  }
+
+  /// A closed job's rows: its resident Job, or else its directory loaded
+  /// into `loaded` the way a restart loads it.  Null when the directory
+  /// cannot be read: the entry is forgotten, as a restart skips such a
+  /// directory.
+  Job* reopen(ClosedIt it, std::optional<Job>& loaded) {
+    if (it->second.resident) {
+      return it->second.resident.get();
+    }
+    try {
+      return &loaded.emplace(
+          load_job(job_dir(it->first.id), it->second.cancelled));
+    } catch (const std::exception&) {
+      closed.erase(it);
+      return nullptr;
+    }
+  }
+
+  /// Replays a closed job to a resubmitting session, ending with its
+  /// terminal frame.  A directory that is no longer closed (rows cut from
+  /// its journal) goes live as a restart would place it, so only the
+  /// missing scenarios run.  False when the directory cannot be read: the
+  /// caller admits the job afresh.
+  bool replay_closed(Session& session, ClosedIt it) {
+    std::optional<Job> loaded;
+    Job* job = reopen(it, loaded);
+    if (job == nullptr) {
+      return false;
+    }
+    if (job->schedulable()) {
+      closed.erase(it);
+      Job& live = place(std::move(*job));
+      attach(live, session);
+      replay(session, live);
+      dispatch();
+      return true;
+    }
+    replay(session, *job);
+    send_terminal(session, *job, it->second);
+    return true;
   }
 
   // --- Scheduling -------------------------------------------------------
@@ -580,59 +667,70 @@ struct ScenarioServer::Impl {
     }
     Job& job = it->second;
     release(job, unit);
-    if (unit.runs.size() != unit.indices.size()) {
-      // A cancel killed the unit's sandbox worker before any row existed:
-      // its specs return to pending (a cancelled job never re-dispatches
-      // them), quota is released, and nothing journals or frames.
-      if (job.cancelled && job.inflight_specs() == 0) {
-        finalize_cancel(job);
+    // A unit without rows was killed by a cancel before any row existed:
+    // its specs return to pending (a cancelled job never re-dispatches
+    // them), and nothing journals or frames.
+    if (unit.runs.size() == unit.indices.size()) {
+      try {
+        job.campaign->commit(unit.indices, std::move(unit.runs));
+      } catch (const scenario::JournalIoError& e) {
+        // Disk fault (ENOSPC/EIO): the job's durability is dropped
+        // fail-closed -- no torn-commit ambiguity on a later resume -- and
+        // the client is told.  The job keeps executing in memory.
+        job.durable = false;
+        bump(&ServiceStats::journal_io_errors);
+        each_session(job, [&](Session& session) {
+          send_error(session, "journal_io", e.what(), job.tag);
+        });
       }
-      return;
-    }
-    try {
-      job.campaign->commit(unit.indices, std::move(unit.runs));
-    } catch (const scenario::JournalIoError& e) {
-      // Disk fault (ENOSPC/EIO): the job's durability is dropped
-      // fail-closed -- no torn-commit ambiguity on a later resume -- and
-      // the client is told.  The job keeps executing in memory.
-      bump(&ServiceStats::journal_io_errors);
+      bump(&ServiceStats::scenarios_executed, unit.indices.size());
+
+      const std::size_t before =
+          job.campaign->completed() - unit.indices.size();
       each_session(job, [&](Session& session) {
-        send_error(session, "journal_io", e.what(), job.tag);
+        std::size_t completed = before;
+        for (const std::size_t index : unit.indices) {
+          send_result_frames(session, job, index);
+          send_progress(session, job, ++completed);
+        }
       });
     }
-    bump(&ServiceStats::scenarios_executed, unit.indices.size());
-
-    const std::size_t before = job.campaign->completed() - unit.indices.size();
-    each_session(job, [&](Session& session) {
-      std::size_t completed = before;
-      for (const std::size_t index : unit.indices) {
-        send_result_frames(session, job, index);
-        send_progress(session, job, ++completed);
-      }
-    });
-    if (job.done()) {
-      finish_job(job);
-    } else if (job.cancelled && job.inflight_specs() == 0) {
-      // The last in-flight scenario of a cancelled job has finished and
-      // journaled; the cooperative teardown can now complete.
-      finalize_cancel(job);
+    if (job.ended()) {
+      retire(job);
     }
   }
 
-  void finish_job(Job& job) {
-    ClientSlot& slot = slot_of(job.owner);
-    for (auto it = slot.jobs.begin(); it != slot.jobs.end(); ++it) {
-      if (*it == job.id) {
-        slot.jobs.erase(it);
-        break;
-      }
+  /// Ends a job that finished or whose cancel completed: it leaves its
+  /// owner's slot, each attached session gets its terminal frame, and its
+  /// index entry is all that stays -- with the Job itself only when the
+  /// job is not durable.
+  void retire(Job& job) {
+    std::erase(slot_of(job.owner).jobs, job.id);
+    if (!job.done()) {
+      job.campaign->close();  // A cancelled job commits nothing more.
     }
     // Stats before the terminal frame: a client that has seen `job_done`
-    // must never read a stats snapshot that predates it.
-    bump(&ServiceStats::jobs_completed);
+    // or `cancelled` must never read a stats snapshot that predates it.
+    bump(job.done() ? &ServiceStats::jobs_completed
+                    : &ServiceStats::jobs_cancelled);
     set_active_jobs_delta(-1);
-    each_session(job, [&](Session& session) { send_job_done(session, job); });
-    // The job itself stays in `jobs` so a later resubmission replays it.
+    ClosedJob& entry = file_closed(job);
+    each_session(job,
+                 [&](Session& session) { send_terminal(session, job, entry); });
+    const std::string id = job.id;
+    if (!job.durable) {
+      entry.resident = std::make_unique<Job>(std::move(job));
+    }
+    jobs.erase(id);
+  }
+
+  /// Files the index entry of a job that has ended.
+  ClosedJob& file_closed(const Job& job) {
+    ClosedJob& entry = closed[ClosedKey{job.owner, job.tag, job.id}];
+    entry.cancelled = !job.done();
+    entry.resumed = job.campaign->resumed();
+    entry.executed = job.campaign->completed() - entry.resumed;
+    return entry;
   }
 
   /// Persists the cancel decision the moment it is made (not when the
@@ -658,26 +756,6 @@ struct ScenarioServer::Impl {
     }
   }
 
-  /// Completes a cooperative cancel once nothing of the job is queued or
-  /// running: releases the client's quota and announces the terminal
-  /// state.  The job stays in `jobs` -- a resubmission replays committed
-  /// rows and re-learns `cancelled`.
-  void finalize_cancel(Job& job) {
-    ClientSlot& slot = slot_of(job.owner);
-    for (auto it = slot.jobs.begin(); it != slot.jobs.end(); ++it) {
-      if (*it == job.id) {
-        slot.jobs.erase(it);
-        break;
-      }
-    }
-    job.campaign->close();
-    // Stats before the terminal frame (same ordering contract as
-    // finish_job): observing `cancelled` implies the stats reflect it.
-    bump(&ServiceStats::jobs_cancelled);
-    set_active_jobs_delta(-1);
-    each_session(job, [&](Session& session) { send_cancelled(session, job); });
-  }
-
   void handle_cancel(Session& session,
                      const std::map<std::string, std::string>& fields) {
     const auto tag_it = fields.find("job");
@@ -686,38 +764,23 @@ struct ScenarioServer::Impl {
       return;
     }
     const std::string& tag = tag_it->second;
-    // A tag can name several content-distinct jobs over a session's life
-    // (completed ones stay around for replay); cancel targets the live one.
+    // A tag can name several content-distinct jobs over a session's life;
+    // cancel targets a live one, and only then asks the index.
     Job* target = nullptr;
     for (auto& [id, job] : jobs) {
-      if (job.owner != session.client_name || job.tag != tag) {
-        continue;
-      }
-      if (target == nullptr || (target->done() && !job.done())) {
+      if (job.owner == session.client_name && job.tag == tag) {
         target = &job;
+        break;
       }
     }
     if (target == nullptr) {
-      send_error(session, "unknown_job",
-                 "no job tagged '" + tag + "' for client '" +
-                     session.client_name + "'",
-                 tag);
+      cancel_closed(session, tag);
       return;
     }
     Job& job = *target;
-    if (job.done()) {
-      send_error(session, "already_done",
-                 "job '" + tag + "' already completed", tag);
-      return;
-    }
     attach(job, session);
     if (job.cancelled) {
-      // Idempotent: a repeated cancel re-announces the terminal state
-      // once the teardown finished (otherwise the pending finalize will).
-      if (job.inflight_specs() == 0) {
-        send_cancelled(session, job);
-      }
-      return;
+      return;  // Idempotent: the teardown's retire announces `cancelled`.
     }
     job.cancelled = true;
     persist_cancel_marker(job);
@@ -749,10 +812,44 @@ struct ScenarioServer::Impl {
         }
       }
     }
-    if (job.inflight_specs() == 0) {
-      finalize_cancel(job);
+    if (job.ended()) {
+      retire(job);
     }
     dispatch();  // Withdrawn quota may unblock another client's work.
+  }
+
+  /// Answers a cancel whose tag names no live job: a closed cancelled job
+  /// re-announces `cancelled` with its directory's counts, a finished one
+  /// is `already_done`, and anything else is unknown.
+  void cancel_closed(Session& session, const std::string& tag) {
+    auto cancelled = closed.end();
+    bool finished = false;
+    for (auto it = closed.lower_bound(ClosedKey{session.client_name, tag, {}});
+         it != closed.end() && it->first.owner == session.client_name &&
+         it->first.tag == tag;
+         ++it) {
+      if (!it->second.cancelled) {
+        finished = true;
+      } else if (cancelled == closed.end()) {
+        cancelled = it;
+      }
+    }
+    std::optional<Job> loaded;
+    const Job* job =
+        cancelled == closed.end() ? nullptr : reopen(cancelled, loaded);
+    if (job != nullptr) {
+      send_cancelled(session, *job);
+      return;
+    }
+    if (finished) {
+      send_error(session, "already_done",
+                 "job '" + tag + "' already completed", tag);
+      return;
+    }
+    send_error(session, "unknown_job",
+               "no job tagged '" + tag + "' for client '" +
+                   session.client_name + "'",
+               tag);
   }
 
   /// Runs a PR-5 chaos replay bundle -- expected_failure_reason plus
@@ -790,16 +887,21 @@ struct ScenarioServer::Impl {
   }
 
   /// The one admission path of every submit kind, by content-addressed
-  /// identity: a known job attaches and replays, a client over its job
-  /// quota gets an explicit, retryable `backpressure` frame (never a
-  /// disconnect), anything else becomes a new job announced by `accepted`.
+  /// identity: a live job attaches and replays, a closed one replays, a
+  /// client over its job quota gets an explicit, retryable `backpressure`
+  /// frame (never a disconnect), anything else becomes a new job announced
+  /// by `accepted`.
   void admit(Session& session, Job job) {
     job.owner = session.client_name;
     job.content_fingerprint = scenario::content_fingerprint_of(job.specs);
     job.id = job_id_of(job.owner, job.tag, job.content_fingerprint);
-    auto existing = jobs.find(job.id);
-    if (existing != jobs.end()) {
-      attach_and_replay(session, existing->second);
+    if (const auto live = jobs.find(job.id); live != jobs.end()) {
+      attach(live->second, session);
+      replay(session, live->second);
+      return;
+    }
+    if (const auto it = closed.find(ClosedKey{job.owner, job.tag, job.id});
+        it != closed.end() && replay_closed(session, it)) {
       return;
     }
     ClientSlot& slot = slot_of(job.owner);
@@ -1089,8 +1191,8 @@ struct ScenarioServer::Impl {
     if (it == sessions.end()) {
       return;
     }
-    // Detach, never cancel: the job keeps executing (and journaling), as an
-    // orphan once no session is left, so a dropped client can reconnect
+    // Detach, never cancel: a live job keeps executing (and journaling), as
+    // an orphan once no session is left, so a dropped client can reconnect
     // and replay.
     for (auto& [id, job] : jobs) {
       std::erase(job.session_fds, fd);
@@ -1216,8 +1318,9 @@ struct ScenarioServer::Impl {
 
   /// Reloads every job directory under state_dir: completed rows are
   /// byte-reused from the journal (scenarios_resumed), incomplete jobs
-  /// resume executing as orphans.  A directory that cannot be reloaded is
-  /// skipped (it stays on disk for inspection) rather than blocking start.
+  /// resume executing as orphans, and a closed job leaves only its index
+  /// entry.  A directory that cannot be reloaded is skipped (it stays on
+  /// disk for inspection) rather than blocking start.
   void recover_jobs() {
     const fs::path root = fs::path(config.state_dir) / "jobs";
     std::error_code ec;
@@ -1241,6 +1344,28 @@ struct ScenarioServer::Impl {
   }
 
   void recover_one(const std::string& dir) {
+    Job job = load_job(dir, /*cancelled=*/false);
+    if (jobs.count(job.id) ||
+        closed.count(ClosedKey{job.owner, job.tag, job.id})) {
+      throw std::runtime_error("duplicate job identity");
+    }
+    bump(&ServiceStats::jobs_recovered);
+    bump(&ServiceStats::scenarios_resumed, job.campaign->resumed());
+    if (job.schedulable()) {
+      place(std::move(job));
+    } else {
+      file_closed(job);
+    }
+  }
+
+  /// The one loader of a job directory, for a restart and for a replay of
+  /// a closed job: job.json, the strict read of specs.jsonl, the id check,
+  /// then Job::open with resume.  A cancel -- the durable marker, or
+  /// `cancelled` from a caller that knows of one -- outranks everything
+  /// else in the directory: the job loads (committed rows stay
+  /// replayable) but never reschedules.  Throws on a directory that is
+  /// unreadable or whose id does not match its content.
+  Job load_job(const std::string& dir, bool cancelled) {
     const auto meta_fields = analysis::parse_flat_json_line(
         scenario::read_file(dir + "/job.json"));
     if (!meta_fields) {
@@ -1256,12 +1381,11 @@ struct ScenarioServer::Impl {
       job.expected_failure_reason =
           meta_fields->at("expected_failure_reason");
     }
-    // A durable cancel marker outranks everything else in the directory:
-    // the job loads (committed rows stay replayable) but never reschedules.
     std::error_code marker_ec;
-    job.cancelled = fs::exists(dir + "/cancelled.json", marker_ec);
-    if (job.id.empty() || job.owner.empty() || jobs.count(job.id)) {
-      throw std::runtime_error("bad or duplicate job identity");
+    job.cancelled =
+        cancelled || fs::exists(dir + "/cancelled.json", marker_ec);
+    if (job.id.empty() || job.owner.empty()) {
+      throw std::runtime_error("bad job identity");
     }
 
     const std::string spec_doc = scenario::read_file(dir + "/specs.jsonl");
@@ -1297,18 +1421,7 @@ struct ScenarioServer::Impl {
     if (job.cancelled) {
       job.campaign->close();  // It commits nothing more.
     }
-
-    const bool schedulable = !job.done() && !job.cancelled;
-    const std::string id = job.id;
-    const std::string owner = job.owner;
-    const std::size_t resumed = job.campaign->resumed();
-    jobs.emplace(id, std::move(job));
-    if (schedulable) {
-      slot_of(owner).jobs.push_back(id);
-      set_active_jobs_delta(+1);
-    }
-    bump(&ServiceStats::jobs_recovered);
-    bump(&ServiceStats::scenarios_resumed, resumed);
+    return job;
   }
 
   // --- Worker / event threads -------------------------------------------

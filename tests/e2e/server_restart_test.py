@@ -13,9 +13,10 @@ the runner is the reference stream.
     to the runner's, and no job's journal may hold a duplicate line (a
     scenario that ran twice across the kill).
 (b) A client is killed with SIGKILL mid-submit.  The orphan job must fill
-    its journal, a client with the same identity must replay the stream
-    byte for byte, and the daemon's shutdown line must show one job
-    accepted, one completed and every scenario executed exactly once.
+    its journal, a client with the same identity must replay the result
+    and health streams byte for byte, twice, from the closed job's
+    directory, and the daemon's shutdown line must show one job accepted,
+    one completed and every scenario executed exactly once.
 
 Registered with ctest under the `e2e` label.
 """
@@ -119,7 +120,7 @@ def kill_restart(server_bin, client_bin, work, golden, golden_health):
     print("3 clients byte-identical to the one-shot runner, no reruns")
 
 
-def orphan_replay(server_bin, client_bin, work, golden):
+def orphan_replay(server_bin, client_bin, work, golden, golden_health):
     state = os.path.join(work, "orphan-state")
     server = Server(server_bin, state, os.path.join(work, "server3.log"))
     ghost = client(client_bin, server.port, "ghost", "doomed", os.devnull,
@@ -133,17 +134,21 @@ def orphan_replay(server_bin, client_bin, work, golden):
     # to one row per scenario of the suite.
     rows = len(golden.splitlines())
     assert wait_for(lambda: len(journal_lines(state)) >= rows, 60)
-    # A reconnecting client with the same identity attaches to the
-    # finished orphan and replays the whole stream byte-exactly.
-    replay = os.path.join(work, "ghost.jsonl")
-    again = client(client_bin, server.port, "ghost", "doomed", replay,
-                   os.path.join(work, "ghost2.log"))
-    assert again.wait(timeout=120) == 0, read(os.path.join(work,
-                                                           "ghost2.log"))
-    assert read(replay) == golden
+    # A reconnecting client with the same identity reopens the finished
+    # orphan's directory and replays both streams byte-exactly, and so
+    # does the next one.
+    for attempt in (2, 3):
+        replay = os.path.join(work, "ghost%d.jsonl" % attempt)
+        health = os.path.join(work, "ghost%d-health.jsonl" % attempt)
+        log = os.path.join(work, "ghost%d.log" % attempt)
+        again = client(client_bin, server.port, "ghost", "doomed", replay,
+                       log, ["--health-out", health])
+        assert again.wait(timeout=120) == 0, read(log)
+        assert read(replay) == golden, attempt
+        assert read(health) == golden_health, attempt
     server.stop()
     # Orphan accounting: one job accepted, one completed, every scenario
-    # executed exactly once (the replay reran nothing).
+    # executed exactly once (the replays reran nothing).
     shutdown = read(server.log).decode()
     for key, want in (("jobs_accepted", 1), ("jobs_completed", 1),
                       ("executed", rows)):
@@ -165,7 +170,8 @@ def main(runner, server_bin, client_bin, work):
     golden = read(golden_path)
     kill_restart(server_bin, client_bin, work, golden,
                  read(golden_health_path))
-    orphan_replay(server_bin, client_bin, work, golden)
+    orphan_replay(server_bin, client_bin, work, golden,
+                  read(golden_health_path))
 
 
 if __name__ == "__main__":

@@ -13,6 +13,7 @@
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
+#include <malloc.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
 #include <unistd.h>
@@ -21,6 +22,7 @@
 #include <chrono>
 #include <functional>
 #include <filesystem>
+#include <fstream>
 #include <memory>
 #include <set>
 #include <string>
@@ -40,6 +42,16 @@
 #include "ddl/service/net_util.h"
 #include "ddl/service/protocol.h"
 #include "ddl/service/server.h"
+
+// ASan and TSan allocators do not feed mallinfo2, so the heap test only
+// runs in plain builds.
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+#define DDL_SERVICE_SANITIZED 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
+#define DDL_SERVICE_SANITIZED 1
+#endif
+#endif
 
 namespace {
 
@@ -83,6 +95,25 @@ ScenarioSpec supervised_spec() {
   spec.load = LoadSpec::constant(0.5);
   spec.supervision.enabled = true;
   spec.faults = {ddl::scenario::FaultSpec::delay_cell(31, 10.0, 400)};
+  return spec;
+}
+
+/// The typical-corner 256-die yield spec under another name and seed: a
+/// cheap kernel scenario.
+ScenarioSpec yield_spec(const std::string& name, std::uint64_t seed) {
+  static const ScenarioSpec typical = [] {
+    for (const ScenarioSpec& spec :
+         ddl::scenario::ScenarioRegistry::builtin().expand("yield")) {
+      if (spec.name == "yield/proposed/typical/inl-256die") {
+        return spec;
+      }
+    }
+    ADD_FAILURE() << "no typical 256-die yield spec";
+    return ScenarioSpec{};
+  }();
+  ScenarioSpec spec = typical;
+  spec.name = name;
+  spec.seed = seed;
   return spec;
 }
 
@@ -408,6 +439,11 @@ TEST(ServiceTest, ResubmittingTheSameJobReplaysInsteadOfRerunning) {
   const auto out2 = second.wait(sub2.job_id);
   ASSERT_TRUE(out2.done);
   EXPECT_EQ(out2.jsonl(), out1.jsonl());
+  // The replay reports the first delivery's counts.
+  EXPECT_EQ(out2.executed, out1.executed);
+  EXPECT_EQ(out2.resumed, out1.resumed);
+  EXPECT_EQ(out2.passed, out1.passed);
+  EXPECT_EQ(out2.failed, out1.failed);
 
   // Nothing ran twice: the second submit was pure replay.
   EXPECT_EQ(server.stats().scenarios_executed, specs.size());
@@ -624,8 +660,8 @@ TEST(ServiceTest, RestartResumesTheJournalWithoutRerunningAnything) {
 }
 
 TEST(ServiceTest, JobsCloseTheirJournalFilesWhenTheyEnd) {
-  // Finished and cancelled jobs stay in memory for replay; their journal
-  // files must not stay open with them, before or after a restart.
+  // Finished and cancelled jobs leave an index entry and their directory;
+  // their journal files must not stay open, before or after a restart.
   const std::string state_dir = fresh_dir("journal_fds");
   constexpr std::size_t kJobs = 3;
   {
@@ -694,6 +730,123 @@ TEST(ServiceTest, DaemonJournalsResumeAsACampaign) {
   const auto reference = ScenarioRunner(1).run(specs);
   EXPECT_EQ(outcome.jsonl(), ScenarioRunner::jsonl(reference));
   EXPECT_EQ(outcome.health_jsonl, ScenarioRunner::health_jsonl(reference));
+}
+
+// ---- Closed jobs ----------------------------------------------------------
+
+TEST(ServiceTest, ClosedJobsHoldOnlyAnIndexEntry) {
+#ifdef DDL_SERVICE_SANITIZED
+  GTEST_SKIP() << "sanitizer allocators do not feed mallinfo2";
+#endif
+  // A resident three-spec job holds several KiB of specs, rows and unit
+  // plan; a closed one leaves an index entry of a few hundred bytes and
+  // its directory.  So over 9N more jobs, after N that warm the server
+  // up, the heap in use grows by well under 1 KiB per job.
+  ServiceConfig config = base_config();
+  config.state_dir = fresh_dir("closed_heap");
+  ScenarioServer server(config);
+  ASSERT_TRUE(server.start());
+  ScenarioClient client(client_for(server, "uma"));
+  ASSERT_TRUE(client.connect());
+
+  const auto run = [&](std::size_t job) {
+    const std::string name = "heap" + std::to_string(job);
+    const std::vector<ScenarioSpec> specs = {
+        quick_spec(name, 300 + job, 300),
+        yield_spec(name + "/yield-a", 2 * job),
+        yield_spec(name + "/yield-b", 2 * job + 1)};
+    const auto submission = client.submit_specs(name, specs);
+    EXPECT_TRUE(submission.accepted) << submission.error_code;
+    auto outcome = client.wait(submission.job_id);
+    EXPECT_TRUE(outcome.done) << outcome.error_code;
+    return outcome;
+  };
+  const auto heap_in_use = [&] {
+    EXPECT_TRUE(client.ping());  // The server has retired the last job.
+    return static_cast<double>(mallinfo2().uordblks);
+  };
+
+  constexpr std::size_t kJobs = 20;
+  const auto first = run(0);
+  for (std::size_t job = 1; job < kJobs; ++job) {
+    run(job);
+  }
+  const double before = heap_in_use();
+  ScenarioClient::JobOutcome last;
+  for (std::size_t job = kJobs; job < 10 * kJobs; ++job) {
+    last = run(job);
+  }
+  const double per_job = (heap_in_use() - before) / (9 * kJobs);
+  EXPECT_LT(per_job, 1024.0) << "bytes of heap per closed job";
+
+  // Both ends replay byte-identically from their directories.
+  const std::size_t executed = server.stats().scenarios_executed;
+  const auto expect_replay = [&](std::size_t job,
+                                 const ScenarioClient::JobOutcome& delivered) {
+    const auto replayed = run(job);
+    EXPECT_EQ(replayed.jsonl(), delivered.jsonl()) << "job " << job;
+    EXPECT_EQ(replayed.health_jsonl(), delivered.health_jsonl());
+    EXPECT_EQ(replayed.executed, delivered.executed);
+    EXPECT_EQ(replayed.resumed, delivered.resumed);
+  };
+  expect_replay(0, first);
+  expect_replay(10 * kJobs - 1, last);
+  EXPECT_EQ(server.stats().scenarios_executed, executed);
+  server.stop();
+}
+
+TEST(ServiceTest, AClosedJobIsItsDirectory) {
+  // A resubmission reopens a closed job's directory.  With its last result
+  // line cut, the job is not closed any more: it goes live as a restart
+  // would place it, and only the missing scenario runs.
+  const std::vector<ScenarioSpec> specs = {
+      quick_spec("dir-a", 151), supervised_spec(), quick_spec("dir-b", 152)};
+  ServiceConfig config = base_config();
+  config.state_dir = fresh_dir("closed_dir");
+  ScenarioServer server(config);
+  ASSERT_TRUE(server.start());
+  ScenarioClient client(client_for(server, "vera"));
+  ASSERT_TRUE(client.connect());
+  const auto submission = client.submit_specs("dir", specs);
+  ASSERT_TRUE(submission.accepted);
+  ASSERT_TRUE(client.wait(submission.job_id).done);
+  ASSERT_EQ(server.stats().scenarios_executed, specs.size());
+
+  const std::string journal = ddl::scenario::journal_path(
+      config.state_dir + "/jobs/" + submission.job_id);
+  std::string lines = ddl::scenario::read_file(journal);
+  ASSERT_EQ(lines.back(), '\n');
+  lines.pop_back();
+  lines.resize(lines.rfind('\n') + 1);
+  std::ofstream(journal, std::ios::binary | std::ios::trunc) << lines;
+
+  const auto reference = ScenarioRunner(1).run(specs);
+  for (int pass = 0; pass < 2; ++pass) {
+    SCOPED_TRACE("resubmission " + std::to_string(pass + 1));
+    const auto again = client.submit_specs("dir", specs);
+    ASSERT_TRUE(again.accepted);
+    EXPECT_TRUE(again.resumed);
+    const auto outcome = client.wait(again.job_id);
+    ASSERT_TRUE(outcome.done)
+        << outcome.error_code << ": " << outcome.error_detail;
+    EXPECT_EQ(outcome.jsonl(), ScenarioRunner::jsonl(reference));
+    EXPECT_EQ(outcome.health_jsonl(), ScenarioRunner::health_jsonl(reference));
+    // The first resubmission ran the cut scenario; the second ran nothing.
+    EXPECT_EQ(server.stats().scenarios_executed, specs.size() + 1);
+    EXPECT_EQ(outcome.executed, 1u);
+    EXPECT_EQ(outcome.resumed, specs.size() - 1);
+  }
+
+  // A directory that cannot be read is forgotten: the job runs afresh.
+  fs::remove_all(config.state_dir + "/jobs/" + submission.job_id);
+  const auto fresh = client.submit_specs("dir", specs);
+  ASSERT_TRUE(fresh.accepted);
+  EXPECT_FALSE(fresh.resumed);
+  const auto rerun = client.wait(fresh.job_id);
+  ASSERT_TRUE(rerun.done);
+  EXPECT_EQ(rerun.jsonl(), ScenarioRunner::jsonl(reference));
+  EXPECT_EQ(server.stats().scenarios_executed, 2 * specs.size() + 1);
+  server.stop();
 }
 
 // ---- Error paths ----------------------------------------------------------
@@ -949,29 +1102,37 @@ TEST(ServiceTest, CancelTearsDownCooperativelyAndSurvivesRestart) {
 }
 
 TEST(ServiceTest, CancellingAnUnknownOrFinishedJobIsAStructuredError) {
-  ScenarioServer server(base_config());
-  ASSERT_TRUE(server.start());
-  ScenarioClient client(client_for(server, "judy"));
-  ASSERT_TRUE(client.connect());
+  // Without a state dir the finished job stays resident; with one, only
+  // its index entry does.  Both answer alike.
+  for (const std::string& state_dir :
+       {std::string(), fresh_dir("cancel_finished")}) {
+    SCOPED_TRACE("state_dir '" + state_dir + "'");
+    ServiceConfig config = base_config();
+    config.state_dir = state_dir;
+    ScenarioServer server(config);
+    ASSERT_TRUE(server.start());
+    ScenarioClient client(client_for(server, "judy"));
+    ASSERT_TRUE(client.connect());
 
-  ASSERT_TRUE(client.cancel("never-submitted"));
-  auto frame = client.next_frame();
-  ASSERT_TRUE(frame.has_value());
-  EXPECT_EQ(frame->at("frame"), "error");
-  EXPECT_EQ(frame->at("code"), "unknown_job");
+    ASSERT_TRUE(client.cancel("never-submitted"));
+    auto frame = client.next_frame();
+    ASSERT_TRUE(frame.has_value());
+    EXPECT_EQ(frame->at("frame"), "error");
+    EXPECT_EQ(frame->at("code"), "unknown_job");
 
-  const auto submission =
-      client.submit_specs("quick", {quick_spec("cq", 99)});
-  ASSERT_TRUE(submission.accepted);
-  ASSERT_TRUE(client.wait(submission.job_id).done);
-  ASSERT_TRUE(client.cancel("quick"));
-  frame = client.next_frame();
-  ASSERT_TRUE(frame.has_value());
-  EXPECT_EQ(frame->at("frame"), "error");
-  EXPECT_EQ(frame->at("code"), "already_done");
+    const auto submission =
+        client.submit_specs("quick", {quick_spec("cq", 99)});
+    ASSERT_TRUE(submission.accepted);
+    ASSERT_TRUE(client.wait(submission.job_id).done);
+    ASSERT_TRUE(client.cancel("quick"));
+    frame = client.next_frame();
+    ASSERT_TRUE(frame.has_value());
+    EXPECT_EQ(frame->at("frame"), "error");
+    EXPECT_EQ(frame->at("code"), "already_done");
 
-  EXPECT_TRUE(client.ping());  // Neither error cost the connection.
-  server.stop();
+    EXPECT_TRUE(client.ping());  // Neither error cost the connection.
+    server.stop();
+  }
 }
 
 TEST(ServiceTest, CancelFromASecondSessionEndsTheSubmittersWaitToo) {
@@ -1050,6 +1211,43 @@ TEST(ServiceTest, ResubmissionFromASecondSessionKeepsTheFirstAttached) {
   EXPECT_EQ(server.stats().scenarios_executed, specs.size());
   second.bye();
   first.bye();
+  server.stop();
+}
+
+TEST(ServiceTest, ResubmittingOnTheSameSessionFilesEachHealthLineOnce) {
+  // The session already holds the first unit's frames when it resubmits
+  // the live job; the replay sends them again, and each health line must
+  // still be filed once.
+  std::vector<ScenarioSpec> specs;
+  for (int i = 0; i < 6; ++i) {
+    ScenarioSpec spec = supervised_spec();
+    spec.name += "-" + std::to_string(i);
+    spec.seed += i;
+    specs.push_back(spec);
+  }
+  ServiceConfig config = base_config();
+  config.workers = 1;
+  ScenarioServer server(config);
+  ASSERT_TRUE(server.start());
+  ScenarioClient client(client_for(server, "wendy"));
+  ASSERT_TRUE(client.connect());
+  const auto submission = client.submit_specs("twice", specs);
+  ASSERT_TRUE(submission.accepted);
+  ASSERT_TRUE(
+      eventually([&] { return server.stats().scenarios_executed >= 1; }));
+  ASSERT_TRUE(client.ping());  // Files the first unit's frames.
+  const auto resubmission = client.submit_specs("twice", specs);
+  ASSERT_TRUE(resubmission.accepted);
+  EXPECT_TRUE(resubmission.resumed);
+  EXPECT_LT(server.stats().scenarios_executed, specs.size());  // Live.
+
+  const auto outcome = client.wait(submission.job_id);
+  ASSERT_TRUE(outcome.done)
+      << outcome.error_code << ": " << outcome.error_detail;
+  const auto reference = ScenarioRunner(1).run(specs);
+  EXPECT_EQ(outcome.jsonl(), ScenarioRunner::jsonl(reference));
+  EXPECT_EQ(outcome.health_jsonl(), ScenarioRunner::health_jsonl(reference));
+  client.bye();
   server.stop();
 }
 
