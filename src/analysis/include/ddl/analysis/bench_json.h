@@ -65,13 +65,21 @@ class WallTimer {
 /// JSON-escaped.
 class JsonObject {
  public:
-  void set(const std::string& key, double value);
-  void set(const std::string& key, std::int64_t value);
-  void set(const std::string& key, std::uint64_t value);
-  void set(const std::string& key, int value);
-  void set(const std::string& key, bool value);
-  void set(const std::string& key, const std::string& value);
-  void set(const std::string& key, const char* value);
+  /// Sets `key` to a double, a 64-bit integer, an int, a bool or a
+  /// string.  A key already set keeps its place and takes the new value,
+  /// which costs a scan of every key set so far.
+  template <typename T>
+  void set(const std::string& key, const T& value) {
+    set_rendered(key, render(value));
+  }
+
+  /// set() for a key the object does not hold yet, as the caller
+  /// guarantees: no scan, so a writer of many keys that are unique by
+  /// construction (the spec codec's key lists) stays linear in them.
+  template <typename T>
+  void append(const std::string& key, const T& value) {
+    fields_.push_back({key, render(value)});
+  }
 
   /// Flattens a Summary as `<prefix>_mean`, `_stddev`, `_min`, `_max`,
   /// `_p05`, `_p50`, `_p95`, `_count`.
@@ -90,6 +98,14 @@ class JsonObject {
   };
 
   void set_rendered(const std::string& key, std::string rendered);
+
+  static std::string render(double value);
+  static std::string render(std::int64_t value);
+  static std::string render(std::uint64_t value);
+  static std::string render(int value);
+  static std::string render(bool value);
+  static std::string render(const std::string& value);
+  static std::string render(const char* value);
 
   std::vector<Field> fields_;
 };

@@ -223,32 +223,26 @@ void JsonObject::set_rendered(const std::string& key, std::string rendered) {
   fields_.push_back({key, std::move(rendered)});
 }
 
-void JsonObject::set(const std::string& key, double value) {
-  set_rendered(key, render_double(value));
+std::string JsonObject::render(double value) { return render_double(value); }
+
+std::string JsonObject::render(std::int64_t value) {
+  return std::to_string(value);
 }
 
-void JsonObject::set(const std::string& key, std::int64_t value) {
-  set_rendered(key, std::to_string(value));
+std::string JsonObject::render(std::uint64_t value) {
+  return std::to_string(value);
 }
 
-void JsonObject::set(const std::string& key, std::uint64_t value) {
-  set_rendered(key, std::to_string(value));
+std::string JsonObject::render(int value) { return std::to_string(value); }
+
+std::string JsonObject::render(bool value) { return value ? "true" : "false"; }
+
+std::string JsonObject::render(const std::string& value) {
+  return render_string(value);
 }
 
-void JsonObject::set(const std::string& key, int value) {
-  set(key, static_cast<std::int64_t>(value));
-}
-
-void JsonObject::set(const std::string& key, bool value) {
-  set_rendered(key, value ? "true" : "false");
-}
-
-void JsonObject::set(const std::string& key, const std::string& value) {
-  set_rendered(key, render_string(value));
-}
-
-void JsonObject::set(const std::string& key, const char* value) {
-  set(key, std::string(value));
+std::string JsonObject::render(const char* value) {
+  return render_string(value);
 }
 
 void JsonObject::set_summary(const std::string& prefix,

@@ -87,8 +87,9 @@ struct ReplayOutcome {
 
 ReplayOutcome replay(const ReplayBundle& bundle);
 
-/// The replay verdict rule, shared by replay() and the service daemon's
-/// replay jobs: with an empty expectation the scenario must pass,
+/// The one replay verdict rule, shared by replay() (ddl_scenario_runner
+/// --replay) and the service client's run_replay, which judges the row a
+/// daemon returns: with an empty expectation the scenario must pass,
 /// otherwise its failure_reason must equal the expectation.
 bool replay_reproduced(const ScenarioResult& result,
                        const std::string& expected_failure_reason);

@@ -268,7 +268,9 @@ inline const std::vector<std::string> kCrashKinds = {"segv", "abort", "oom",
 analysis::JsonObject spec_to_json(const ScenarioSpec& spec);
 
 /// Appends the same fields, each as `<prefix><key>`, onto an object whose
-/// own fields (a frame type, a sequence number) stay in front.
+/// own fields (a frame type, a sequence number) stay in front.  No key
+/// the object holds may start with `prefix`: the fields are appended
+/// without a look for one already set.
 void spec_to_json_into(analysis::JsonObject& object, const ScenarioSpec& spec,
                        const std::string& prefix);
 

@@ -293,12 +293,14 @@ class FieldWriter : KeyScope {
   FieldWriter(analysis::JsonObject& object, const std::string& prefix)
       : KeyScope(prefix), object_(object) {}
 
+  /// Appends: every key of a walk is unique, and a prefix keeps it apart
+  /// from the object's own fields.
   template <typename T>
   void operator()(const char* name, const T& value) {
     if constexpr (std::is_enum_v<T>) {
-      object_.set(key(name), std::string(name_of(value)));
+      object_.append(key(name), std::string(name_of(value)));
     } else {
-      object_.set(key(name), value);
+      object_.append(key(name), value);
     }
   }
 

@@ -5,13 +5,19 @@
 //
 // The client is intentionally blocking and single-connection (the tool and
 // the tests drive it from one thread); resilience lives one level up:
-// `submit_*` reports backpressure as a retryable outcome, and a dropped
+// a submit reports backpressure as a retryable outcome, and a dropped
 // connection surfaces as a failed wait() -- reconnecting and resubmitting
 // the same job is idempotent by design (the server replays committed rows
 // byte-exactly).  ResilientScenarioClient packages that recovery loop: a
 // reconnect / exponential-backoff / resubmit state machine that drives a
 // job to completion through resets, truncation, fuzzing and stalls (the
 // chaos-proxy storms), converging on the same bytes a direct run yields.
+//
+// Every job is a spec list: a registry suite the server expands, or specs
+// the client writes into the frame (a chaos campaign the caller expanded
+// with scenario::expand_chaos, a replay bundle's one spec).  A replay's
+// verdict is judged here, from the returned row, by the rule
+// `ddl_scenario_runner --replay` applies (scenario::replay_reproduced).
 #pragma once
 
 #include <cstdint>
@@ -65,7 +71,10 @@ class ScenarioClient {
     std::string job_id;
     std::size_t scenarios = 0;
     std::uint64_t retry_ms = 0;
-    std::string error_code;    ///< From an `error` frame (or transport).
+    /// From an `error` frame, `disconnected` (transport), or
+    /// `frame_too_large`: the submit exceeds kMaxFramePayload, so nothing
+    /// was sent and no retry can succeed.
+    std::string error_code;
     std::string error_detail;
   };
 
@@ -77,15 +86,6 @@ class ScenarioClient {
   /// `spec.<i>.` by the spec codec.
   Submission submit_specs(const std::string& job_tag,
                           const std::vector<scenario::ScenarioSpec>& specs);
-
-  /// Submits a chaos campaign (the server expands the storms).
-  Submission submit_chaos(const std::string& job_tag,
-                          const scenario::ChaosCampaignSpec& chaos);
-
-  /// Submits a PR-5 chaos replay bundle as a one-scenario job; the
-  /// job_done frame reports whether the expected failure reproduced.
-  Submission submit_replay(const std::string& job_tag,
-                           const scenario::ReplayBundle& bundle);
 
   /// Requests cooperative teardown of a job by tag.  The terminal
   /// `cancelled` frame surfaces through wait() (JobOutcome::cancelled)
@@ -102,8 +102,8 @@ class ScenarioClient {
   struct JobOutcome {
     bool done = false;  ///< job_done arrived; counters below are valid.
     bool cancelled = false;   ///< The `cancelled` terminal frame arrived.
-    bool replay = false;      ///< job_done came from a replay job.
-    bool reproduced = false;  ///< Replay jobs: expected verdict reproduced.
+    /// run_replay: row 0 reproduced the bundle's expected verdict.
+    bool reproduced = false;
     std::string error_code;    ///< Transport or `error`-frame failure.
     std::string error_detail;
     std::vector<std::string> result_lines;  ///< By scenario index.
@@ -182,8 +182,10 @@ class ResilientScenarioClient {
   ScenarioClient::JobOutcome run_specs(
       const std::string& job_tag,
       const std::vector<scenario::ScenarioSpec>& specs);
-  ScenarioClient::JobOutcome run_chaos(
-      const std::string& job_tag, const scenario::ChaosCampaignSpec& chaos);
+  /// Runs the bundle's spec as a one-spec job (run_specs) and judges its
+  /// row with scenario::replay_reproduced into `reproduced`.  The verdict
+  /// follows the bundle: two bundles of one spec and tag are one job, and
+  /// each reads its own expectation against the same row.
   ScenarioClient::JobOutcome run_replay(const std::string& job_tag,
                                         const scenario::ReplayBundle& bundle);
 

@@ -6,11 +6,9 @@
 // `length` bytes of one flat JSON object (the `JsonObject` dialect: string
 // / number / bool values, no nesting) whose `frame` key names its type.
 //
-//   client -> server   hello, submit, submit_chaos, submit_replay, cancel,
-//                      ping, bye
+//   client -> server   hello, submit, cancel, ping, bye
 //   server -> client   hello, accepted, backpressure, result, health,
-//                      progress, job_done, cancelled, error, heartbeat,
-//                      pong
+//                      job_done, cancelled, error, heartbeat, pong
 //
 // The checksum is the protocol's integrity boundary against a hostile or
 // corrupting transport (the chaos proxy's fuzzer mutates length prefixes
@@ -40,19 +38,22 @@
 
 namespace ddl::service {
 
-/// Bumped when a frame is renamed, its meaning changes, or the wire
-/// framing itself changes; adding frame types or fields is
+/// Bumped when a frame is renamed or removed, its meaning changes, or the
+/// wire framing itself changes; adding frame types or fields is
 /// backwards-compatible and does not bump it.  v2 added the payload
-/// checksum to the frame header.
-inline constexpr int kProtocolVersion = 2;
+/// checksum to the frame header; v3 removed the submit_chaos,
+/// submit_replay and progress frames (a peer sending a removed type gets
+/// an `unknown_frame` error).
+inline constexpr int kProtocolVersion = 3;
 
 /// Frame header: 4-byte big-endian payload length + 4-byte big-endian
 /// FNV-1a-32 checksum of the payload.
 inline constexpr std::size_t kFrameHeaderBytes = 8;
 
 /// Upper bound on one frame's payload: large enough for a submit carrying
-/// thousands of flattened specs, small enough that a corrupt length prefix
-/// cannot make a reader allocate gigabytes.
+/// thousands of flattened specs (about 3,000 yield specs of ~1.4 KB),
+/// small enough that a corrupt length prefix cannot make a reader allocate
+/// gigabytes.
 inline constexpr std::size_t kMaxFramePayload = std::size_t{4} << 20;
 
 /// FNV-1a-32 over arbitrary bytes: the frame checksum.

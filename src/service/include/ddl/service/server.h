@@ -1,7 +1,7 @@
 // The campaign service daemon: a TCP (loopback) and Unix-domain-socket
-// server that accepts ScenarioSpec / chaos-campaign submissions over the
-// framed protocol (protocol.h), schedules them onto a sandbox-isolated
-// worker pool, and streams result / health / progress frames back.
+// server that accepts spec lists -- a registry suite, or specs written by
+// the client -- over the framed protocol (protocol.h), schedules them onto
+// a sandbox-isolated worker pool, and streams result / health frames back.
 //
 // Every job is a scenario::CampaignJob (ddl/scenario/campaign.h), the
 // same journaled spec list the CLI's Campaign runs: it owns the job's
@@ -40,9 +40,10 @@
 // server reschedules nothing cancelled.  A job's frames, `cancelled` and
 // `job_done` included, go to every open session that submitted,
 // resubmitted or cancelled it, once each: a cancel from a second session
-// ends the submitter's wait too.  `submit_replay` runs a chaos
-// replay bundle (PR-5 shrinker output) as a one-scenario job whose
-// `job_done` reports whether the expected failure reproduced.
+// ends the submitter's wait too.  A chaos campaign arrives as the spec
+// list the client expanded, and a replay bundle as a one-spec list whose
+// verdict the client judges from the returned row: the server has one
+// kind of job.
 //
 // Adversarial peers are bounded on every axis: a dead-peer timeout reaps
 // silent connections, a partial-frame timeout reaps slowloris trickle, an
@@ -134,7 +135,6 @@ struct ServiceStats {
   std::size_t error_frames = 0;
   std::size_t heartbeats = 0;
   std::size_t jobs_cancelled = 0;     ///< Jobs torn down by a `cancel`.
-  std::size_t replay_jobs = 0;        ///< Jobs born from `submit_replay`.
   std::size_t sessions_timed_out = 0;  ///< Dead-peer / partial-frame kills.
   std::size_t outbox_overflows = 0;    ///< Sessions over max_outbox_bytes.
   /// Dispatch units of more than one scenario (packed MC-yield kernel

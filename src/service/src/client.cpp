@@ -16,6 +16,7 @@
 #include <thread>
 
 #include "ddl/scenario/cli.h"
+#include "ddl/scenario/runner.h"
 #include "ddl/service/net_util.h"
 
 namespace ddl::service {
@@ -73,13 +74,10 @@ void file_frame(ScenarioClient::JobOutcome& outcome,
     outcome.executed =
         static_cast<std::size_t>(u64_field(fields, "executed"));
     outcome.resumed = static_cast<std::size_t>(u64_field(fields, "resumed"));
-    outcome.replay = text_field(fields, "replay") == "true";
-    outcome.reproduced = text_field(fields, "reproduced") == "true";
     outcome.done = true;
   } else if (type == "cancelled") {
     outcome.cancelled = true;
   }
-  // progress frames carry no payload the client needs to keep.
 }
 
 std::string joined(const std::vector<std::string>& lines) {
@@ -303,27 +301,6 @@ ScenarioClient::Submission ScenarioClient::submit_specs(
   return submit_frame(frame, job_tag);
 }
 
-ScenarioClient::Submission ScenarioClient::submit_chaos(
-    const std::string& job_tag, const scenario::ChaosCampaignSpec& chaos) {
-  analysis::JsonObject frame = make_frame("submit_chaos");
-  frame.set("job", job_tag);
-  frame.set("storms", static_cast<std::uint64_t>(chaos.storms));
-  frame.set("chaos_seed", chaos.seed);
-  frame.set("max_faults",
-            static_cast<std::uint64_t>(chaos.max_faults_per_storm));
-  scenario::spec_to_json_into(frame, chaos.base, "spec.");
-  return submit_frame(frame, job_tag);
-}
-
-ScenarioClient::Submission ScenarioClient::submit_replay(
-    const std::string& job_tag, const scenario::ReplayBundle& bundle) {
-  analysis::JsonObject frame = make_frame("submit_replay");
-  frame.set("job", job_tag);
-  frame.set("expected_failure_reason", bundle.expected_failure_reason);
-  scenario::spec_to_json_into(frame, bundle.spec, "spec.");
-  return submit_frame(frame, job_tag);
-}
-
 bool ScenarioClient::cancel(const std::string& job_tag) {
   analysis::JsonObject frame = make_frame("cancel");
   frame.set("job", job_tag);
@@ -333,7 +310,16 @@ bool ScenarioClient::cancel(const std::string& job_tag) {
 ScenarioClient::Submission ScenarioClient::submit_frame(
     const analysis::JsonObject& frame, const std::string& job_tag) {
   Submission submission;
-  if (!send_payload(frame.to_json_line())) {
+  const std::string payload = frame.to_json_line();
+  if (payload.size() > kMaxFramePayload) {
+    submission.error_code = "frame_too_large";
+    submission.error_detail =
+        "submit of " + std::to_string(payload.size()) +
+        " bytes exceeds the " + std::to_string(kMaxFramePayload) +
+        "-byte frame cap";
+    return submission;
+  }
+  if (!send_payload(payload)) {
     submission.error_code = "disconnected";
     submission.error_detail = "submit send failed";
     return submission;
@@ -515,8 +501,9 @@ ScenarioClient::JobOutcome ResilientScenarioClient::run(SubmitFn&& submit) {
         }
         continue;
       }
-      // A semantic rejection (invalid spec, unknown suite...) is final:
-      // retrying the same bytes cannot change the answer.
+      // A semantic rejection (invalid spec, unknown suite, a frame over
+      // the cap...) is final: retrying the same bytes cannot change the
+      // answer.
       outcome.error_code = submission.error_code;
       outcome.error_detail = submission.error_detail;
       return outcome;
@@ -554,18 +541,15 @@ ScenarioClient::JobOutcome ResilientScenarioClient::run_specs(
   });
 }
 
-ScenarioClient::JobOutcome ResilientScenarioClient::run_chaos(
-    const std::string& job_tag, const scenario::ChaosCampaignSpec& chaos) {
-  return run([&](ScenarioClient& client) {
-    return client.submit_chaos(job_tag, chaos);
-  });
-}
-
 ScenarioClient::JobOutcome ResilientScenarioClient::run_replay(
     const std::string& job_tag, const scenario::ReplayBundle& bundle) {
-  return run([&](ScenarioClient& client) {
-    return client.submit_replay(job_tag, bundle);
-  });
+  ScenarioClient::JobOutcome outcome = run_specs(job_tag, {bundle.spec});
+  if (outcome.done && !outcome.result_lines.empty()) {
+    outcome.reproduced = scenario::replay_reproduced(
+        scenario::read_executed(outcome.result_lines[0], {}).result,
+        bundle.expected_failure_reason);
+  }
+  return outcome;
 }
 
 }  // namespace ddl::service

@@ -27,7 +27,6 @@
 #include "ddl/analysis/bench_json.h"
 #include "ddl/core/hash.h"
 #include "ddl/scenario/campaign.h"
-#include "ddl/scenario/chaos.h"
 #include "ddl/scenario/cli.h"
 #include "ddl/scenario/journal.h"
 #include "ddl/scenario/registry.h"
@@ -45,6 +44,9 @@ namespace fs = std::filesystem;
 using Clock = std::chrono::steady_clock;
 using scenario::ScenarioSpec;
 
+/// A spec list's count cap.  The 4 MiB frame cap binds first (about 3,000
+/// yield specs fit in a frame), so this refuses a forged `spec_count`
+/// before the reader walks it.
 constexpr std::size_t kMaxSpecsPerSubmit = 4096;
 constexpr std::size_t kMaxErrorDetail = 2000;
 constexpr std::size_t kDefaultMaxOutboxBytes = std::size_t{32} << 20;
@@ -111,8 +113,6 @@ struct Job {
   /// Every committed row is in the job's directory: it opened a journal
   /// and no commit failed.  A job that ends otherwise stays resident.
   bool durable = false;
-  bool is_replay = false;  ///< Born from a submit_replay frame.
-  std::string expected_failure_reason;  ///< Replay jobs: expected verdict.
 
   bool done() const noexcept { return campaign->done(); }
 
@@ -390,10 +390,6 @@ struct ScenarioServer::Impl {
       meta.set("tag", job.tag);
       meta.set("scenarios", static_cast<std::uint64_t>(job.specs.size()));
       meta.set("fingerprint", job.content_fingerprint);
-      if (job.is_replay) {
-        meta.set("replay", true);
-        meta.set("expected_failure_reason", job.expected_failure_reason);
-      }
       std::string spec_lines;
       for (const ScenarioSpec& spec : job.specs) {
         spec_lines += scenario::spec_to_json(spec).to_json_line();
@@ -407,9 +403,6 @@ struct ScenarioServer::Impl {
     }
     job.open(dir, /*resume=*/false, plan_workspace);
     bump(&ServiceStats::jobs_accepted);
-    if (job.is_replay) {
-      bump(&ServiceStats::replay_jobs);
-    }
     return place(std::move(job));
   }
 
@@ -454,15 +447,6 @@ struct ScenarioServer::Impl {
     send_frame(session, frame);
   }
 
-  void send_progress(Session& session, const Job& job,
-                     std::size_t completed) {
-    analysis::JsonObject frame = make_frame("progress");
-    frame.set("job_id", job.id);
-    frame.set("completed", static_cast<std::uint64_t>(completed));
-    frame.set("total", static_cast<std::uint64_t>(job.specs.size()));
-    send_frame(session, frame);
-  }
-
   void send_job_done(Session& session, const Job& job,
                      const ClosedJob& entry) {
     const scenario::CampaignJob& campaign = *job.campaign;
@@ -479,12 +463,6 @@ struct ScenarioServer::Impl {
               static_cast<std::uint64_t>(campaign.completed() - passed));
     frame.set("executed", static_cast<std::uint64_t>(entry.executed));
     frame.set("resumed", static_cast<std::uint64_t>(entry.resumed));
-    if (job.is_replay) {
-      frame.set("replay", true);
-      frame.set("reproduced",
-                scenario::replay_reproduced(campaign.row(0).result,
-                                            job.expected_failure_reason));
-    }
     send_frame(session, frame);
   }
 
@@ -538,7 +516,6 @@ struct ScenarioServer::Impl {
         send_result_frames(session, job, i);
       }
     }
-    send_progress(session, job, job.campaign->completed());
     bump(&ServiceStats::jobs_attached);
   }
 
@@ -659,7 +636,7 @@ struct ScenarioServer::Impl {
   }
 
   /// Commits a finished unit once, then streams each scenario's
-  /// result/health/progress frames.
+  /// result and health frames.
   void handle_completion(Unit&& unit) {
     auto it = jobs.find(unit.job_id);
     if (it == jobs.end()) {
@@ -684,14 +661,9 @@ struct ScenarioServer::Impl {
         });
       }
       bump(&ServiceStats::scenarios_executed, unit.indices.size());
-
-      const std::size_t before =
-          job.campaign->completed() - unit.indices.size();
       each_session(job, [&](Session& session) {
-        std::size_t completed = before;
         for (const std::size_t index : unit.indices) {
           send_result_frames(session, job, index);
-          send_progress(session, job, ++completed);
         }
       });
     }
@@ -852,45 +824,11 @@ struct ScenarioServer::Impl {
                tag);
   }
 
-  /// Runs a PR-5 chaos replay bundle -- expected_failure_reason plus
-  /// flattened `spec.*` fields -- as a one-scenario job.  job_done gains
-  /// `reproduced`, the same verdict `ddl_scenario_runner --replay` prints.
-  void handle_submit_replay(Session& session,
-                            const std::map<std::string, std::string>& fields) {
-    const auto tag_it = fields.find("job");
-    if (tag_it == fields.end() || tag_it->second.empty()) {
-      send_error(session, "missing_job", "submit_replay carries no 'job' tag");
-      return;
-    }
-    const std::string& tag = tag_it->second;
-    scenario::SpecParse parsed =
-        scenario::spec_from_json_checked(fields, "spec.");
-    std::vector<std::string> errors = std::move(parsed.errors);
-    if (errors.empty()) {
-      for (std::string& message : scenario::validate(parsed.spec)) {
-        errors.push_back(std::move(message));
-      }
-    }
-    if (!errors.empty()) {
-      send_error(session, "invalid_replay", join(errors), tag);
-      return;
-    }
-    Job job;
-    job.tag = tag;
-    job.specs.push_back(std::move(parsed.spec));
-    job.is_replay = true;
-    const auto expected_it = fields.find("expected_failure_reason");
-    if (expected_it != fields.end()) {
-      job.expected_failure_reason = expected_it->second;
-    }
-    admit(session, std::move(job));
-  }
-
-  /// The one admission path of every submit kind, by content-addressed
-  /// identity: a live job attaches and replays, a closed one replays, a
-  /// client over its job quota gets an explicit, retryable `backpressure`
-  /// frame (never a disconnect), anything else becomes a new job announced
-  /// by `accepted`.
+  /// Admits a submitted spec list by content-addressed identity: a live
+  /// job attaches and replays, a closed one replays, a client over its job
+  /// quota gets an explicit, retryable `backpressure` frame (never a
+  /// disconnect), anything else becomes a new job announced by
+  /// `accepted`.
   void admit(Session& session, Job job) {
     job.owner = session.client_name;
     job.content_fingerprint = scenario::content_fingerprint_of(job.specs);
@@ -946,11 +884,20 @@ struct ScenarioServer::Impl {
 
   // --- Submit path ------------------------------------------------------
 
-  /// Parses the spec list of a submit frame; empty return means an error
-  /// frame was already sent.
-  std::optional<std::vector<ScenarioSpec>> parse_submit_specs(
-      Session& session, const std::map<std::string, std::string>& fields,
-      const std::string& tag) {
+  /// Reads a submit frame's spec list -- a registry suite with an
+  /// optional name filter, or `spec_count` specs written under
+  /// `spec.<i>.` by the spec codec -- and admits it.  A list that does not
+  /// read is refused with an error frame naming the tag.
+  void handle_submit(Session& session,
+                     const std::map<std::string, std::string>& fields) {
+    const auto tag_it = fields.find("job");
+    if (tag_it == fields.end() || tag_it->second.empty()) {
+      send_error(session, "missing_job", "submit carries no 'job' tag");
+      return;
+    }
+    const std::string& tag = tag_it->second;
+    Job job;
+    job.tag = tag;
     const auto suite_it = fields.find("suite");
     if (suite_it != fields.end()) {
       const auto filter_it = fields.find("filter");
@@ -960,17 +907,18 @@ struct ScenarioServer::Impl {
       if (!registry.has_suite(suite_it->second)) {
         send_error(session, "unknown_suite",
                    "no suite named '" + suite_it->second + "'", tag);
-        return std::nullopt;
+        return;
       }
-      auto specs = registry.expand_filtered(suite_it->second, filter);
-      if (specs.empty()) {
+      job.specs = registry.expand_filtered(suite_it->second, filter);
+      if (job.specs.empty()) {
         send_error(session, "empty_expansion",
                    "filter '" + filter + "' matches nothing in '" +
                        suite_it->second + "'",
                    tag);
-        return std::nullopt;
+        return;
       }
-      return specs;
+      admit(session, std::move(job));
+      return;
     }
 
     const auto count_it = fields.find("spec_count");
@@ -981,17 +929,15 @@ struct ScenarioServer::Impl {
                  "submit needs either 'suite' or a positive 'spec_count' "
                  "with flattened 'spec.<i>.*' fields",
                  tag);
-      return std::nullopt;
+      return;
     }
     if (count > kMaxSpecsPerSubmit) {
       send_error(session, "invalid_submit",
                  "spec_count " + std::to_string(count) + " exceeds the " +
                      std::to_string(kMaxSpecsPerSubmit) + " per-submit cap",
                  tag);
-      return std::nullopt;
+      return;
     }
-
-    std::vector<ScenarioSpec> specs;
     std::vector<std::string> errors;
     for (std::uint64_t i = 0; i < count; ++i) {
       scenario::SpecParse parsed = scenario::spec_from_json_checked(
@@ -1002,89 +948,19 @@ struct ScenarioServer::Impl {
           errors.push_back(std::move(message));
         }
       }
-      specs.push_back(std::move(parsed.spec));
+      job.specs.push_back(std::move(parsed.spec));
     }
     if (!errors.empty()) {
       send_error(session, "invalid_spec", join(errors), tag);
-      return std::nullopt;
+      return;
     }
     std::map<std::string, std::size_t> names;
-    for (const ScenarioSpec& spec : specs) {
+    for (const ScenarioSpec& spec : job.specs) {
       if (++names[spec.name] > 1) {
         send_error(session, "duplicate_names",
                    "scenario name '" + spec.name + "' appears twice", tag);
-        return std::nullopt;
-      }
-    }
-    return specs;
-  }
-
-  void handle_submit(Session& session,
-                     const std::map<std::string, std::string>& fields,
-                     bool chaos) {
-    const auto tag_it = fields.find("job");
-    if (tag_it == fields.end() || tag_it->second.empty()) {
-      send_error(session, "missing_job", "submit carries no 'job' tag");
-      return;
-    }
-    const std::string& tag = tag_it->second;
-
-    Job job;
-    job.tag = tag;
-    if (chaos) {
-      scenario::SpecParse parsed =
-          scenario::spec_from_json_checked(fields, "spec.");
-      if (!parsed.ok()) {
-        send_error(session, "invalid_spec", join(parsed.errors), tag);
         return;
       }
-      scenario::ChaosCampaignSpec campaign;
-      campaign.base = std::move(parsed.spec);
-      // Each number is optional, and 0 storms or max_faults keeps the
-      // default; a value that is not a decimal unsigned integer would
-      // name another job, so it is refused.
-      const auto number = [&](const char* key, std::uint64_t& out) {
-        const auto it = fields.find(key);
-        if (it == fields.end() || scenario::parse_u64(it->second, out)) {
-          return true;
-        }
-        send_error(session, "invalid_submit",
-                   std::string(key) + ": '" + clip(it->second) +
-                       "' is not a non-negative integer",
-                   tag);
-        return false;
-      };
-      std::uint64_t storms = 0;
-      std::uint64_t max_faults = 0;
-      if (!number("storms", storms) || !number("chaos_seed", campaign.seed) ||
-          !number("max_faults", max_faults)) {
-        return;
-      }
-      if (storms > kMaxSpecsPerSubmit) {  // The spec_count cap.
-        send_error(session, "invalid_submit",
-                   "storms " + std::to_string(storms) + " exceeds the " +
-                       std::to_string(kMaxSpecsPerSubmit) + " per-submit cap",
-                   tag);
-        return;
-      }
-      if (storms > 0) {
-        campaign.storms = static_cast<std::size_t>(storms);
-      }
-      if (max_faults > 0) {
-        campaign.max_faults_per_storm = static_cast<std::size_t>(max_faults);
-      }
-      try {
-        job.specs = scenario::expand_chaos(campaign);
-      } catch (const std::exception& e) {
-        send_error(session, "invalid_chaos", e.what(), tag);
-        return;
-      }
-    } else {
-      auto parsed = parse_submit_specs(session, fields, tag);
-      if (!parsed) {
-        return;
-      }
-      job.specs = std::move(*parsed);
     }
     admit(session, std::move(job));
   }
@@ -1146,12 +1022,8 @@ struct ScenarioServer::Impl {
                      std::to_string(kProtocolVersion));
       return;
     }
-    if (type == "submit" || type == "submit_chaos") {
-      handle_submit(session, *fields, type == "submit_chaos");
-      return;
-    }
-    if (type == "submit_replay") {
-      handle_submit_replay(session, *fields);
+    if (type == "submit") {
+      handle_submit(session, *fields);
       return;
     }
     if (type == "cancel") {
@@ -1375,12 +1247,6 @@ struct ScenarioServer::Impl {
     job.id = meta_fields->count("job_id") ? meta_fields->at("job_id") : "";
     job.tag = meta_fields->count("tag") ? meta_fields->at("tag") : "";
     job.owner = meta_fields->count("client") ? meta_fields->at("client") : "";
-    job.is_replay = meta_fields->count("replay") &&
-                    meta_fields->at("replay") == "true";
-    if (meta_fields->count("expected_failure_reason")) {
-      job.expected_failure_reason =
-          meta_fields->at("expected_failure_reason");
-    }
     std::error_code marker_ec;
     job.cancelled =
         cancelled || fs::exists(dir + "/cancelled.json", marker_ec);

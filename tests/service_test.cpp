@@ -4,9 +4,11 @@
 // (never a disconnect), fair round-robin scheduling across clients,
 // mid-stream disconnect survival, journal-backed restart resume, structured
 // error frames for malformed submissions, cooperative cancel with
-// journal-consistent teardown, replay-bundle jobs, liveness timeouts
-// (dead-peer and slowloris), per-tick adversarial budgets, and seeded
-// chaos-proxy storms that must converge byte-identically anyway.
+// journal-consistent teardown, replay bundles judged by the client,
+// submits that stay linear in their spec count or are refused before
+// they are sent, liveness timeouts (dead-peer and slowloris), per-tick
+// adversarial budgets, and seeded chaos-proxy storms that must converge
+// byte-identically anyway.
 //
 // Every test binds an ephemeral loopback port (or a temp-dir unix socket),
 // so the suite is parallel-safe and needs no fixed resources.
@@ -18,6 +20,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <functional>
@@ -942,43 +945,6 @@ TEST(ServiceTest, MalformedSubmissionsGetStructuredErrorFrames) {
             std::string::npos)
       << submission.error_detail;
 
-  // Chaos storms are capped like explicit specs, and so are the faults
-  // each storm may draw.
-  ddl::analysis::JsonObject storms = ddl::service::make_frame("submit_chaos");
-  storms.set("job", "bad5");
-  storms.set("storms", std::uint64_t{3'000'000});
-  storms.set("spec.name", "svc/storm-base");
-  submission = client.submit_frame(storms, "bad5");
-  EXPECT_FALSE(submission.accepted);
-  EXPECT_EQ(submission.error_code, "invalid_submit");
-  EXPECT_NE(submission.error_detail.find("storms 3000000"), std::string::npos)
-      << submission.error_detail;
-  ddl::analysis::JsonObject faults = ddl::service::make_frame("submit_chaos");
-  faults.set("job", "bad6");
-  faults.set("max_faults", std::uint64_t{257});
-  faults.set("spec.name", "svc/storm-base");
-  submission = client.submit_frame(faults, "bad6");
-  EXPECT_FALSE(submission.accepted);
-  EXPECT_EQ(submission.error_code, "invalid_chaos");
-
-  // A chaos number that is not a decimal unsigned integer names another
-  // job than the one asked for: refused, naming the key.
-  for (const auto& [key, value] :
-       std::vector<std::pair<std::string, std::string>>{
-           {"storms", "two"}, {"chaos_seed", "-1"}, {"max_faults", "1.5"}}) {
-    ddl::analysis::JsonObject malformed =
-        ddl::service::make_frame("submit_chaos");
-    malformed.set("job", "bad-" + key);
-    malformed.set(key, value);
-    malformed.set("spec.name", "svc/storm-base");
-    submission = client.submit_frame(malformed, "bad-" + key);
-    EXPECT_FALSE(submission.accepted) << key;
-    EXPECT_EQ(submission.error_code, "invalid_submit") << key;
-    EXPECT_NE(submission.error_detail.find(key + ": '" + value + "'"),
-              std::string::npos)
-        << submission.error_detail;
-  }
-
   // A payload that is not JSON at all.
   ASSERT_TRUE(client.send_payload("certainly not json"));
   auto frame = client.next_frame();
@@ -986,12 +952,18 @@ TEST(ServiceTest, MalformedSubmissionsGetStructuredErrorFrames) {
   EXPECT_EQ(frame->at("frame"), "error");
   EXPECT_EQ(frame->at("code"), "bad_frame");
 
-  // An unknown frame type.
-  ASSERT_TRUE(client.send_payload(
-      ddl::service::make_frame("launch_missiles").to_json_line()));
-  frame = client.next_frame();
-  ASSERT_TRUE(frame.has_value());
-  EXPECT_EQ(frame->at("code"), "unknown_frame");
+  // An unknown frame type, and the submit kinds protocol v3 removed: a
+  // chaos campaign and a replay bundle travel as plain spec lists.
+  for (const std::string type :
+       {"launch_missiles", "submit_chaos", "submit_replay"}) {
+    ddl::analysis::JsonObject unknown = ddl::service::make_frame(type);
+    unknown.set("job", "bad-" + type);
+    unknown.set("spec.name", "svc/storm-base");
+    ASSERT_TRUE(client.send_payload(unknown.to_json_line()));
+    frame = client.next_frame();
+    ASSERT_TRUE(frame.has_value()) << type;
+    EXPECT_EQ(frame->at("code"), "unknown_frame") << type;
+  }
 
   // None of it cost the connection.
   EXPECT_TRUE(client.ping());
@@ -1331,38 +1303,45 @@ TEST(ServiceTest, CancelKillsTheInFlightSandboxWorker) {
 TEST(ServiceTest, ReplayBundleJobsReportReproduction) {
   ScenarioServer server(base_config());
   ASSERT_TRUE(server.start());
-  ScenarioClient client(client_for(server, "heidi"));
-  ASSERT_TRUE(client.connect());
+  ResilientClientConfig resilient;
+  resilient.base = client_for(server, "heidi");
+  ResilientScenarioClient client(resilient);
 
   ddl::scenario::ReplayBundle bundle;
   bundle.spec = quick_spec("replayed", 97);
   bundle.expected_failure_reason = "";  // Expecting a pass...
-  auto submission = client.submit_replay("repro-pass", bundle);
-  ASSERT_TRUE(submission.accepted)
-      << submission.error_code << ": " << submission.error_detail;
-  EXPECT_EQ(submission.scenarios, 1u);
-  auto outcome = client.wait(submission.job_id);
-  ASSERT_TRUE(outcome.done);
-  EXPECT_TRUE(outcome.replay);
+  auto outcome = client.run_replay("repro-pass", bundle);
+  ASSERT_TRUE(outcome.done) << outcome.error_code << ": "
+                            << outcome.error_detail;
+  EXPECT_EQ(outcome.scenarios, 1u);
   EXPECT_TRUE(outcome.reproduced);  // ...and the pass reproduced.
 
   // The same spec expecting a failure it does not produce: the job runs
   // to done, but the bundle's verdict did not reproduce.
   bundle.expected_failure_reason = "no_lock";
-  submission = client.submit_replay("repro-miss", bundle);
-  ASSERT_TRUE(submission.accepted);
-  outcome = client.wait(submission.job_id);
+  outcome = client.run_replay("repro-miss", bundle);
   ASSERT_TRUE(outcome.done);
-  EXPECT_TRUE(outcome.replay);
   EXPECT_FALSE(outcome.reproduced);
-  EXPECT_EQ(server.stats().replay_jobs, 2u);
+
+  // Two bundles of one spec under one tag are one job: the second
+  // replays the first's row, and judges it by its own expectation.
+  outcome = client.run_replay("repro", bundle);
+  ASSERT_TRUE(outcome.done);
+  EXPECT_FALSE(outcome.reproduced);
+  bundle.expected_failure_reason = "";
+  outcome = client.run_replay("repro", bundle);
+  ASSERT_TRUE(outcome.done);
+  EXPECT_EQ(outcome.executed, 1u);  // The first delivery's count.
+  EXPECT_TRUE(outcome.reproduced);
+  EXPECT_EQ(server.stats().jobs_attached, 1u);
+  EXPECT_EQ(server.stats().scenarios_executed, 3u);
   server.stop();
 }
 
 TEST(ServiceTest, ChaosJobsStreamTheRunnersBytesAndReplay) {
-  // A valid submit_chaos: the server expands the storms, and the streams
-  // match the runner over the same expansion.  A resubmission replays.
-  // The base is supervised, so the storms' faults reach the health stream.
+  // A chaos campaign the client expanded: the streams match the runner
+  // over the same expansion, and a resubmission replays.  The base is
+  // supervised, so the storms' faults reach the health stream.
   ddl::scenario::ChaosCampaignSpec chaos;
   chaos.base = quick_spec("storm-base", 2026);
   chaos.base.tolerance_v = 0.06;
@@ -1370,6 +1349,7 @@ TEST(ServiceTest, ChaosJobsStreamTheRunnersBytesAndReplay) {
   chaos.base.supervision.enabled = true;
   chaos.storms = 6;
   chaos.seed = 99;
+  const std::vector<ScenarioSpec> storms = ddl::scenario::expand_chaos(chaos);
   ServiceConfig config = base_config();
   config.state_dir = fresh_dir("chaos_job");
   ScenarioServer server(config);
@@ -1378,22 +1358,84 @@ TEST(ServiceTest, ChaosJobsStreamTheRunnersBytesAndReplay) {
   resilient.base = client_for(server, "mallory");
   ResilientScenarioClient client(resilient);
 
-  const auto outcome = client.run_chaos("storms", chaos);
+  const auto outcome = client.run_specs("storms", storms);
   ASSERT_TRUE(outcome.done)
       << outcome.error_code << ": " << outcome.error_detail;
   EXPECT_EQ(outcome.scenarios, chaos.storms);
-  const auto results =
-      ScenarioRunner(1).run(ddl::scenario::expand_chaos(chaos));
+  const auto results = ScenarioRunner(1).run(storms);
   EXPECT_EQ(outcome.jsonl(), ScenarioRunner::jsonl(results));
   EXPECT_EQ(outcome.health_jsonl(), ScenarioRunner::health_jsonl(results));
   EXPECT_FALSE(outcome.health_jsonl().empty());
 
-  const auto replayed = client.run_chaos("storms", chaos);
+  const auto replayed = client.run_specs("storms", storms);
   ASSERT_TRUE(replayed.done)
       << replayed.error_code << ": " << replayed.error_detail;
   EXPECT_EQ(replayed.jsonl(), outcome.jsonl());
   EXPECT_EQ(replayed.health_jsonl(), outcome.health_jsonl());
   EXPECT_EQ(server.stats().scenarios_executed, chaos.storms);
+  server.stop();
+}
+
+// ---- Large submits --------------------------------------------------------
+
+TEST(ServiceTest, ASpecListSubmitCostsTimeLinearInItsSpecs) {
+  // Yield specs whose last name repeats the first: the server reads the
+  // whole list, then refuses it, so nothing runs and the time is the
+  // submit's own -- the client writing the frame, the server reading it.
+  ScenarioServer server(base_config());
+  ASSERT_TRUE(server.start());
+  ScenarioClient client(client_for(server, "bulk"));
+  ASSERT_TRUE(client.connect());
+  const auto us_per_spec = [&](std::size_t count, int repeats) {
+    std::vector<ScenarioSpec> specs;
+    for (std::size_t i = 0; i < count; ++i) {
+      specs.push_back(yield_spec("bulk/" + std::to_string(i), i));
+    }
+    specs.back().name = specs.front().name;
+    double best = 0.0;
+    for (int repeat = 0; repeat < repeats; ++repeat) {
+      const auto start = std::chrono::steady_clock::now();
+      const auto submission = client.submit_specs("bulk", specs);
+      const double us = std::chrono::duration<double, std::micro>(
+                            std::chrono::steady_clock::now() - start)
+                            .count();
+      EXPECT_EQ(submission.error_code, "duplicate_names") << count;
+      best = repeat == 0 ? us : std::min(best, us);
+    }
+    return best / static_cast<double>(count);
+  };
+  const double small = us_per_spec(100, 5);
+  const double large = us_per_spec(2000, 3);
+  EXPECT_LT(large, 4.0 * small)
+      << "2000 specs: " << large << " us/spec, 100 specs: " << small
+      << " us/spec";
+  EXPECT_EQ(server.stats().jobs_accepted, 0u);
+  server.stop();
+}
+
+TEST(ServiceTest, AnOversizedSubmitIsAFinalErrorNotATransportFailure) {
+  // One spec whose name alone passes the frame cap: nothing is sent, and
+  // no reconnect can make the frame fit.
+  ScenarioServer server(base_config());
+  ASSERT_TRUE(server.start());
+  ScenarioSpec huge =
+      quick_spec(std::string(ddl::service::kMaxFramePayload, 'x'), 3);
+  ScenarioClient plain(client_for(server, "bulk"));
+  ASSERT_TRUE(plain.connect());
+  const auto submission = plain.submit_specs("huge", {huge});
+  EXPECT_FALSE(submission.accepted);
+  EXPECT_EQ(submission.error_code, "frame_too_large");
+  EXPECT_TRUE(plain.ping());  // The connection is untouched.
+
+  ResilientClientConfig resilient;
+  resilient.base = client_for(server, "bulk");
+  resilient.max_attempts = 3;
+  ResilientScenarioClient client(resilient);
+  const auto outcome = client.run_specs("huge", {huge});
+  EXPECT_FALSE(outcome.done);
+  EXPECT_EQ(outcome.error_code, "frame_too_large") << outcome.error_detail;
+  EXPECT_EQ(client.reconnects(), 0u);
+  EXPECT_EQ(server.stats().jobs_accepted, 0u);
   server.stop();
 }
 

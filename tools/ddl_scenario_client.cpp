@@ -170,7 +170,7 @@ int run_cancel(const ClientOptions& options) {
                 << (detail == fields->end() ? "" : detail->second) << "\n";
       return 64;
     }
-    // result / progress / heartbeat frames keep streaming while the
+    // result / health / heartbeat frames keep streaming while the
     // in-flight scenarios drain; skip them.
   }
 }
