@@ -110,7 +110,7 @@ class CampaignJob {
   /// index order, the lane units longest lane_steps first, and the group
   /// units by first member.  A scenario is never split.  The list depends
   /// on the specs and the committed rows alone.  Campaign::run packs lanes;
-  /// the daemon does not (see ddl/service/server.h).
+  /// the daemon (ScenarioServer) does not.
   std::vector<std::vector<std::size_t>> units(bool pack_lanes) const;
 
   /// Commits one executed unit: `runs[k]` is the row of spec `unit[k]`.

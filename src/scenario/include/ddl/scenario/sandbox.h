@@ -4,22 +4,25 @@
 // A ScenarioExecutor is the one dispatch-unit execution engine shared by
 // the Campaign engine and the campaign service daemon.  In
 // IsolationMode::kThread it runs units in process on the calling thread
-// (batch planner + run_scenario_guarded) with no deadline, no retry and no
-// containment.  In IsolationMode::kProcess it supervises a fork()ed
-// *worker process*:
+// (batch planner groups, closed-loop lanes, run_scenario_guarded for the
+// rest) with no deadline, no retry and no containment.  In
+// IsolationMode::kProcess it supervises a fork()ed *worker process*:
 //
 //   supervisor (this process)              worker (forked child)
 //   ----------------------------          ---------------------------
-//   spec frames + go  ------------------>  strict spec read, run
-//                     <------------------  health / row frames
-//                     <------------------  unit_done
+//   header line  ----------------------->  {"attempt":A,"specs":N}
+//   N spec lines ----------------------->  strict spec read, run
+//                <-----------------------  per member: health lines, row
 //   waitpid on death; classify; respawn
 //
-// Frames reuse the campaign service's checksummed wire framing
-// (ddl/service/protocol.h) over a pipe pair, and rows travel as the exact
-// JSONL line the runner would emit -- the same byte-identity trick the
-// service uses on sockets -- so thread mode and process mode produce
-// byte-identical streams.
+// The pipe pair carries JSONL, one line per '\n'.  A spec line is the
+// codec's unprefixed line, the bytes specs.jsonl holds; health and row
+// lines are the exact lines the runner would emit, health before its row
+// as in the journal.  The supervisor tokenizes each returning line once,
+// checks that it names the member it belongs to, and reads the result
+// back with the row codec, so thread mode and process mode produce
+// byte-identical streams and the same results.  A line that does not
+// tokenize or names another member kills the worker.
 //
 // Deadlines, retries, backoff and resource caps exist only here: a
 // scenario that segfaults, aborts, blows past an address-space or

@@ -292,4 +292,9 @@ SpecParse spec_from_json_checked(
     const std::map<std::string, std::string>& fields,
     const std::string& prefix = "");
 
+/// The strict read of one unprefixed spec line, as specs.jsonl and the
+/// sandbox pipe carry it: tokenize, then spec_from_json_checked.  A line
+/// that does not tokenize as one flat JSON object is an error too.
+SpecParse spec_from_line(const std::string& line);
+
 }  // namespace ddl::scenario

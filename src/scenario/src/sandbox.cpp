@@ -27,28 +27,16 @@
 
 #include "ddl/analysis/bench_json.h"
 #include "ddl/scenario/batch_plan.h"
+#include "ddl/scenario/cli.h"
 #include "ddl/scenario/journal.h"
 #include "ddl/scenario/spec.h"
 #include "ddl/scenario/workspace.h"
-#include "ddl/service/protocol.h"
 
 namespace ddl::scenario {
 namespace {
 
 using Clock = std::chrono::steady_clock;
-
-const std::string& field_of(const std::map<std::string, std::string>& fields,
-                            const std::string& key) {
-  static const std::string empty;
-  const auto it = fields.find(key);
-  return it == fields.end() ? empty : it->second;
-}
-
-std::size_t index_of(const std::map<std::string, std::string>& fields,
-                     const std::string& key) {
-  return static_cast<std::size_t>(
-      std::strtoull(field_of(fields, key).c_str(), nullptr, 10));
-}
+using Fields = std::map<std::string, std::string>;
 
 bool write_all(int fd, const char* data, std::size_t size) {
   std::size_t written = 0;
@@ -65,6 +53,40 @@ bool write_all(int fd, const char* data, std::size_t size) {
   }
   return true;
 }
+
+/// What one end of the sandbox pipe has read, cut into lines.  Both ways
+/// carry codec-rendered JSONL, whose strings escape every control byte, so
+/// each '\n' ends one line.
+struct LineBuffer {
+  std::string bytes;
+  std::size_t begin = 0;  ///< Start of the first line not yet taken.
+
+  /// The next complete line, without its '\n', or nullopt until fill().
+  std::optional<std::string> next() {
+    const std::size_t end = bytes.find('\n', begin);
+    if (end == std::string::npos) {
+      bytes.erase(0, begin);
+      begin = 0;
+      return std::nullopt;
+    }
+    std::string line = bytes.substr(begin, end - begin);
+    begin = end + 1;
+    return line;
+  }
+
+  /// Appends one read() of `fd`, retried on EINTR; false at EOF or error.
+  bool fill(int fd) {
+    char chunk[65536];
+    ssize_t n = 0;
+    do {
+      n = ::read(fd, chunk, sizeof chunk);
+    } while (n < 0 && errno == EINTR);
+    if (n > 0) {
+      bytes.append(chunk, static_cast<std::size_t>(n));
+    }
+    return n > 0;
+  }
+};
 
 /// Deterministic signal naming for error_detail (strsignal() is
 /// locale/libc-dependent; rows must not be).
@@ -117,7 +139,8 @@ bool crash_signal(int sig) {
 /// supervisor classifies kResourceLimit -- distinct from a caught
 /// bad_alloc (a structured kException row) and from a protocol error.
 constexpr int kExitOom = 97;
-/// The child's protocol-failure exit code (garbage frames, broken pipe).
+/// The child's protocol-failure exit code (a line that does not read, a
+/// broken pipe).
 constexpr int kExitProtocol = 98;
 
 SandboxLimits g_child_limits;
@@ -132,13 +155,6 @@ void close_all_from(unsigned first) {
   const long cap = open_max > 0 ? open_max : 1024;
   for (long fd = first; fd < cap; ++fd) {
     ::close(static_cast<int>(fd));
-  }
-}
-
-void emit_frame(int fd, const analysis::JsonObject& frame) {
-  const std::string encoded = service::encode_frame(frame);
-  if (!write_all(fd, encoded.data(), encoded.size())) {
-    ::_exit(kExitProtocol);
   }
 }
 
@@ -226,32 +242,41 @@ ScenarioResult child_run_single(const ScenarioSpec& spec, int attempt,
   return run_scenario_guarded(spec, workspace).result;
 }
 
-void child_run_unit(const std::vector<ScenarioSpec>& specs,
-                    const std::vector<int>& attempts,
+/// Runs one unit and answers it in one write: each member's health lines,
+/// then its row, as render_executed made them.
+void child_run_unit(const std::vector<ScenarioSpec>& specs, int attempt,
                     ScenarioWorkspace& workspace, int resp_fd) {
-  std::vector<ScenarioResult> results =
-      run_unit_inline(specs, workspace, [&](std::size_t index) {
-        return child_run_single(specs[index], attempts[index], workspace);
-      });
-  for (std::size_t i = 0; i < results.size(); ++i) {
+  std::string answer;
+  for (ScenarioResult& result :
+       run_unit_inline(specs, workspace, [&](std::size_t index) {
+         return child_run_single(specs[index], attempt, workspace);
+       })) {
     // The supervisor's attempt number: a retried-then-succeeded row
     // reports every attempt it consumed.
-    results[i].attempts = attempts[i] + 1;
-    const ExecutedScenario entry = render_executed(std::move(results[i]));
+    result.attempts = attempt + 1;
+    const ExecutedScenario entry = render_executed(std::move(result));
     for (const std::string& health_line : entry.health_lines) {
-      analysis::JsonObject frame = service::make_frame("health");
-      frame.set("entry", static_cast<std::uint64_t>(i));
-      frame.set("row", health_line);
-      emit_frame(resp_fd, frame);
+      answer += health_line;
+      answer += '\n';
     }
-    analysis::JsonObject frame = service::make_frame("row");
-    frame.set("entry", static_cast<std::uint64_t>(i));
-    frame.set("row", entry.line);
-    emit_frame(resp_fd, frame);
+    answer += entry.line;
+    answer += '\n';
   }
-  analysis::JsonObject done = service::make_frame("unit_done");
-  done.set("entries", static_cast<std::uint64_t>(results.size()));
-  emit_frame(resp_fd, done);
+  if (!write_all(resp_fd, answer.data(), answer.size())) {
+    ::_exit(kExitProtocol);
+  }
+}
+
+/// The child's blocking read of its next request line.  The supervisor
+/// closing its write end is the clean shutdown.
+std::string request_line(LineBuffer& lines, int fd) {
+  std::optional<std::string> line;
+  while (!(line = lines.next())) {
+    if (!lines.fill(fd)) {
+      ::_exit(0);
+    }
+  }
+  return std::move(*line);
 }
 
 [[noreturn]] void sandbox_child_main(int req_raw, int resp_raw,
@@ -293,53 +318,31 @@ void child_run_unit(const std::vector<ScenarioSpec>& specs,
   }
 
   ScenarioWorkspace workspace;  // Sizing cache persists across units.
-  service::FrameReader reader;
+  LineBuffer lines;
   std::vector<ScenarioSpec> specs;
-  std::vector<int> attempts;
-  char buffer[65536];
   for (;;) {
-    while (auto payload = reader.next()) {
-      const auto fields = service::parse_frame_payload(*payload);
-      if (!fields) {
-        ::_exit(kExitProtocol);
-      }
-      const std::string& type = field_of(*fields, "frame");
-      if (type == "spec") {
-        if (index_of(*fields, "entry") != specs.size()) {
-          ::_exit(kExitProtocol);
-        }
-        SpecParse parsed = spec_from_json_checked(*fields, "spec.");
-        if (!parsed.ok()) {
-          ::_exit(kExitProtocol);
-        }
-        specs.push_back(std::move(parsed.spec));
-        attempts.push_back(
-            static_cast<int>(index_of(*fields, "attempt")));
-      } else if (type == "go") {
-        if (specs.empty() || index_of(*fields, "entries") != specs.size()) {
-          ::_exit(kExitProtocol);
-        }
-        child_run_unit(specs, attempts, workspace, resp_fd);
-        specs.clear();
-        attempts.clear();
-      } else {
-        ::_exit(kExitProtocol);
-      }
-    }
-    if (reader.failed()) {
+    // A unit is its header line, then one spec line per member.
+    const std::optional<Fields> header =
+        analysis::parse_flat_json_line(request_line(lines, req_fd));
+    const auto number = [&](const char* key, int& out) {
+      const auto it = header->find(key);
+      return it != header->end() && parse_count(it->second, out);
+    };
+    int attempt = 0;
+    int count = 0;
+    if (!header || !number("attempt", attempt) || !number("specs", count) ||
+        count == 0) {
       ::_exit(kExitProtocol);
     }
-    const ssize_t n = ::read(req_fd, buffer, sizeof buffer);
-    if (n == 0) {
-      ::_exit(0);  // Clean shutdown: the supervisor closed its write end.
-    }
-    if (n < 0) {
-      if (errno == EINTR) {
-        continue;
+    specs.clear();
+    while (specs.size() < static_cast<std::size_t>(count)) {
+      SpecParse parsed = spec_from_line(request_line(lines, req_fd));
+      if (!parsed.ok()) {
+        ::_exit(kExitProtocol);
       }
-      ::_exit(kExitProtocol);
+      specs.push_back(std::move(parsed.spec));
     }
-    reader.feed(buffer, static_cast<std::size_t>(n));
+    child_run_unit(specs, attempt, workspace, resp_fd);
   }
 }
 
@@ -349,19 +352,14 @@ void child_run_unit(const std::vector<ScenarioSpec>& specs,
 
 struct Sandbox {
   pid_t pid = -1;
-  int req_fd = -1;   ///< Supervisor's write end (spec/go frames).
-  int resp_fd = -1;  ///< Supervisor's read end (health/row/unit_done).
-  service::FrameReader reader;
+  int req_fd = -1;   ///< Supervisor's write end (header and spec lines).
+  int resp_fd = -1;  ///< Supervisor's read end (health and row lines).
+  LineBuffer lines;  ///< What resp_fd has delivered.
 
   bool alive() const noexcept { return pid > 0; }
 };
 
 enum class UnitWait { kDone, kDead, kDeadline };
-
-struct UnitCollect {
-  std::vector<std::string> rows;
-  std::vector<std::vector<std::string>> health;
-};
 
 }  // namespace
 
@@ -443,7 +441,7 @@ bool spawn_worker(ScenarioExecutor::Impl& impl) {
   }
   impl.box.req_fd = req[1];
   impl.box.resp_fd = resp[0];
-  impl.box.reader = service::FrameReader{};
+  impl.box.lines = LineBuffer{};
   if (impl.worker_died) {
     impl.worker_died = false;
     if (impl.counters != nullptr) {
@@ -487,20 +485,16 @@ int reap_worker(ScenarioExecutor::Impl& impl) {
 }
 
 bool send_unit(ScenarioExecutor::Impl& impl,
-               const std::vector<ScenarioSpec>& specs,
-               const std::vector<int>& attempts) {
-  std::string wire;
-  for (std::size_t i = 0; i < specs.size(); ++i) {
-    analysis::JsonObject frame = service::make_frame("spec");
-    frame.set("entry", static_cast<std::uint64_t>(i));
-    frame.set("attempt", static_cast<std::uint64_t>(
-                             std::max(0, attempts[i])));
-    spec_to_json_into(frame, specs[i], "spec.");
-    wire += service::encode_frame(frame);
+               const std::vector<ScenarioSpec>& specs, int attempt) {
+  analysis::JsonObject header;
+  header.set("attempt", static_cast<std::uint64_t>(attempt));
+  header.set("specs", static_cast<std::uint64_t>(specs.size()));
+  std::string wire = header.to_json_line();
+  wire += '\n';
+  for (const ScenarioSpec& spec : specs) {
+    wire += spec_to_json(spec).to_json_line();
+    wire += '\n';
   }
-  analysis::JsonObject go = service::make_frame("go");
-  go.set("entries", static_cast<std::uint64_t>(specs.size()));
-  wire += service::encode_frame(go);
   return write_all(impl.box.req_fd, wire.data(), wire.size());
 }
 
@@ -508,13 +502,12 @@ bool send_unit(ScenarioExecutor::Impl& impl,
 /// that died quietly *between* units (its death is only discovered at the
 /// next write) must not consume one of the scenario's attempts.
 bool dispatch_unit(ScenarioExecutor::Impl& impl,
-                   const std::vector<ScenarioSpec>& specs,
-                   const std::vector<int>& attempts) {
+                   const std::vector<ScenarioSpec>& specs, int attempt) {
   for (int tries = 0; tries < 2; ++tries) {
     if (!impl.box.alive() && !spawn_worker(impl)) {
       return false;
     }
-    if (send_unit(impl, specs, attempts)) {
+    if (send_unit(impl, specs, attempt)) {
       return true;
     }
     reap_worker(impl);
@@ -522,37 +515,42 @@ bool dispatch_unit(ScenarioExecutor::Impl& impl,
   return false;
 }
 
-UnitWait wait_unit(ScenarioExecutor::Impl& impl, std::size_t entries,
-                   Clock::time_point deadline, UnitCollect& out) {
-  out.rows.assign(entries, std::string());
-  out.health.assign(entries, {});
-  char buffer[65536];
+/// True when `fields` holds `key` with the value `name`.
+bool names(const Fields& fields, const char* key, const std::string& name) {
+  const auto it = fields.find(key);
+  return it != fields.end() && it->second == name;
+}
+
+/// Reads the unit's answer into `rows`, one per member in unit order.
+/// Each line is tokenized once: a health line names its member under
+/// `scenario` and waits for the row, which names it under `name` and
+/// ends the member.  The unit is done at its last member's row.  A line
+/// that does not tokenize, or names another member, kills the worker.
+UnitWait wait_unit(ScenarioExecutor::Impl& impl,
+                   const std::vector<ScenarioSpec>& specs,
+                   Clock::time_point deadline,
+                   std::vector<ExecutedScenario>& rows) {
+  std::vector<std::pair<std::string, Fields>> health;
   for (;;) {
-    while (auto payload = impl.box.reader.next()) {
-      const auto fields = service::parse_frame_payload(*payload);
-      if (!fields) {
+    while (std::optional<std::string> line = impl.box.lines.next()) {
+      std::optional<Fields> fields = analysis::parse_flat_json_line(*line);
+      const std::string& member = specs[rows.size()].name;
+      if (fields && names(*fields, "scenario", member)) {
+        health.emplace_back(std::move(*line), std::move(*fields));
+        continue;
+      }
+      if (!fields || !names(*fields, "name", member)) {
         kill_worker(impl);
         return UnitWait::kDead;
       }
-      const std::string& type = field_of(*fields, "frame");
-      if (type == "unit_done") {
+      rows.push_back(read_row(std::move(*line), *fields));
+      for (auto& [health_line, event] : health) {
+        read_health_line(rows.back(), std::move(health_line), event);
+      }
+      health.clear();
+      if (rows.size() == specs.size()) {
         return UnitWait::kDone;
       }
-      const std::size_t entry = index_of(*fields, "entry");
-      if (entry >= entries) {
-        kill_worker(impl);
-        return UnitWait::kDead;
-      }
-      if (type == "health") {
-        out.health[entry].push_back(field_of(*fields, "row"));
-      } else if (type == "row") {
-        out.rows[entry] = field_of(*fields, "row");
-      }
-      // Unknown frame types are skipped (forward compatibility).
-    }
-    if (impl.box.reader.failed()) {
-      kill_worker(impl);
-      return UnitWait::kDead;
     }
     const auto now = Clock::now();
     if (now >= deadline) {
@@ -578,12 +576,7 @@ UnitWait wait_unit(ScenarioExecutor::Impl& impl, std::size_t entries,
     if (ready == 0) {
       continue;  // Re-check the deadline.
     }
-    const ssize_t n = ::read(impl.box.resp_fd, buffer, sizeof buffer);
-    if (n > 0) {
-      impl.box.reader.feed(buffer, static_cast<std::size_t>(n));
-    } else if (n == 0) {
-      return UnitWait::kDead;
-    } else if (errno != EINTR) {
+    if (!impl.box.lines.fill(impl.box.resp_fd)) {
       return UnitWait::kDead;
     }
   }
@@ -655,36 +648,27 @@ std::vector<ExecutedScenario> run_unit_process(
     if (impl.interrupted.load(std::memory_order_relaxed)) {
       return {};
     }
-    if (!dispatch_unit(impl, specs, std::vector<int>(specs.size(), attempt))) {
+    if (!dispatch_unit(impl, specs, attempt)) {
       last_was_timeout = false;
       last_lost_detail = "sandbox worker could not be spawned";
       continue;
     }
-    UnitCollect collect;
-    const UnitWait wait = wait_unit(
-        impl, specs.size(),
-        Clock::now() + std::chrono::milliseconds(timeout_ms), collect);
-    const bool complete =
-        std::none_of(collect.rows.begin(), collect.rows.end(),
-                     [](const std::string& row) { return row.empty(); });
-    if (wait == UnitWait::kDone && complete) {
-      for (std::size_t i = 0; i < specs.size(); ++i) {
-        out.push_back(read_executed(std::move(collect.rows[i]),
-                                    std::move(collect.health[i])));
-      }
-      return out;
+    const Clock::time_point deadline =
+        Clock::now() + std::chrono::milliseconds(timeout_ms);
+    std::vector<ExecutedScenario> rows;
+    const UnitWait wait = wait_unit(impl, specs, deadline, rows);
+    if (wait == UnitWait::kDone) {
+      return rows;
     }
-    if (wait != UnitWait::kDead) {
-      kill_worker(impl);  // Past its deadline, or done without every row.
+    if (wait == UnitWait::kDeadline) {
+      kill_worker(impl);
     }
     const int status = reap_worker(impl);
     if (impl.interrupted.load(std::memory_order_relaxed)) {
       return {};
     }
     last_was_timeout = wait == UnitWait::kDeadline;
-    if (wait == UnitWait::kDone) {
-      last_lost_detail = "sandbox worker completed without a result row";
-    } else if (wait == UnitWait::kDead && lone) {
+    if (wait == UnitWait::kDead && lone) {
       if (std::optional<ScenarioResult> error =
               death_error(impl, specs[0], status)) {
         error->attempts = attempt + 1;

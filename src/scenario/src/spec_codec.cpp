@@ -435,6 +435,13 @@ SpecParse spec_from_json_checked(const Fields& fields,
   return parse;
 }
 
+SpecParse spec_from_line(const std::string& line) {
+  if (const auto fields = analysis::parse_flat_json_line(line)) {
+    return spec_from_json_checked(*fields);
+  }
+  return {{}, {"line: not one flat JSON object"}};
+}
+
 analysis::JsonObject to_json(const ScenarioResult& result) {
   analysis::JsonObject object;
   FieldWriter writer(object, "");

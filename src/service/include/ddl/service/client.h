@@ -127,7 +127,8 @@ class ScenarioClient {
   /// Pumps frames until the job completes (or is cancelled), an error
   /// frame names it, or the connection drops.  Frames for other in-flight
   /// jobs are buffered, so several submitted jobs can be waited in any
-  /// order.
+  /// order.  A `result` or `health` frame indexed at or past kMaxJobSpecs
+  /// closes the connection with `bad_frame`.
   JobOutcome wait(const std::string& job_id);
 
   /// Round-trips a ping (liveness check).  False on transport failure.

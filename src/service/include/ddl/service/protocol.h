@@ -56,6 +56,13 @@ inline constexpr std::size_t kFrameHeaderBytes = 8;
 /// gigabytes.
 inline constexpr std::size_t kMaxFramePayload = std::size_t{4} << 20;
 
+/// The most scenarios one job holds.  The server refuses a spec list or a
+/// suite expansion above it, and a client refuses a `result` or `health`
+/// frame indexed at or past it.  The frame cap binds a spec list first
+/// (about 3,000 yield specs fit in a frame); the largest built-in suite
+/// has 57 scenarios.
+inline constexpr std::size_t kMaxJobSpecs = 4096;
+
 /// FNV-1a-32 over arbitrary bytes: the frame checksum.
 std::uint32_t fnv1a32(const char* data, std::size_t size);
 

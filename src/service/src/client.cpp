@@ -43,10 +43,16 @@ std::string text_field(const std::map<std::string, std::string>& fields,
 /// in the order units complete; each goes to its place by (index, seq), so
 /// the health stream reads in index order, as the runner writes it.  A
 /// frame filed again (a replay to a session that already holds the row)
-/// replaces its line, as a result frame does.
-void file_frame(ScenarioClient::JobOutcome& outcome,
+/// replaces its line, as a result frame does.  Returns false, filing
+/// nothing, for a `result` or `health` frame indexed past the largest job:
+/// the peer is not a server that ran one.
+bool file_frame(ScenarioClient::JobOutcome& outcome,
                 const std::map<std::string, std::string>& fields) {
   const std::string type = text_field(fields, "frame");
+  if ((type == "result" || type == "health") &&
+      u64_field(fields, "index") >= kMaxJobSpecs) {
+    return false;
+  }
   if (type == "result") {
     const std::size_t index =
         static_cast<std::size_t>(u64_field(fields, "index"));
@@ -78,6 +84,7 @@ void file_frame(ScenarioClient::JobOutcome& outcome,
   } else if (type == "cancelled") {
     outcome.cancelled = true;
   }
+  return true;
 }
 
 std::string joined(const std::vector<std::string>& lines) {
@@ -366,7 +373,9 @@ void ScenarioClient::absorb(const std::map<std::string, std::string>& fields) {
   if (job_id.empty()) {
     return;  // heartbeat / pong / hello: nothing to buffer.
   }
-  file_frame(inbox_[job_id], fields);
+  if (!file_frame(inbox_[job_id], fields)) {
+    close();  // The next read reports the connection gone.
+  }
 }
 
 ScenarioClient::JobOutcome ScenarioClient::wait(const std::string& job_id) {
@@ -394,7 +403,12 @@ ScenarioClient::JobOutcome ScenarioClient::wait(const std::string& job_id) {
       return outcome;
     }
     if (text_field(*fields, "job_id") == job_id) {
-      file_frame(outcome, *fields);
+      if (!file_frame(outcome, *fields)) {
+        close();
+        outcome.error_code = "bad_frame";
+        outcome.error_detail = "a row indexed past the job cap";
+        return outcome;
+      }
       continue;
     }
     absorb(*fields);

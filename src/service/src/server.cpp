@@ -44,10 +44,6 @@ namespace fs = std::filesystem;
 using Clock = std::chrono::steady_clock;
 using scenario::ScenarioSpec;
 
-/// A spec list's count cap.  The 4 MiB frame cap binds first (about 3,000
-/// yield specs fit in a frame), so this refuses a forged `spec_count`
-/// before the reader walks it.
-constexpr std::size_t kMaxSpecsPerSubmit = 4096;
 constexpr std::size_t kMaxErrorDetail = 2000;
 constexpr std::size_t kDefaultMaxOutboxBytes = std::size_t{32} << 20;
 constexpr std::size_t kDefaultMaxFramesPerTick = 256;
@@ -917,6 +913,13 @@ struct ScenarioServer::Impl {
                    tag);
         return;
       }
+      if (job.specs.size() > kMaxJobSpecs) {
+        send_error(session, "invalid_submit",
+                   "suite '" + suite_it->second + "' expands past the " +
+                       std::to_string(kMaxJobSpecs) + "-scenario job cap",
+                   tag);
+        return;
+      }
       admit(session, std::move(job));
       return;
     }
@@ -931,10 +934,11 @@ struct ScenarioServer::Impl {
                  tag);
       return;
     }
-    if (count > kMaxSpecsPerSubmit) {
+    // Refuses a forged `spec_count` before the reader walks it.
+    if (count > kMaxJobSpecs) {
       send_error(session, "invalid_submit",
                  "spec_count " + std::to_string(count) + " exceeds the " +
-                     std::to_string(kMaxSpecsPerSubmit) + " per-submit cap",
+                     std::to_string(kMaxJobSpecs) + "-scenario job cap",
                  tag);
       return;
     }
@@ -1266,11 +1270,7 @@ struct ScenarioServer::Impl {
       if (line.empty()) {
         continue;
       }
-      const auto fields = analysis::parse_flat_json_line(line);
-      if (!fields) {
-        throw std::runtime_error("torn specs.jsonl");
-      }
-      scenario::SpecParse parsed = scenario::spec_from_json_checked(*fields);
+      scenario::SpecParse parsed = scenario::spec_from_line(line);
       if (!parsed.ok()) {
         throw std::runtime_error("specs.jsonl: " + parsed.errors.front());
       }

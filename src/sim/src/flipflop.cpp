@@ -96,19 +96,23 @@ TwoFlopSynchronizer::TwoFlopSynchronizer(NetlistContext& ctx, SignalId clk,
 }
 
 void make_clock(Simulator& sim, SignalId clk, Time period, Time start) {
-  const Time half = period / 2;
-  const std::uint32_t lane = sim.attach_driver(clk);
-  sim.schedule_task(start, [&sim, clk, half, lane]() {
-    sim.schedule_lane(clk, Logic::k0, 0, lane);
-    // Self-rescheduling toggler; a Simulator::Task directly so rescheduling
-    // copies the inline closure instead of re-wrapping a std::function.
-    auto toggle = std::make_shared<Simulator::Task>();
-    *toggle = [&sim, clk, half, lane, toggle]() {
-      const Logic next = sim.is_high(clk) ? Logic::k0 : Logic::k1;
-      sim.schedule_lane(clk, next, 0, lane);
-      sim.schedule_task(half, *toggle);
-    };
-    sim.schedule_task(half, *toggle);
+  // A self-rescheduling toggler: each edge drives the next level and
+  // schedules a copy of itself.  A plain value, so no task owns itself.
+  struct Toggle {
+    Simulator* sim;
+    SignalId clk;
+    Time half;
+    std::uint32_t lane;
+    void operator()() const {
+      const Logic next = sim->is_high(clk) ? Logic::k0 : Logic::k1;
+      sim->schedule_lane(clk, next, 0, lane);
+      sim->schedule_task(half, *this);
+    }
+  };
+  const Toggle toggle{&sim, clk, period / 2, sim.attach_driver(clk)};
+  sim.schedule_task(start, [toggle]() {
+    toggle.sim->schedule_lane(toggle.clk, Logic::k0, 0, toggle.lane);
+    toggle.sim->schedule_task(toggle.half, toggle);
   });
 }
 

@@ -1362,6 +1362,18 @@ TEST(SpecCheckedParseTest, MalformedAndTruncatedJsonFailTheLineParser) {
       EXPECT_EQ(cut, full.size());
     }
   }
+  // The one spec-line read (specs.jsonl, the sandbox pipe) reports a line
+  // that does not tokenize as an error, and reads a whole one strictly.
+  const auto garbage = ddl::scenario::spec_from_line("not json");
+  ASSERT_FALSE(garbage.ok());
+  EXPECT_EQ(garbage.errors.front(), "line: not one flat JSON object");
+  const std::string torn = full.substr(0, full.size() - 1);
+  EXPECT_FALSE(ddl::scenario::spec_from_line(torn).ok());
+  const auto whole =
+      ddl::scenario::spec_from_line("{\"name\":\"x\",\"periods\":3000}");
+  ASSERT_TRUE(whole.ok()) << whole.errors.front();
+  EXPECT_EQ(whole.spec.name, "x");
+  EXPECT_EQ(whole.spec.periods, 3000u);
 }
 
 TEST(SpecCheckedParseTest, UnknownKeysAreStructuredErrors) {

@@ -1,6 +1,7 @@
 // Tests for the process-level scenario sandbox: crash-taxonomy
 // classification (SIGSEGV / SIGABRT / RLIMIT_AS / RLIMIT_CPU -> structured
-// ScenarioError rows), worker respawn, thread-vs-process byte-identity,
+// ScenarioError rows), worker respawn, thread-vs-process byte-identity
+// (escaped names, health lines, units past the pipe buffer),
 // pinned timeout rows, journaled crash rows replaying byte-identically on
 // resume, cancel interrupts, workers forked before the campaign's threads,
 // and the journal writer's fail-closed disk-fault handling and its one
@@ -169,6 +170,65 @@ TEST(SandboxTest, ThreadAndProcessStreamsAreByteIdentical) {
   four.jobs = 4;
   const auto sharded = Campaign(four).run(specs);
   EXPECT_EQ(via_process.jsonl(), sharded.jsonl());
+
+  // The pipe's edges, one unit each: a name the codec must escape, a
+  // supervised run whose health lines cross ahead of its row, and ~100
+  // small-die yield specs whose spec lines and rows each overflow a 64 KiB
+  // pipe buffer.
+  const ScenarioSpec escaped =
+      quick_spec("quote\"backslash\\tab\tnewline\n", 14);
+  const ScenarioSpec supervised =
+      ScenarioRegistry::builtin().expand("recovery").front();
+  ASSERT_TRUE(supervised.supervision.enabled);
+  const ScenarioSpec die = ScenarioRegistry::builtin().expand("yield").front();
+  std::vector<ScenarioSpec> dies;
+  for (int copy = 0; copy < 100; ++copy) {
+    ScenarioSpec spec = die;
+    spec.name += "/copy" + std::to_string(copy);
+    spec.seed = 3000 + copy;
+    spec.mc_dies = 8;
+    dies.push_back(std::move(spec));
+  }
+  IsolationConfig thread_isolation;
+  thread_isolation.mode = IsolationMode::kThread;
+  IsolationConfig process_isolation;
+  process_isolation.mode = IsolationMode::kProcess;
+  ScenarioExecutor in_thread(thread_isolation);
+  // A unit whose pipe fails degrades to lone units with the same rows, so
+  // the one worker must also live through every unit.
+  ddl::scenario::SandboxCounters counters;
+  ScenarioExecutor in_process(process_isolation, &counters);
+  std::vector<std::vector<ScenarioSpec>> units = {{escaped}, {supervised}};
+  units.push_back(dies);
+  for (const std::vector<ScenarioSpec>& unit : units) {
+    const std::vector<ExecutedScenario> want = in_thread.run_unit(unit);
+    const std::vector<ExecutedScenario> got = in_process.run_unit(unit);
+    ASSERT_EQ(want.size(), unit.size()) << unit.front().name;
+    ASSERT_EQ(got.size(), unit.size()) << unit.front().name;
+    std::size_t spec_bytes = 0;
+    std::size_t row_bytes = 0;
+    for (std::size_t i = 0; i < unit.size(); ++i) {
+      EXPECT_EQ(got[i].line, want[i].line) << unit[i].name;
+      EXPECT_EQ(got[i].health_lines, want[i].health_lines) << unit[i].name;
+      // The result read back renders the same row and health lines.
+      const ExecutedScenario rendered =
+          ddl::scenario::render_executed(got[i].result);
+      EXPECT_EQ(rendered.line, want[i].line) << unit[i].name;
+      EXPECT_EQ(rendered.health_lines, want[i].health_lines) << unit[i].name;
+      EXPECT_EQ(got[i].result.name, unit[i].name);
+      EXPECT_EQ(got[i].result.error, ScenarioError::kNone) << unit[i].name;
+      spec_bytes += ddl::scenario::spec_to_json(unit[i]).to_json_line().size();
+      row_bytes += got[i].line.size();
+    }
+    if (unit.size() > 1) {
+      EXPECT_GT(spec_bytes, std::size_t{65536});
+      EXPECT_GT(row_bytes, std::size_t{65536});
+    }
+    if (unit.front().supervision.enabled) {
+      EXPECT_FALSE(want.front().health_lines.empty());
+    }
+  }
+  EXPECT_EQ(counters.respawns.load(), 0u);
 }
 
 TEST(SandboxTest, ProcessTimeoutRowsArePinnedByteForByte) {

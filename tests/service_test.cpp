@@ -6,8 +6,9 @@
 // error frames for malformed submissions, cooperative cancel with
 // journal-consistent teardown, replay bundles judged by the client,
 // submits that stay linear in their spec count or are refused before
-// they are sent, liveness timeouts (dead-peer and slowloris), per-tick
-// adversarial budgets, and seeded chaos-proxy storms that must converge
+// they are sent, a client that refuses a row indexed past the job cap,
+// liveness timeouts (dead-peer and slowloris), per-tick adversarial
+// budgets, and seeded chaos-proxy storms that must converge
 // byte-identically anyway.
 //
 // Every test binds an ephemeral loopback port (or a temp-dir unix socket),
@@ -17,6 +18,7 @@
 #include <arpa/inet.h>
 #include <malloc.h>
 #include <netinet/in.h>
+#include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -1437,6 +1439,80 @@ TEST(ServiceTest, AnOversizedSubmitIsAFinalErrorNotATransportFailure) {
   EXPECT_EQ(client.reconnects(), 0u);
   EXPECT_EQ(server.stats().jobs_accepted, 0u);
   server.stop();
+}
+
+TEST(ServiceTest, AResultIndexedPastTheJobCapIsABadFrame) {
+  // A peer that answers the handshake and the submit, then streams a row
+  // at index 2^40: the client refuses the frame instead of sizing its row
+  // table by it, and closes.
+  int port = 0;
+  std::string error;
+  const int listener =
+      ddl::service::net::listen_loopback(0, "bind", port, error);
+  ASSERT_GE(listener, 0) << error;
+  std::thread peer([listener] {
+    pollfd ready{listener, POLLIN, 0};
+    if (::poll(&ready, 1, 30'000) != 1) {
+      return;
+    }
+    const int fd = ::accept(listener, nullptr, nullptr);
+    if (fd < 0) {
+      return;
+    }
+    const auto send = [fd](const ddl::analysis::JsonObject& frame) {
+      const std::string wire = ddl::service::encode_frame(frame);
+      ddl::service::net::send_all(fd, wire.data(), wire.size());
+    };
+    FrameReader reader;
+    char chunk[4096];
+    for (bool submitted = false; !submitted;) {
+      while (const auto payload = reader.next()) {
+        const auto fields = ddl::service::parse_frame_payload(*payload);
+        if (!fields) {
+          continue;
+        }
+        const std::string& type = fields->at("frame");
+        if (type == "hello") {
+          send(ddl::service::make_frame("hello"));
+        } else if (type == "submit") {
+          ddl::analysis::JsonObject accepted =
+              ddl::service::make_frame("accepted");
+          accepted.set("job", fields->at("job"));
+          accepted.set("job_id", "forged");
+          accepted.set("scenarios", std::uint64_t{1});
+          send(accepted);
+          ddl::analysis::JsonObject result = ddl::service::make_frame("result");
+          result.set("job_id", "forged");
+          result.set("index", std::uint64_t{1} << 40);
+          result.set("row", "{}");
+          send(result);
+          submitted = true;
+        }
+      }
+      const ssize_t got = ::recv(fd, chunk, sizeof(chunk), 0);
+      if (got <= 0) {
+        break;
+      }
+      reader.feed(chunk, static_cast<std::size_t>(got));
+    }
+    drain_to_eof(fd);  // Until the client closes.
+    ::close(fd);
+  });
+
+  ClientConfig config;
+  config.tcp_port = port;
+  config.name = "victim";
+  config.recv_timeout_ms = 30'000;
+  ScenarioClient client(config);
+  ASSERT_TRUE(client.connect());
+  const auto submission = client.submit_suite("huge_index", "smoke");
+  ASSERT_TRUE(submission.accepted);
+  const auto outcome = client.wait(submission.job_id);
+  EXPECT_FALSE(outcome.done);
+  EXPECT_EQ(outcome.error_code, "bad_frame") << outcome.error_detail;
+  EXPECT_TRUE(outcome.result_lines.empty());
+  peer.join();
+  ::close(listener);
 }
 
 // ---- Liveness timeouts and adversarial budgets ----------------------------
