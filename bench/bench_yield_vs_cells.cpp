@@ -22,7 +22,7 @@ int main() {
               "process factor ~ N(1.0, 0.25) clamped to [0.5, 2.0]; "
               "batched MC engine [%s kernel]) ====\n\n",
               ddl::analysis::mc_batch_kernel_name());
-  const auto sweep = ddl::analysis::yield_vs_cells_batched(
+  const auto sweep = ddl::analysis::yield_vs_cells(
       tech, base, period, ddl::analysis::ProcessDistribution{}, 32, 512,
       trials, /*seed=*/77);
 

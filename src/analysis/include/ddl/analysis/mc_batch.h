@@ -156,8 +156,10 @@ struct BatchYieldSpec {
   double factor_max = 2.0;
 };
 
-/// Batched counterpart of monte_carlo_yield(): fraction of passing dies,
-/// bit-identical to evaluating `batch_die_covers_period_scalar` per die.
+/// Fraction of passing dies over `trials` seeds die_seed(base_seed, i) --
+/// the estimator behind yield_vs_cells -- bit-identical to evaluating
+/// `batch_die_covers_period_scalar` per die for any thread count (0 =
+/// default pool).
 double monte_carlo_yield_batched(const BatchYieldSpec& spec,
                                  std::size_t trials, std::uint64_t base_seed,
                                  std::size_t threads = 0);

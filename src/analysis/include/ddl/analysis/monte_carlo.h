@@ -2,8 +2,7 @@
 //
 // Runs a per-die experiment across many independently seeded dies (each die
 // = one mismatch sample of a delay line) and summarizes scalar outcomes.
-// Behind Figures 50/51 (post-APR linearity), and the statistical-sizing
-// study of the thesis's future-work section 5.2.
+// Behind Figures 50/51 (post-APR linearity).
 #pragma once
 
 #include <algorithm>
@@ -29,39 +28,24 @@ struct Summary {
 Summary summarize(std::vector<double> samples);
 
 /// Runs `experiment(seed)` for `trials` deterministic seeds derived from
-/// `base_seed` and summarizes the returned scalars.
+/// `base_seed` and summarizes the returned scalars.  A yield is the mean of
+/// a 0/1 experiment; the statistical-sizing study runs its own on the
+/// batched engine (yield.h).
 ///
-/// Trials run in parallel on the analysis thread pool (`DDL_THREADS` /
-/// hardware concurrency; see parallel.h).  Each trial's seed depends only
+/// Trials run in parallel on the analysis thread pool: `threads == 0` uses
+/// the default pool (`DDL_THREADS` / hardware concurrency; see parallel.h),
+/// `threads == 1` forces the serial path.  Each trial's seed depends only
 /// on `(base_seed, index)`, trials are sharded by contiguous index range,
 /// and the per-shard sample vectors are concatenated in index order before
 /// `summarize` -- so the returned Summary is bit-identical for any thread
-/// count, including the `threads == 1` legacy serial path.
+/// count.
 ///
 /// `experiment` is invoked concurrently from several threads and must be
 /// self-contained: construct any Simulator / delay line / controller
 /// inside the callback, one per trial (the sim kernel is not thread-safe).
 Summary monte_carlo(std::size_t trials, std::uint64_t base_seed,
-                    const std::function<double(std::uint64_t seed)>& experiment);
-
-/// As above with an explicit thread count (0 = default).  Used by the
-/// determinism tests and the thread-scaling benchmarks.
-Summary monte_carlo(std::size_t trials, std::uint64_t base_seed,
                     const std::function<double(std::uint64_t seed)>& experiment,
-                    std::size_t threads);
-
-/// Fraction of trials where `predicate(seed)` holds -- the yield estimator
-/// for the statistical-sizing study.  Parallel, with the same determinism
-/// and re-entrancy contract as `monte_carlo`.
-double monte_carlo_yield(
-    std::size_t trials, std::uint64_t base_seed,
-    const std::function<bool(std::uint64_t seed)>& predicate);
-
-/// As above with an explicit thread count (0 = default).
-double monte_carlo_yield(
-    std::size_t trials, std::uint64_t base_seed,
-    const std::function<bool(std::uint64_t seed)>& predicate,
-    std::size_t threads);
+                    std::size_t threads = 0);
 
 /// Derives the i-th die seed (splitmix64 step; never returns 0, which the
 /// delay lines reserve for "no mismatch").

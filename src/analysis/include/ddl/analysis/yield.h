@@ -32,21 +32,15 @@ struct YieldPoint {
 };
 
 /// Sweeps candidate cell counts (powers of two between `min_cells` and
-/// `max_cells`) and estimates lock yield for each by Monte Carlo over
-/// `trials` dies.
+/// `max_cells`) and estimates lock yield for each over `trials` dies on
+/// the batched Monte-Carlo engine (monte_carlo_yield_batched, mc_batch.h):
+/// a die passes when its typical-corner full-line delay times its process
+/// factor covers the clock period.  Every die -- its per-cell mismatch and
+/// its process factor -- comes from the counter-based sampler, seeded by
+/// (`base_seed` ^ cell count, die index), so the table is deterministic
+/// and bit-identical for any thread count (0 = default pool) and kernel
+/// variant.
 std::vector<YieldPoint> yield_vs_cells(
-    const cells::Technology& tech, const core::ProposedLineConfig& base_config,
-    double clock_period_ps, const ProcessDistribution& process,
-    std::size_t min_cells, std::size_t max_cells, std::size_t trials,
-    std::uint64_t base_seed);
-
-/// Batched counterpart of yield_vs_cells: the same tradeoff table computed
-/// with the batched Monte-Carlo engine (mc_batch.h).  The per-die mismatch
-/// and process factor come from the counter-based sampler instead of
-/// mt19937_64, so individual yields differ statistically from
-/// yield_vs_cells (both are estimators of the same model); results are
-/// deterministic and thread-count independent, at >= 20x the throughput.
-std::vector<YieldPoint> yield_vs_cells_batched(
     const cells::Technology& tech, const core::ProposedLineConfig& base_config,
     double clock_period_ps, const ProcessDistribution& process,
     std::size_t min_cells, std::size_t max_cells, std::size_t trials,

@@ -25,23 +25,6 @@ Summary run_monte_carlo(
   return summarize(std::move(samples));
 }
 
-double run_monte_carlo_yield(
-    ThreadPool& pool, std::size_t trials, std::uint64_t base_seed,
-    const std::function<bool(std::uint64_t seed)>& predicate) {
-  if (trials == 0) {
-    return 0.0;
-  }
-  const std::size_t pass = parallel_for_reduce<std::size_t>(
-      pool, trials, [] { return std::size_t{0}; },
-      [&](std::size_t i, std::size_t& acc) {
-        if (predicate(die_seed(base_seed, i))) {
-          ++acc;
-        }
-      },
-      [](std::size_t& total, std::size_t&& shard) { total += shard; });
-  return static_cast<double>(pass) / static_cast<double>(trials);
-}
-
 }  // namespace
 
 Summary summarize(std::vector<double> samples) {
@@ -86,37 +69,14 @@ std::uint64_t die_seed(std::uint64_t base_seed, std::size_t index) {
 
 Summary monte_carlo(
     std::size_t trials, std::uint64_t base_seed,
-    const std::function<double(std::uint64_t seed)>& experiment) {
-  return run_monte_carlo(ThreadPool::global(), trials, base_seed, experiment);
-}
-
-Summary monte_carlo(
-    std::size_t trials, std::uint64_t base_seed,
     const std::function<double(std::uint64_t seed)>& experiment,
     std::size_t threads) {
   if (threads == 0) {
-    return monte_carlo(trials, base_seed, experiment);
+    return run_monte_carlo(ThreadPool::global(), trials, base_seed,
+                           experiment);
   }
   ThreadPool pool(threads);
   return run_monte_carlo(pool, trials, base_seed, experiment);
-}
-
-double monte_carlo_yield(
-    std::size_t trials, std::uint64_t base_seed,
-    const std::function<bool(std::uint64_t seed)>& predicate) {
-  return run_monte_carlo_yield(ThreadPool::global(), trials, base_seed,
-                               predicate);
-}
-
-double monte_carlo_yield(
-    std::size_t trials, std::uint64_t base_seed,
-    const std::function<bool(std::uint64_t seed)>& predicate,
-    std::size_t threads) {
-  if (threads == 0) {
-    return monte_carlo_yield(trials, base_seed, predicate);
-  }
-  ThreadPool pool(threads);
-  return run_monte_carlo_yield(pool, trials, base_seed, predicate);
 }
 
 }  // namespace ddl::analysis

@@ -1,62 +1,11 @@
 #include "ddl/analysis/yield.h"
 
-#include <algorithm>
-#include <cmath>
-#include <random>
-
 #include "ddl/analysis/mc_batch.h"
-#include "ddl/analysis/monte_carlo.h"
 #include "ddl/cells/operating_point.h"
 
 namespace ddl::analysis {
 
 std::vector<YieldPoint> yield_vs_cells(
-    const cells::Technology& tech, const core::ProposedLineConfig& base_config,
-    double clock_period_ps, const ProcessDistribution& process,
-    std::size_t min_cells, std::size_t max_cells, std::size_t trials,
-    std::uint64_t base_seed) {
-  std::vector<YieldPoint> sweep;
-  const double fast_factor =
-      cells::process_delay_factor(cells::ProcessCorner::kFast);
-  const double slow_factor =
-      cells::process_delay_factor(cells::ProcessCorner::kSlow);
-
-  for (std::size_t cells_n = min_cells; cells_n <= max_cells; cells_n *= 2) {
-    core::ProposedLineConfig config = base_config;
-    config.num_cells = cells_n;
-
-    const double yield = monte_carlo_yield(
-        trials, base_seed ^ cells_n, [&](std::uint64_t seed) {
-          // Draw this die's process speed.
-          std::mt19937_64 rng(seed);
-          std::normal_distribution<double> gauss(process.mean_factor,
-                                                 process.sigma_factor);
-          const double factor =
-              std::clamp(gauss(rng), fast_factor, slow_factor);
-
-          // Build the die with mismatch and ask whether the full line (at
-          // this die's speed, nominal V/T) covers the clock period --
-          // equivalently, whether half the line covers half the period,
-          // the proposed controller's lock condition.
-          core::ProposedDelayLine line(tech, config, seed);
-          const double typical_line_ps =
-              line.tap_delay_ps(config.num_cells - 1,
-                                cells::OperatingPoint::typical());
-          return typical_line_ps * factor >= clock_period_ps;
-        });
-
-    YieldPoint point;
-    point.num_cells = cells_n;
-    point.yield = yield;
-    point.area_um2 = static_cast<double>(cells_n) *
-                     static_cast<double>(config.buffers_per_cell) *
-                     tech.area_um2(cells::CellKind::kBuffer);
-    sweep.push_back(point);
-  }
-  return sweep;
-}
-
-std::vector<YieldPoint> yield_vs_cells_batched(
     const cells::Technology& tech, const core::ProposedLineConfig& base_config,
     double clock_period_ps, const ProcessDistribution& process,
     std::size_t min_cells, std::size_t max_cells, std::size_t trials,
@@ -71,9 +20,9 @@ std::vector<YieldPoint> yield_vs_cells_batched(
     core::ProposedLineConfig config = base_config;
     config.num_cells = cells_n;
 
-    // Same model as yield_vs_cells -- full line at the die's speed covers
-    // the clock period -- evaluated on the batch engine: per-cell mismatch
-    // and the global process factor both come from the counter sampler.
+    // The full line at the die's speed (nominal V/T) must cover the clock
+    // period -- equivalently, half the line covers half the period, the
+    // proposed controller's lock condition.
     BatchYieldSpec spec;
     spec.line = BatchLineSpec::from_technology(tech, config);
     spec.clock_period_ps = clock_period_ps;

@@ -10,7 +10,6 @@
 
 #include <cstdint>
 #include <random>
-#include <vector>
 
 #include "ddl/cells/cell_kind.h"
 #include "ddl/cells/operating_point.h"
@@ -34,10 +33,6 @@ class MismatchSampler {
   /// multiplicative and clamped to [0.5, 1.5] nominal so a pathological draw
   /// can never produce a zero or negative delay.
   double sample_delay_ps(CellKind kind, const OperatingPoint& op);
-
-  /// Samples `count` independent instances (e.g. one per delay-line cell).
-  std::vector<double> sample_delays_ps(CellKind kind, const OperatingPoint& op,
-                                       std::size_t count);
 
   /// Samples the delay of a *compound* element made of `cells_in_series`
   /// identical cells in series, each independently mismatched.  This is the

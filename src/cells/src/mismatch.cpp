@@ -21,17 +21,6 @@ double MismatchSampler::sample_delay_ps(CellKind kind,
   return draw(tech_->delay_ps(kind, op));
 }
 
-std::vector<double> MismatchSampler::sample_delays_ps(CellKind kind,
-                                                      const OperatingPoint& op,
-                                                      std::size_t count) {
-  std::vector<double> delays;
-  delays.reserve(count);
-  for (std::size_t i = 0; i < count; ++i) {
-    delays.push_back(sample_delay_ps(kind, op));
-  }
-  return delays;
-}
-
 double MismatchSampler::sample_series_delay_ps(CellKind kind,
                                                const OperatingPoint& op,
                                                std::size_t cells_in_series) {

@@ -17,10 +17,14 @@ std::size_t position_distance(std::size_t a, std::size_t b) {
   return a > b ? a - b : b - a;
 }
 
-/// Adapter over the proposed single-line system.
-class SupervisedProposed final : public SupervisedSystem {
+/// Adapter over a tap-line system: the proposed single line
+/// (ProposedDpwmSystem) or the calibrated hybrid (HybridCalibratedDpwm,
+/// counter MSBs + proposed-line LSBs).  The calibration position is the
+/// controller's tap; the baseline is the last locked tap.
+template <typename System>
+class SupervisedTapLine final : public SupervisedSystem {
  public:
-  explicit SupervisedProposed(ProposedDpwmSystem& system) : system_(&system) {}
+  explicit SupervisedTapLine(System& system) : system_(&system) {}
 
   dpwm::DpwmModel& modulator() override { return *system_; }
   LockStatus lock_status() const override {
@@ -47,7 +51,7 @@ class SupervisedProposed final : public SupervisedSystem {
   }
 
  private:
-  ProposedDpwmSystem* system_;
+  System* system_;
   std::size_t baseline_tap_ = 0;
 };
 
@@ -95,40 +99,6 @@ class SupervisedConventional final : public SupervisedSystem {
   std::vector<int> baseline_settings_;
 };
 
-/// Adapter over the calibrated hybrid (counter MSBs + proposed-line LSBs).
-class SupervisedHybrid final : public SupervisedSystem {
- public:
-  explicit SupervisedHybrid(HybridCalibratedDpwm& system) : system_(&system) {}
-
-  dpwm::DpwmModel& modulator() override { return *system_; }
-  LockStatus lock_status() const override {
-    return system_->controller().status();
-  }
-  std::size_t tap_position() const override {
-    return system_->controller().tap_sel();
-  }
-  double sampling_margin_ps(sim::Time at) const override {
-    return system_->controller().sampling_margin_ps(
-        system_->operating_point(at));
-  }
-  std::optional<std::uint64_t> recalibrate(sim::Time at) override {
-    return system_->calibrate(at, kRelockMaxCycles);
-  }
-  void hold_calibration(bool hold) override {
-    system_->set_calibration_hold(hold);
-  }
-  void capture_baseline() override {
-    baseline_tap_ = system_->controller().tap_sel();
-  }
-  void restore_baseline() override {
-    system_->controller().restore_lock(baseline_tap_);
-  }
-
- private:
-  HybridCalibratedDpwm* system_;
-  std::size_t baseline_tap_ = 0;
-};
-
 /// Largest resolution <= `want` whose counter divides `period` evenly;
 /// 0 when not even a 1-bit counter fits (odd period).
 int feasible_counter_bits(sim::Time period, int want) {
@@ -142,7 +112,7 @@ int feasible_counter_bits(sim::Time period, int want) {
 }  // namespace
 
 std::unique_ptr<SupervisedSystem> make_supervised(ProposedDpwmSystem& system) {
-  return std::make_unique<SupervisedProposed>(system);
+  return std::make_unique<SupervisedTapLine<ProposedDpwmSystem>>(system);
 }
 
 std::unique_ptr<SupervisedSystem> make_supervised(
@@ -152,7 +122,7 @@ std::unique_ptr<SupervisedSystem> make_supervised(
 
 std::unique_ptr<SupervisedSystem> make_supervised(
     HybridCalibratedDpwm& system) {
-  return std::make_unique<SupervisedHybrid>(system);
+  return std::make_unique<SupervisedTapLine<HybridCalibratedDpwm>>(system);
 }
 
 std::string_view to_string(SupervisorState state) noexcept {

@@ -14,9 +14,11 @@
 // the same failure reason.  The result is rendered as a *replay bundle* --
 // a flat JSON file carrying the complete minimal ScenarioSpec, its seed
 // and the expected verdict -- reproducible on any checkout via
-// `ddl_scenario_runner --replay <bundle>`.  The spec sits under a `spec.`
-// key prefix, written and read by the one spec codec (spec.h): a bundle is
-// read strictly, so an unknown `spec.` key rejects it.
+// `ddl_scenario_runner --replay <bundle>`, which runs the spec as a
+// one-spec campaign (in a sandbox worker by default), or via
+// `ddl_scenario_client --replay` against a daemon.  The spec sits under a
+// `spec.` key prefix, written and read by the one spec codec (spec.h): a
+// bundle is read strictly, so an unknown `spec.` key rejects it.
 #pragma once
 
 #include <cstdint>
@@ -79,17 +81,10 @@ struct ReplayBundle {
 /// message names the first offending key).
 ReplayBundle parse_replay_bundle(const std::string& content);
 
-/// Re-runs a bundle's spec and checks the expected verdict reproduces.
-struct ReplayOutcome {
-  ScenarioResult result;
-  bool reproduced = false;
-};
-
-ReplayOutcome replay(const ReplayBundle& bundle);
-
-/// The one replay verdict rule, shared by replay() (ddl_scenario_runner
-/// --replay) and the service client's run_replay, which judges the row a
-/// daemon returns: with an empty expectation the scenario must pass,
+/// The one replay verdict rule, applied to the bundle spec's row by
+/// `ddl_scenario_runner --replay` (a one-spec campaign under the runner's
+/// isolation) and by the service client's run_replay (a one-spec job on
+/// the daemon): with an empty expectation the scenario must pass,
 /// otherwise its failure_reason must equal the expectation.
 bool replay_reproduced(const ScenarioResult& result,
                        const std::string& expected_failure_reason);

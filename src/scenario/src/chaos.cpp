@@ -200,14 +200,6 @@ ReplayBundle parse_replay_bundle(const std::string& content) {
   return bundle;
 }
 
-ReplayOutcome replay(const ReplayBundle& bundle) {
-  ReplayOutcome outcome;
-  outcome.result = run_scenario_guarded(bundle.spec).result;
-  outcome.reproduced =
-      replay_reproduced(outcome.result, bundle.expected_failure_reason);
-  return outcome;
-}
-
 bool replay_reproduced(const ScenarioResult& result,
                        const std::string& expected_failure_reason) {
   return expected_failure_reason.empty()

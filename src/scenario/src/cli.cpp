@@ -93,8 +93,9 @@ FlagTable runner_flags(RunnerOptions& o) {
                   "replay bundle (replay_<name>.json)",
                   o.shrink),
       text_flag("--replay", "FILE",
-                "re-run a replay bundle; exit 0 iff the recorded verdict "
-                "reproduces",
+                "re-run a replay bundle as a one-spec campaign under "
+                "--isolation and the sandbox flags; exit 0 iff the recorded "
+                "verdict reproduces",
                 o.replay_path),
       sandbox_only(number_flag("--inject-hang", "MS",
                                "test hook: hang the first scenario's "

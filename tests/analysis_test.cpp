@@ -175,14 +175,30 @@ TEST(MonteCarlo, HarnessIsDeterministic) {
   EXPECT_DOUBLE_EQ(a.p95, b.p95);
 }
 
+/// A yield is the mean of a 0/1 experiment: the fraction of dies whose
+/// seed passes `predicate`.
+double yield_of(std::size_t trials, std::uint64_t base_seed,
+                const std::function<bool(std::uint64_t)>& predicate,
+                std::size_t threads = 0) {
+  return monte_carlo(
+             trials, base_seed,
+             [&](std::uint64_t seed) { return predicate(seed) ? 1.0 : 0.0; },
+             threads)
+      .mean;
+}
+
 TEST(MonteCarlo, YieldCountsPredicatePasses) {
-  EXPECT_DOUBLE_EQ(
-      monte_carlo_yield(100, 1, [](std::uint64_t) { return true; }), 1.0);
-  EXPECT_DOUBLE_EQ(
-      monte_carlo_yield(100, 1, [](std::uint64_t) { return false; }), 0.0);
-  const double half = monte_carlo_yield(
-      10'000, 1, [](std::uint64_t seed) { return (seed & 1) != 0; });
+  EXPECT_DOUBLE_EQ(yield_of(100, 1, [](std::uint64_t) { return true; }), 1.0);
+  EXPECT_DOUBLE_EQ(yield_of(100, 1, [](std::uint64_t) { return false; }), 0.0);
+  const auto odd = [](std::uint64_t seed) { return (seed & 1) != 0; };
+  const double half = yield_of(10'000, 1, odd);
   EXPECT_NEAR(half, 0.5, 0.03);
+  // The mean of 0/1 samples is the exact pass count over the trials.
+  std::size_t passes = 0;
+  for (std::size_t i = 0; i < 10'000; ++i) {
+    passes += odd(die_seed(1, i)) ? 1 : 0;
+  }
+  EXPECT_EQ(half, static_cast<double>(passes) / 10'000.0);
 }
 
 // ---- Parallel execution layer ----------------------------------------------------
@@ -285,11 +301,11 @@ TEST(MonteCarlo, SummaryBitIdenticalAcrossThreadCounts) {
 
 TEST(MonteCarlo, YieldIdenticalAcrossThreadCounts) {
   const auto predicate = [](std::uint64_t seed) { return (seed % 3) == 0; };
-  const double serial = monte_carlo_yield(999, 5, predicate, 1);
+  const double serial = yield_of(999, 5, predicate, 1);
   for (const std::size_t threads : {2u, 4u, 7u}) {
-    EXPECT_EQ(serial, monte_carlo_yield(999, 5, predicate, threads));
+    EXPECT_EQ(serial, yield_of(999, 5, predicate, threads));
   }
-  EXPECT_EQ(serial, monte_carlo_yield(999, 5, predicate));
+  EXPECT_EQ(serial, yield_of(999, 5, predicate));
 }
 
 TEST(MonteCarlo, DieSeedNeverZeroAcrossManyBases) {
@@ -386,6 +402,32 @@ TEST(Yield, UndersizedLineLosesDies) {
       yield_vs_cells(tech, core::ProposedLineConfig{256, 2}, 10'000.0,
                      ProcessDistribution{}, 64, 64, 300, 5);
   EXPECT_LT(sweep[0].yield, 0.5);
+}
+
+TEST(Yield, BenchSweepReadsTheStatisticalSizingNumbers) {
+  // bench_yield_vs_cells' own arguments (100 MHz, 256 x 2 base, 32..512
+  // cells, 2000 dies, seed 77) and the numbers it prints, which
+  // EXPERIMENTS.md quotes: no die of 32 or 64 cells covers the period,
+  // 1030 of 2000 at 128 cells (51.5 %; ~54 % over many seeds), every die
+  // from 256 cells up, so each yield target needs 256 cells.  The counter
+  // sampler makes the table the same at any thread count.
+  const auto tech = cells::Technology::i32nm_class();
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+    const auto sweep =
+        yield_vs_cells(tech, core::ProposedLineConfig{256, 2}, 10'000.0,
+                       ProcessDistribution{}, 32, 512, /*trials=*/2000,
+                       /*seed=*/77, threads);
+    ASSERT_EQ(sweep.size(), 5u);
+    const std::size_t counts[] = {32, 64, 128, 256, 512};
+    const double yields[] = {0.0, 0.0, 1030.0 / 2000.0, 1.0, 1.0};
+    for (std::size_t i = 0; i < sweep.size(); ++i) {
+      EXPECT_EQ(sweep[i].num_cells, counts[i]);
+      EXPECT_EQ(sweep[i].yield, yields[i]) << counts[i] << " cells";
+    }
+    for (const double target : {0.90, 0.99, 0.999}) {
+      EXPECT_EQ(cells_for_yield(sweep, target), 256u) << target;
+    }
+  }
 }
 
 TEST(Yield, CellsForYieldPicksSmallestSufficientCount) {

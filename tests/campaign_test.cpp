@@ -986,8 +986,10 @@ TEST(ChaosShrinkTest, ReplayBundleRoundTripsAndReproduces) {
             report.minimal.faults[0].victim_cell);
   EXPECT_EQ(bundle.spec.periods, report.minimal.periods);
 
-  const auto outcome = ddl::scenario::replay(bundle);
-  EXPECT_TRUE(outcome.reproduced) << outcome.result.failure_reason;
+  const auto result = ddl::scenario::run_scenario_guarded(bundle.spec).result;
+  EXPECT_TRUE(ddl::scenario::replay_reproduced(
+      result, bundle.expected_failure_reason))
+      << result.failure_reason;
 
   EXPECT_THROW(ddl::scenario::parse_replay_bundle("{\"bundle\": \"other\"}"),
                std::invalid_argument);

@@ -8,7 +8,11 @@ ddl_scenario_server and ddl_scenario_client.  The runner runs the chaos
 suite with shrinking on: the exit status must count the failing rows, and
 every failing row must leave one replay bundle (at least one in all) that
 replays its failure with exit 0, through the runner and through the client
-against one daemon.  A copy of a bundle with one extra `spec.` key must be
+against one daemon; the runner must print the same row under process and
+thread isolation.  A copy of a bundle whose spec hangs in its sandbox
+worker and that expects `error:timeout` must reproduce through the runner
+under `--timeout-ms 300 --retries 0`, since the runner replays under its
+sandbox.  A copy of a bundle with one extra `spec.` key must be
 refused with the usage exit code and an error naming that key, since
 bundles are read strictly.  A copy of a bundle that expects a failure
 reason its spec does not produce must exit 1 through both tools, though
@@ -87,9 +91,17 @@ def main(runner, server_bin, client, work):
         bundle_name(name) for name in failing), (bundles, failing)
     for bundle in bundles:
         replay = subprocess.run([runner, "--replay", bundle], env=env,
-                                stdout=subprocess.DEVNULL,
+                                stdout=subprocess.PIPE,
                                 stderr=subprocess.PIPE, text=True)
         assert replay.returncode == 0, (bundle, replay.stderr)
+        # The bundle's row is the campaign's row: a sandbox worker and the
+        # in-process executor print the same bytes.
+        in_process = subprocess.run(
+            [runner, "--replay", bundle, "--isolation", "thread"], env=env,
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+        assert in_process.returncode == 0, (bundle, in_process.stderr)
+        assert replay.stdout and replay.stdout == in_process.stdout, (
+            bundle, replay.stdout, in_process.stdout)
 
     state = os.path.join(work, "state")
     shutil.rmtree(state, ignore_errors=True)
@@ -126,6 +138,26 @@ def main(runner, server_bin, client, work):
     jobs = os.listdir(os.path.join(state, "jobs"))
     assert len(jobs) == len(bundles), (jobs, bundles)
 
+    # A bundle whose spec hangs in its sandbox worker and which expects the
+    # deadline's verdict: the runner's replay runs under the sandbox, so
+    # --timeout-ms and --retries apply and the timeout row reproduces.
+    with open(bundles[0]) as stream:
+        bundle = json.load(stream)
+    bundle["spec.debug_hang_ms"] = 60000
+    bundle["spec.debug_hang_attempts"] = 1000
+    bundle["expected_failure_reason"] = "error:timeout"
+    bundle["expected_error"] = "timeout"
+    hang = os.path.join(work, "hang.json")
+    with open(hang, "w") as stream:
+        json.dump(bundle, stream)
+    replay = subprocess.run(
+        [runner, "--replay", hang, "--timeout-ms", "300", "--retries", "0"],
+        env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        timeout=60)
+    assert replay.returncode == 0, (replay.returncode, replay.stderr)
+    assert json.loads(replay.stdout)["failure_reason"] == "error:timeout", (
+        replay.stdout)
+
     with open(bundles[0]) as stream:
         document = stream.read()
     tampered = os.path.join(work, "tampered.json")
@@ -138,8 +170,10 @@ def main(runner, server_bin, client, work):
     assert refused.returncode == USAGE_EXIT, (refused.returncode,
                                               refused.stderr)
     assert "spec.periosd: unknown key" in refused.stderr, refused.stderr
-    print("%d failing storms, %d bundles replayed through the runner and the "
-          "daemon; a bundle expecting another reason did not reproduce; a "
+    print("%d failing storms, %d bundles replayed through the runner (the "
+          "same row in process and thread isolation) and the daemon; a "
+          "bundle expecting another reason did not reproduce; a hanging "
+          "bundle reproduced its timeout under the sandbox's deadline; a "
           "bundle with an unknown spec key was refused"
           % (len(failing), len(bundles)))
 

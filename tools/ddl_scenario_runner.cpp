@@ -22,10 +22,8 @@
 #include <atomic>
 #include <climits>
 #include <csignal>
-#include <cstdio>
 #include <exception>
 #include <iostream>
-#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -60,28 +58,19 @@ void list_suites(std::ostream& os) {
   }
 }
 
-int run_replay(const std::string& path) {
-  std::string content;
-  try {
-    content = [&] {
-      std::string buffer;
-      FILE* file = std::fopen(path.c_str(), "rb");
-      if (file == nullptr) {
-        throw std::runtime_error("cannot read '" + path + "'");
-      }
-      char chunk[4096];
-      std::size_t got = 0;
-      while ((got = std::fread(chunk, 1, sizeof(chunk), file)) > 0) {
-        buffer.append(chunk, got);
-      }
-      std::fclose(file);
-      return buffer;
-    }();
-  } catch (const std::exception& e) {
-    std::cerr << "error: " << e.what() << "\n";
+/// --replay: the bundle's spec runs as a one-spec campaign under the
+/// runner's isolation -- in a sandbox worker by default, so --timeout-ms,
+/// --retries and the sandbox-only hooks a bundle can carry apply -- and its
+/// row is judged with replay_reproduced, the rule the client applies to the
+/// row a daemon returns.
+int run_replay(const scenario::RunnerOptions& options) {
+  const std::string content = scenario::read_file(options.replay_path);
+  // read_file returns "" for a missing file and for an empty one alike.
+  if (content.empty()) {
+    std::cerr << "error: cannot read '" << options.replay_path
+              << "' (missing, unreadable or empty)\n";
     return 66;
   }
-
   scenario::ReplayBundle bundle;
   try {
     bundle = scenario::parse_replay_bundle(content);
@@ -89,13 +78,20 @@ int run_replay(const std::string& path) {
     std::cerr << "error: " << e.what() << "\n";
     return 64;
   }
-  const scenario::ReplayOutcome outcome = scenario::replay(bundle);
-  std::cout << scenario::to_json_line(outcome.result) << "\n";
-  std::cerr << (outcome.reproduced ? "replay: reproduced '"
-                                   : "replay: did NOT reproduce '")
+  scenario::CampaignConfig config;
+  config.jobs = 1;
+  config.isolation = options.isolation;
+  const scenario::CampaignOutcome outcome =
+      scenario::Campaign(config).run({bundle.spec});
+  const scenario::ScenarioResult& result = outcome.results[0];
+  const bool reproduced =
+      scenario::replay_reproduced(result, bundle.expected_failure_reason);
+  std::cout << outcome.result_lines[0] << "\n";
+  std::cerr << (reproduced ? "replay: reproduced '"
+                           : "replay: did NOT reproduce '")
             << bundle.expected_failure_reason << "' (got '"
-            << outcome.result.failure_reason << "')\n";
-  return outcome.reproduced ? 0 : 1;
+            << result.failure_reason << "')\n";
+  return reproduced ? 0 : 1;
 }
 
 std::string bundle_file_name(const std::string& scenario_name) {
@@ -157,7 +153,7 @@ int main(int argc, char** argv) {
     return 0;
   }
   if (!options.replay_path.empty()) {
-    return run_replay(options.replay_path);
+    return run_replay(options);
   }
 
   const auto& registry = scenario::ScenarioRegistry::builtin();
